@@ -14,9 +14,9 @@ has two failure modes the bit-identity tests cannot always catch:
   summarized, and every resolved call site passing the same expression
   for both parameters is flagged.
 * ``ALS002`` — a :meth:`Workspace.buffer` arena buffer persisted on
-  ``self``: arena buffers are valid only until the same ``(tag, shape,
-  dtype)`` key is requested again, so storing one on the instance lets a
-  later step read clobbered memory.  Scoped to the fast-path packages;
+  ``self``: arena buffers are valid only until the same ``(tag, dtype)``
+  key is requested again, at any shape, so storing one on the instance
+  lets a later step read clobbered memory.  Scoped to the fast-path packages;
   by-construction-safe stores (consumed before the key is reused) are
   suppressed with ``# repro: noqa[ALS002]`` plus the invariant.
 
@@ -172,7 +172,7 @@ class ArenaEscapeRule(Rule):
                     node,
                     f"workspace arena buffer '{stored}' is persisted on "
                     f"'{target_text}': arena buffers are only valid until "
-                    "their (tag, shape, dtype) key is requested again — copy "
+                    "their (tag, dtype) key is requested again — copy "
                     "it, or suppress with the invariant that it is consumed "
                     "before the key is reused",
                     symbol=f"{symbol}.{fn.name}" if symbol else fn.name,

@@ -33,20 +33,18 @@ def canonical_neighbors(dist: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray
     ubiquitous between lattice points — are ordered by the tree's internal
     construction: two trees over different subsets of the same points can
     disagree both on the order of tied neighbors and on which tied
-    candidate makes the ``k`` cut.  Re-sorting the padded candidate list
-    by ``(distance, sample index)`` and keeping the first ``k`` makes the
+    candidate makes the ``k`` cut.  Re-sorting each query's padded
+    candidate row by ``(distance, sample index)`` (one row-wise lexsort,
+    no global sort over all queries) and keeping the first ``k`` makes the
     selection a pure function of the point set itself, so any spatial
     partition of the samples (for example a shard's halo-extended subset,
     whose local→global index map is strictly increasing) reproduces the
     global selection bit-for-bit whenever all ``k + TIE_BREAK_PAD``
     candidates lie inside the subset.
     """
-    n, kq = idx.shape
-    if kq <= 1:
+    if idx.shape[1] <= 1:
         return idx[:, :k]
-    rows = np.repeat(np.arange(n), kq)
-    perm = np.lexsort((idx.ravel(), dist.ravel(), rows)).reshape(n, kq)
-    perm -= np.arange(n)[:, None] * kq
+    perm = np.lexsort((idx, dist), axis=1)
     return np.take_along_axis(idx, perm[:, :k], axis=1)
 
 

@@ -18,6 +18,7 @@ training fit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 from pathlib import Path
 
@@ -170,6 +171,15 @@ class FCNNReconstructor:
             raise ValueError("need at least one sample to train on")
         return samples
 
+    @staticmethod
+    def _kept_rows(rows: int, train_fraction: float) -> int:
+        """How many of ``rows`` assembled training rows ``train_fraction`` keeps."""
+        if not (0.0 < train_fraction <= 1.0):
+            raise ValueError(f"train_fraction must be in (0, 1], got {train_fraction}")
+        if train_fraction < 1.0:
+            return max(1, int(round(train_fraction * rows)))
+        return rows
+
     def _training_matrix(
         self,
         field: TimestepField,
@@ -183,12 +193,14 @@ class FCNNReconstructor:
             x, y = self.extractor.training_data(field, sample, normalizer)
             xs.append(x)
             ys.append(y)
-        x = np.concatenate(xs, axis=0)
-        y = np.concatenate(ys, axis=0)
-        if not (0.0 < train_fraction <= 1.0):
-            raise ValueError(f"train_fraction must be in (0, 1], got {train_fraction}")
+        if len(xs) == 1:
+            x, y = xs[0], ys[0]
+        else:
+            x = np.concatenate(xs, axis=0)
+            y = np.concatenate(ys, axis=0)
+        del xs, ys
+        keep = self._kept_rows(len(x), train_fraction)
         if train_fraction < 1.0:
-            keep = max(1, int(round(train_fraction * len(x))))
             idx = rng.choice(len(x), size=keep, replace=False)
             x, y = x[idx], y[idx]
         return x, y
@@ -338,7 +350,10 @@ class FCNNReconstructor:
 
         Steps whose training matrices disagree in row count are grouped
         into separate stacks (fused batching needs a rectangular slab);
-        each member's bits never depend on its group's size.
+        each member's bits never depend on its group's size.  Each step's
+        training matrix is built only when the trainer stages it and is
+        freed before the next one is built, so peak memory is the
+        ``(K, N, ·)`` training slabs plus one step's features.
 
         **Single-writer:** the call shares the instance's one
         :class:`~repro.perf.Workspace` arena, whose buffers are keyed by
@@ -375,18 +390,20 @@ class FCNNReconstructor:
         if not fields:
             raise ValueError("need at least one timestep to fine-tune")
 
-        matrices = []
-        with span("fcnn.features.batched", steps=len(fields)):
-            for field, samples in zip(fields, samples_per_step):
-                sample_list = self._as_sample_list(samples)
-                tuned = dataclasses.replace(
-                    normalizer,
-                    origin=np.asarray(field.grid.origin, dtype=np.float64),
-                    span=_grid_span(field.grid),
-                )
-                rng = np.random.default_rng(self.seed + 1)
-                matrices.append(
-                    self._training_matrix(field, sample_list, tuned, train_fraction, rng)
+        sample_lists = [self._as_sample_list(samples) for samples in samples_per_step]
+
+        def load(i: int) -> tuple[np.ndarray, np.ndarray]:
+            """Step ``i``'s training matrix, built only when the trainer stages it."""
+            field = fields[i]
+            tuned = dataclasses.replace(
+                normalizer,
+                origin=np.asarray(field.grid.origin, dtype=np.float64),
+                span=_grid_span(field.grid),
+            )
+            rng = np.random.default_rng(self.seed + 1)
+            with span("fcnn.features.batched", step=i):
+                return self._training_matrix(
+                    field, sample_lists[i], tuned, train_fraction, rng
                 )
 
         # The batched engine is float64-only; a float32 arena would change
@@ -395,9 +412,12 @@ class FCNNReconstructor:
         if workspace is not None and workspace.dtype != np.float64:
             workspace = None
 
+        # Group by row count (known without building a matrix) so every
+        # member of a stack trains on an equal number of rows.
         groups: dict[int, list[int]] = {}
-        for i, (x, _) in enumerate(matrices):
-            groups.setdefault(len(x), []).append(i)
+        for i, sample_list in enumerate(sample_lists):
+            rows = sum(len(sample.void_indices()) for sample in sample_list)
+            groups.setdefault(self._kept_rows(rows, train_fraction), []).append(i)
         flats: list[np.ndarray | None] = [None] * len(fields)
         histories: list[TrainingHistory | None] = [None] * len(fields)
         for steps in groups.values():
@@ -413,10 +433,10 @@ class FCNNReconstructor:
                 workspace=workspace,
                 case2_prefix_cache=prefix_cache,
             )
+            # Members are built one at a time inside the trainer, which
+            # releases each one's features once it is staged.
             runs = trainer.fit(
-                np.stack([matrices[i][0] for i in steps]),
-                np.stack([matrices[i][1] for i in steps]),
-                epochs=epochs,
+                [functools.partial(load, i) for i in steps], None, epochs=epochs
             )
             for member, i in enumerate(steps):
                 flats[i] = stack.member_weights(member)

@@ -383,6 +383,32 @@ class ModelStack:
                 return layer.out_features
         raise ValueError(f"no Dense layer in the frozen prefix (cut={cut})")
 
+    def member_prefix(self, member: int, cut: int) -> "ModelStack":
+        """A one-member stack over ``layers[:cut]`` viewing ``member``'s weights.
+
+        The weights are views, not copies, and the layers keep their
+        indices (so their arena tags), trainability and training mode:
+        per member it runs the exact ops of the K-wide prefix, one
+        ``(B, n) @ (n, m)`` slice per BLAS call either way.  The batched
+        trainer's Case-2 staging streams each member's rows through it,
+        so no K-wide input stack is ever built.
+        """
+        if not (0 <= member < self.k):
+            raise IndexError(f"member {member} out of range for K={self.k}")
+        layers: list[StackedLayer] = []
+        for layer in self.layers[:cut]:
+            if isinstance(layer, StackedDense):
+                view = StackedDense(
+                    layer.weight.value[member : member + 1],
+                    layer.bias.value[member : member + 1],
+                )
+                view.set_trainable(layer.trainable)
+            else:
+                view = type(layer)()
+            view.training = layer.training
+            layers.append(view)
+        return ModelStack(layers, k=1)
+
     # ------------------------------------------------------------ snapshots
     def member_weights(self, member: int) -> np.ndarray:
         """One member's weights as a flat float64 vector.

@@ -11,14 +11,18 @@ bit-identical to K serial runs (``tests/test_nn_batched.py``).
 
 Case-2 fast path: when the stack has a frozen prefix
 (:meth:`ModelStack.freeze_all_but_last`), the prefix is evaluated **once**
-per fit over the full training slab (it never changes — its weights are
-frozen), the resulting activations are cached in an arena buffer, and the
-epoch loop trains only the suffix layers: no forward *or* backward work
-through frozen layers, ever.  The cached-prefix trajectory is proven
-correct against finite differences rather than claimed bit-identical to
-the serial Case-2 run (the prefix matmul happens at full-slab rather than
-per-batch shape); disable it with ``case2_prefix_cache=False`` to recover
-the exact serial Case-2 op sequence.
+per fit (it never changes — its weights are frozen) and the epoch loop
+trains only the suffix layers: no forward *or* backward work through
+frozen layers, ever.  Members are staged one at a time: each member's
+rows stream through the prefix in ``PREFIX_BLOCK``-row blocks straight
+into a ``(K, N, width)`` activation slab, and its inputs are released
+before the next member is built, so peak memory is the slabs plus one
+member's inputs — never a ``(K, N, features)`` input stack.  The
+cached-prefix trajectory is proven correct against finite differences
+rather than claimed bit-identical to the serial Case-2 run (the prefix
+matmul happens at block rather than per-batch shape); disable it with
+``case2_prefix_cache=False`` to recover the exact serial Case-2 op
+sequence.
 
 Telemetry mirrors the serial trainer under a ``train.batched.*`` prefix:
 ``train.batched.fit``/``train.batched.epoch`` spans, batch/epoch counters,
@@ -27,6 +31,7 @@ loss/model-count gauges and epoch-seconds histograms.
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -118,44 +123,61 @@ class BatchedTrainer:
 
     def fit(
         self,
-        x: np.ndarray,
-        y: np.ndarray,
+        x,
+        y: np.ndarray | None,
         epochs: int,
         shuffle: bool = True,
     ) -> list[TrainingHistory]:
         """Train all K members for ``epochs`` passes over their data slabs.
 
         ``x`` is ``(K, N, features)`` and ``y`` is ``(K, N, targets)`` —
-        member ``k`` trains on the ``(x[k], y[k])`` slab.  Every member
+        member ``k`` trains on the ``(x[k], y[k])`` slab.  Alternatively
+        pass ``y=None`` and ``x`` as K zero-argument callables, the k-th
+        returning member ``k``'s ``(x_k, y_k)`` pair: members are then
+        built one at a time and each is released once staged, so only one
+        member's inputs are ever alive (:meth:`_stage`).  Every member
         sees the same number of rows (a rectangular stack is what makes
         the fused batching possible).  Returns one
         :class:`~repro.nn.TrainingHistory` per member; epoch wall time is
         attributed ``1/K`` to each.
         """
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.ndim != 3 or y.ndim != 3:
-            raise ValueError(f"expected stacked 3D x/y, got {x.shape} and {y.shape}")
-        if x.shape[0] != self.stack.k or y.shape[0] != self.stack.k:
-            raise ValueError(
-                f"stack has K={self.stack.k} members; x/y carry {x.shape[0]}/{y.shape[0]} slabs"
+        k = self.stack.k
+        ws = self.workspace
+        dtype = np.float64 if ws is None else ws.dtype
+        if y is None:
+            members = list(x)
+            if len(members) != k:
+                raise ValueError(
+                    f"stack has K={k} members; got {len(members)} member loaders"
+                )
+            slabs = None
+        else:
+            x = np.asarray(x, dtype=np.float64)
+            y = np.asarray(y, dtype=np.float64)
+            if x.ndim != 3 or y.ndim != 3:
+                raise ValueError(f"expected stacked 3D x/y, got {x.shape} and {y.shape}")
+            if x.shape[0] != k or y.shape[0] != k:
+                raise ValueError(
+                    f"stack has K={k} members; x/y carry {x.shape[0]}/{y.shape[0]} slabs"
+                )
+            if x.shape[1] != y.shape[1]:
+                raise ValueError(
+                    f"x and y row counts differ: x has shape {x.shape}, y has shape {y.shape}"
+                )
+            if x.shape[1] == 0:
+                raise ValueError(f"training set is empty: x has shape {x.shape}")
+            slabs = (
+                np.ascontiguousarray(x, dtype=dtype),
+                np.ascontiguousarray(y, dtype=dtype),
             )
-        if x.shape[1] != y.shape[1]:
-            raise ValueError(
-                f"x and y row counts differ: x has shape {x.shape}, y has shape {y.shape}"
-            )
-        if x.shape[1] == 0:
-            raise ValueError(f"training set is empty: x has shape {x.shape}")
+            members = [functools.partial(_member_of, slabs, m) for m in range(k)]
         if epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {epochs}")
 
-        ws = self.workspace
         if ws is not None:
-            x = np.ascontiguousarray(x, dtype=ws.dtype)
-            y = np.ascontiguousarray(y, dtype=ws.dtype)
             self.stack.attach_workspace(ws)
         try:
-            return self._fit_loop(x, y, epochs, shuffle)
+            return self._fit_loop(members, slabs, epochs, shuffle)
         finally:
             if ws is not None:
                 self.stack.detach_workspace()
@@ -164,7 +186,7 @@ class BatchedTrainer:
 
     # ------------------------------------------------------------- internals
     def _fit_loop(
-        self, x: np.ndarray, y: np.ndarray, epochs: int, shuffle: bool
+        self, members: list, slabs: tuple | None, epochs: int, shuffle: bool
     ) -> list[TrainingHistory]:
         k = self.stack.k
         cut = 0
@@ -172,17 +194,20 @@ class BatchedTrainer:
             cut = self.stack.trainable_cut()
         rng = np.random.default_rng(self.seed)
         histories = [TrainingHistory() for _ in range(k)]
-        n = x.shape[1]
         with span(
             "train.batched.fit",
             models=k,
             epochs=int(epochs),
-            rows=n,
             case2_prefix=cut > 0,
-        ):
+        ) as fit_span:
             obs_gauge("train.batched.models").set(float(k))
+            # Caller slabs already are the training input unless a frozen
+            # prefix has to be applied first.
+            x, y = slabs if slabs is not None and cut == 0 else self._stage(members, cut)
+            n = x.shape[1]
+            if fit_span is not None:  # the row count is known once staged
+                fit_span.attrs["rows"] = n
             if cut > 0:
-                x = self._prefix_activations(x, cut)
                 obs_counter("train.batched.prefix_rows").inc(k * n)
             epoch = 0
             while epoch < epochs:
@@ -200,26 +225,58 @@ class BatchedTrainer:
                     epoch += 1
         return histories
 
-    def _prefix_activations(self, x: np.ndarray, cut: int) -> np.ndarray:
-        """Evaluate the frozen prefix once over the full ``(K, N, F)`` slab.
+    def _stage(self, members: list, cut: int) -> tuple[np.ndarray, np.ndarray]:
+        """Build the ``(K, N, ·)`` training slabs one member at a time.
 
-        Streams ``PREFIX_BLOCK``-row blocks through the stacked prefix
-        (block boundaries are K-independent, so member results don't
-        depend on how many members ride along) into one cached activation
-        slab that the epoch loop then treats as the training input.
+        With a frozen prefix (``cut > 0``) each member's inputs stream
+        through :meth:`ModelStack.member_prefix` in ``PREFIX_BLOCK``-row
+        blocks (K-independent boundaries, so member results don't depend
+        on how many members ride along) straight into a ``(K, N, width)``
+        activation slab; otherwise they are copied into one
+        ``(K, N, features)`` slab.  Member ``m``'s inputs are dropped
+        before member ``m + 1`` is built.
         """
-        k, n, _ = x.shape
-        width = self.stack.prefix_width(cut)
-        ws = self.workspace
-        with span("train.batched.prefix", rows=n, width=width):
-            if ws is None:
-                z = np.empty((k, n, width), dtype=np.float64)
+        k = self.stack.k
+        xm, ym = self._member(members, 0)
+        n = len(xm)
+        width = self.stack.prefix_width(cut) if cut > 0 else xm.shape[1]
+        x = np.empty((k, n, width), dtype=xm.dtype)
+        y = np.empty((k, n, ym.shape[1]), dtype=ym.dtype)
+        for m in range(k):
+            if m > 0:
+                xm, ym = self._member(members, m)
+                if len(xm) != n:
+                    raise ValueError(
+                        f"member {m} has {len(xm)} rows, member 0 has {n}; "
+                        "a stack trains on equal row counts"
+                    )
+            y[m] = ym
+            if cut > 0:
+                prefix = self.stack.member_prefix(m, cut)
+                if self.workspace is not None:
+                    prefix.attach_workspace(self.workspace)
+                with span("train.batched.prefix", member=m, rows=n, width=width):
+                    for start in range(0, n, PREFIX_BLOCK):
+                        stop = min(start + PREFIX_BLOCK, n)
+                        x[m, start:stop] = prefix.forward(xm[None, start:stop])[0]
             else:
-                z = ws.buffer(("case2", "z"), (k, n, width))
-            for start in range(0, n, PREFIX_BLOCK):
-                stop = min(start + PREFIX_BLOCK, n)
-                z[:, start:stop] = self.stack.forward(x[:, start:stop], stop=cut)
-        return z
+                x[m] = xm
+            del xm, ym
+        return x, y
+
+    def _member(self, members: list, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Load and check member ``m``'s ``(x_m, y_m)`` pair."""
+        dtype = np.float64 if self.workspace is None else self.workspace.dtype
+        xm, ym = members[m]()
+        xm = np.ascontiguousarray(xm, dtype=dtype)
+        ym = np.ascontiguousarray(ym, dtype=dtype)
+        if xm.ndim != 2 or ym.ndim != 2 or len(xm) != len(ym):
+            raise ValueError(
+                f"member {m} needs 2D x/y with equal row counts, got {xm.shape} and {ym.shape}"
+            )
+        if len(xm) == 0:
+            raise ValueError(f"training set is empty: member {m} has shape {xm.shape}")
+        return xm, ym
 
     def _run_epoch(
         self, x: np.ndarray, y: np.ndarray, order: np.ndarray, cut: int
@@ -262,3 +319,8 @@ class BatchedTrainer:
         if counted == 0:
             return [float("nan")] * k
         return [total / counted for total in epoch_loss]
+
+
+def _member_of(slabs: tuple[np.ndarray, np.ndarray], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Member ``m``'s rows of caller-provided ``(x, y)`` slabs (views, no copy)."""
+    return slabs[0][m], slabs[1][m]

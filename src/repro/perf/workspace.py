@@ -7,10 +7,17 @@ batch 4096 a single ``Dense(23, 512)`` forward materializes a 16 MiB
 activation, and the naive expression forms (``x @ W + b``,
 ``np.where(mask, x, 0)``) allocate a fresh temporary per operation per
 batch.  A :class:`Workspace` removes those allocations: buffers are keyed
-on ``(tag, shape, dtype)`` and handed back to the same call site every
-step, so after the first batch of an epoch the training loop runs
-allocation-free (the arena reaches steady state — every subsequent
-request is a *hit*).
+on ``(tag, dtype)`` and handed back to the same call site every step, so
+after the first batch of an epoch the training loop runs allocation-free
+(the arena reaches steady state — every subsequent request is a *hit*).
+
+Each key owns one flat backing buffer that grows to the largest shape
+ever requested under it; a request hands out a cached C-contiguous view
+of its leading elements.  Arena memory therefore follows the largest
+live request per tag, not the history of shapes seen (a serving stack
+evaluated at K = 1…8 holds the K = 8 buffers once, not eight sets).  The
+price is one aliasing rule: a view stays valid only until the same tag
+is requested again, at *any* shape.
 
 Bit-exactness contract: the fast path only changes *where* results are
 written, never the operations or their order, so losses and weights match
@@ -25,13 +32,15 @@ arena between two concurrently-active models aliases their buffers.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["Workspace"]
 
 
 class Workspace:
-    """A get-or-allocate buffer arena keyed on ``(tag, shape, dtype)``.
+    """A get-or-grow buffer arena keyed on ``(tag, dtype)``.
 
     Parameters
     ----------
@@ -44,39 +53,59 @@ class Workspace:
 
     def __init__(self, dtype=np.float64) -> None:
         self.dtype = np.dtype(dtype)
+        # (tag, dtype) -> flat backing buffer, grown to the largest request
         self._buffers: dict[tuple, np.ndarray] = {}
-        self._owned: set[int] = set()
+        # (tag, dtype) -> {shape: view of the current backing buffer}
+        self._views: dict[tuple, dict[tuple, np.ndarray]] = {}
+        # id -> view for every view handed out and still cached
+        self._owned: dict[int, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
     def buffer(self, tag, shape, dtype=None) -> np.ndarray:
-        """The arena's buffer for ``(tag, shape, dtype)``, allocating on first use.
+        """A C-contiguous ``shape`` view of the ``(tag, dtype)`` buffer.
 
-        The returned array is *reused*: contents are undefined on entry and
-        valid only until the same key is requested again.  Callers must
-        fully overwrite it (``out=`` semantics).
+        A request larger than the key's backing buffer replaces it (a
+        *miss*); any request that fits is a *hit* and allocates nothing.
+        The returned array is *reused*: contents are undefined on entry
+        and valid only until the same tag and dtype are requested again,
+        at any shape.  Callers must fully overwrite it (``out=``
+        semantics).
         """
         dt = self.dtype if dtype is None else np.dtype(dtype)
-        key = (tag, tuple(int(s) for s in shape), dt)
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = np.empty(key[1], dtype=dt)
-            self._buffers[key] = buf
-            self._owned.add(id(buf))
+        shape = tuple(int(s) for s in shape)
+        key = (tag, dt)
+        views = self._views.get(key)
+        view = None if views is None else views.get(shape)
+        if view is not None:
+            self.hits += 1
+            return view
+        size = math.prod(shape)
+        backing = self._buffers.get(key)
+        if backing is None or backing.size < size:
+            backing = np.empty(size, dtype=dt)
+            self._buffers[key] = backing
+            # Views of the outgrown buffer stop counting as arena-owned.
+            for old in (views or {}).values():
+                del self._owned[id(old)]
+            views = self._views[key] = {}
             self.misses += 1
         else:
             self.hits += 1
-        return buf
+        view = backing[:size].reshape(shape)
+        views[shape] = view
+        self._owned[id(view)] = view
+        return view
 
     def owns(self, array: np.ndarray) -> bool:
-        """True when ``array`` is one of this arena's buffers.
+        """True when ``array`` is a view this arena handed out (and still caches).
 
         Layers use this to decide whether an in-place update is safe: a
         workspace buffer may be clobbered (its producer has already been
         consumed by the time the next layer runs), a caller-owned array
-        may not.
+        may not.  Slices or reshapes of a handed-out view are not owned.
         """
-        return id(array) in self._owned
+        return self._owned.get(id(array)) is array
 
     def preallocate(self, entries) -> None:
         """Warm the arena: ``entries`` is an iterable of ``(tag, shape[, dtype])``.
@@ -94,16 +123,18 @@ class Workspace:
 
     @property
     def nbytes(self) -> int:
-        """Total bytes held by the arena."""
+        """Total bytes held by the arena's backing buffers."""
         return sum(buf.nbytes for buf in self._buffers.values())
 
     @property
     def num_buffers(self) -> int:
+        """Number of backing buffers (one per ``(tag, dtype)`` key)."""
         return len(self._buffers)
 
     def clear(self) -> None:
         """Drop every buffer (e.g. between differently-shaped workloads)."""
         self._buffers.clear()
+        self._views.clear()
         self._owned.clear()
         self.hits = 0
         self.misses = 0

@@ -21,7 +21,10 @@ Stacks are LRU-cached by member count: a warm (K) stack's weight tensors
 are overwritten in place (:meth:`ModelStack.set_member_weights`) instead
 of re-allocated, and all arena buffers live in one reused
 :class:`repro.perf.Workspace` — steady-state serving allocates only the
-output rows.
+output rows.  The arena keys buffers by tag, not shape, so its memory
+follows the largest stack evaluated (bounded by the server's
+``max_batch``), not every stack size seen; :meth:`StackEvaluator.close`
+releases it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 
 from repro.nn.batched import ModelStack
 from repro.obs import counter as obs_counter
+from repro.obs import gauge as obs_gauge
 from repro.obs import span
 from repro.perf import Workspace
 from repro.perf.campaign import CampaignGeometry, _nonfinite_fallback
@@ -176,6 +180,7 @@ class StackEvaluator:
             finally:
                 stack.set_training(True)
                 stack.detach_workspace()
+                obs_gauge("serve.engine.workspace.bytes").set(float(ws.nbytes))
         reports = []
         for member in range(k):
             report = ReconstructionReport(
@@ -198,6 +203,16 @@ class StackEvaluator:
                 )
             reports.append(report)
         return pred, reports
+
+    def close(self) -> None:
+        """Release the arena and the warm stacks.
+
+        Results already returned stay valid (they never live in the
+        arena), and a closed evaluator still works: the next
+        :meth:`evaluate` rebuilds what it needs.
+        """
+        self._ws.clear()
+        self._stacks.clear()
 
     def assemble(self, values: np.ndarray, pred: np.ndarray) -> np.ndarray:
         """Full-grid materialization: sample overlay + void fill (serial ops)."""

@@ -639,7 +639,7 @@ class ReconstructionServer:
         return out
 
     def close(self) -> None:
-        """Drain queued requests, stop the dispatcher, release slot rings."""
+        """Drain queued requests, stop the dispatcher, release arenas and slot rings."""
         with self._cond:
             if self._closed and not self._thread.is_alive():
                 return
@@ -647,6 +647,7 @@ class ReconstructionServer:
             self._cond.notify_all()
         self._thread.join()
         for ns in self._namespaces.values():
+            ns.engine.close()
             ns.cache.close()
         self._namespaces.clear()
 

@@ -136,3 +136,48 @@ class TestGuards:
         weights, values = serve_registry.hot(serve_registry.keys()[0])
         with pytest.raises(ValueError, match="on_nonfinite"):
             evaluator.evaluate([weights], [values], on_nonfinite="shrug")
+
+
+class TestArena:
+    """The arena follows the largest live stack, not the stack sizes seen."""
+
+    @staticmethod
+    def _rows(serve_registry, k):
+        keys = serve_registry.keys()
+        rows = [serve_registry.hot(keys[m % len(keys)]) for m in range(k)]
+        return [w for w, _ in rows], [v for _, v in rows]
+
+    def test_memory_is_bounded_by_the_largest_stack(self, serve_registry, namespace):
+        swept = StackEvaluator(namespace.base, namespace.geometry)
+        for k in range(1, 9):
+            swept.evaluate(*self._rows(serve_registry, k))
+        direct = StackEvaluator(namespace.base, namespace.geometry)
+        pred, _ = direct.evaluate(*self._rows(serve_registry, 8))
+        assert swept._ws.nbytes == direct._ws.nbytes
+        # ... and the history of stack sizes does not change a single bit.
+        again, _ = swept.evaluate(*self._rows(serve_registry, 8))
+        assert again.tobytes() == pred.tobytes()
+
+    def test_close_releases_arena_and_stacks(self, serve_registry, namespace):
+        evaluator = StackEvaluator(namespace.base, namespace.geometry)
+        first, _ = evaluator.evaluate(*self._rows(serve_registry, 2))
+        assert evaluator._ws.nbytes > 0
+        evaluator.close()
+        assert evaluator._ws.nbytes == 0
+        assert not evaluator._stacks
+        # a closed evaluator rebuilds what it needs, bit for bit
+        second, _ = evaluator.evaluate(*self._rows(serve_registry, 2))
+        assert second.tobytes() == first.tobytes()
+
+    def test_workspace_gauge_tracks_arena_bytes(self, serve_registry, namespace):
+        from repro.obs.metrics import MetricsRegistry, activate, deactivate
+
+        registry = MetricsRegistry()
+        previous = activate(registry)
+        try:
+            evaluator = StackEvaluator(namespace.base, namespace.geometry)
+            evaluator.evaluate(*self._rows(serve_registry, 3))
+        finally:
+            deactivate(previous)
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["serve.engine.workspace.bytes"] == evaluator._ws.nbytes

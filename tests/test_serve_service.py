@@ -224,6 +224,17 @@ class TestLifecycle:
         server.close()
         server.close()
 
+    def test_close_releases_engine_arenas(self, serve_registry, keys):
+        server = make_server(serve_registry)
+        field = server.serve(ServeRequest(key=keys[0]), timeout=60)
+        volume = field.assemble()
+        engine = server._namespaces[keys[0].namespace_id].engine
+        assert engine._ws.nbytes > 0
+        server.close()
+        assert engine._ws.nbytes == 0
+        # a response taken before close still assembles to the same bytes
+        assert field.assemble().tobytes() == volume.tobytes()
+
     def test_ticket_latency_recorded(self, serve_registry, keys):
         with make_server(serve_registry) as server:
             ticket = server.submit(ServeRequest(key=keys[0]))
