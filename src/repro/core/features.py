@@ -19,7 +19,7 @@ from repro.datasets.base import TimestepField
 from repro.grid import UniformGrid, field_gradients
 from repro.sampling.base import SampledField
 
-__all__ = ["FeatureExtractor", "TIE_BREAK_PAD", "canonical_neighbors"]
+__all__ = ["FeatureExtractor", "NeighborMemo", "TIE_BREAK_PAD", "canonical_neighbors"]
 
 #: Extra kd-tree candidates fetched per query so rank-k distance ties
 #: resolve canonically (see :func:`canonical_neighbors`).
@@ -48,6 +48,27 @@ def canonical_neighbors(dist: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray
     return np.take_along_axis(idx, perm[:, :k], axis=1)
 
 
+class NeighborMemo:
+    """What the prediction path derives from one ``(sample, query array)`` pair.
+
+    ``idx`` holds the ``(Q, num_neighbors)`` canonical neighbor indices.
+    ``block`` is the ``(Q, feature_size)`` prediction input built over
+    them by :meth:`FeatureExtractor.prediction_block`, or ``None`` until
+    first use; ``block_key`` names the coordinate normalization and dtype
+    it was built for.  Warm campaign workers keep one memo per chunk and
+    install it in their extractor before predicting.
+    """
+
+    __slots__ = ("sample", "query", "idx", "block", "block_key")
+
+    def __init__(self, sample: SampledField, query: np.ndarray, idx: np.ndarray) -> None:
+        self.sample = sample
+        self.query = query
+        self.idx = idx
+        self.block: np.ndarray | None = None
+        self.block_key: tuple | None = None
+
+
 class FeatureExtractor:
     """Builds FCNN inputs/targets from a sampled field.
 
@@ -62,11 +83,12 @@ class FeatureExtractor:
         kd-tree query parallelism (-1 = all cores).
     cache_geometry:
         Reuse the sampled point cloud's kd-tree — and the last query's
-        neighbor indices — across calls for the same ``(SampledField,
-        query array)`` objects.  Chunked inference queries the same sample
-        hundreds of times and per-timestep reconstruction repeats the
-        identical void-point query; rebuilding the tree and re-running the
-        neighbor search per call dominated warm reconstruction time.
+        neighbor indices and prediction block (a :class:`NeighborMemo`) —
+        across calls for the same ``(SampledField, query array)`` objects.
+        Chunked inference queries the same sample hundreds of times and
+        per-timestep reconstruction repeats the identical void-point query;
+        rebuilding the tree and re-running the neighbor search per call
+        dominated warm reconstruction time.
         Keyed on object identity — mutating a sample's ``points`` or a
         cached query array in place after a query will go unnoticed.
     """
@@ -86,8 +108,19 @@ class FeatureExtractor:
         self.cache_geometry = bool(cache_geometry)
         self._cached_sample: SampledField | None = None
         self._cached_tree: cKDTree | None = None
-        self._cached_query: np.ndarray | None = None
-        self._cached_idx: np.ndarray | None = None
+        self._memo: NeighborMemo | None = None
+
+    def __getstate__(self) -> dict:
+        # A copy starts with a cold memo: it is keyed on object identity,
+        # which no copy keeps, and pickling the prediction block into every
+        # worker payload would cost more than rebuilding it.
+        state = self.__dict__.copy()
+        state.update(_cached_sample=None, _cached_tree=None, _memo=None)
+        return state
+
+    def clear_cache(self) -> None:
+        """Drop the memoized kd-tree, neighbor indices and prediction block."""
+        self._cached_sample = self._cached_tree = self._memo = None
 
     def _tree(self, sample: SampledField) -> cKDTree:
         """The sample's kd-tree, cached per sample object when enabled."""
@@ -157,9 +190,10 @@ class FeatureExtractor:
         ``(sample, query_points)`` objects cannot leak one selection into
         the other.
 
-        With ``cache_geometry`` the canonical result is memoized for the
-        last ``(sample, query_points)`` *object* pair: reconstructing every
-        timestep of a campaign re-queries the identical void positions
+        With ``cache_geometry`` the canonical result is memoized (a
+        :class:`NeighborMemo`) for the last ``(sample, query_points)``
+        *object* pair: reconstructing every timestep of a campaign
+        re-queries the identical void positions
         (:meth:`SampledField.void_points` returns a cached array), so the
         kd-tree query — the dominant cost of warm reconstruction — runs
         once per geometry instead of once per call.
@@ -173,14 +207,15 @@ class FeatureExtractor:
                 pad = np.repeat(idx[:, -1:], self.num_neighbors - k, axis=1)
                 idx = np.concatenate([idx, pad], axis=1)
             return idx
+        memo = self._memo
         if (
             self.cache_geometry
-            and sample is self._cached_sample
-            and query_points is self._cached_query
-            and self._cached_idx is not None
-            and self._cached_idx.shape[1] == self.num_neighbors
+            and memo is not None
+            and memo.sample is sample
+            and memo.query is query_points
+            and memo.idx.shape[1] == self.num_neighbors
         ):
-            return self._cached_idx
+            return memo.idx
         k = min(self.num_neighbors, sample.num_samples)
         kq = min(k + TIE_BREAK_PAD, sample.num_samples)
         dist, idx = self._tree(sample).query(query_points, k=kq, workers=self.workers)
@@ -192,9 +227,7 @@ class FeatureExtractor:
             pad = np.repeat(idx[:, -1:], self.num_neighbors - k, axis=1)
             idx = np.concatenate([idx, pad], axis=1)
         if self.cache_geometry:
-            # _tree() above has already re-pointed _cached_sample at `sample`.
-            self._cached_query = query_points
-            self._cached_idx = idx
+            self._memo = NeighborMemo(sample, query_points, idx)
         return idx
 
     def features_into(
@@ -208,14 +241,14 @@ class FeatureExtractor:
     ) -> np.ndarray:
         """:meth:`features` writing into a preallocated ``(Q, feature_size)`` block.
 
-        The streaming-inference fast path: per-neighbor columns are filled
-        with strided ufunc ``out=`` writes, and the kd-tree gathers land in
-        ``workspace`` buffers (a :class:`repro.perf.Workspace`) when given.
-        ``neighbor_idx`` lets a caller that has already resolved (or
-        cached) the ``(Q, num_neighbors)`` nearest-sample indices for this
-        block skip the kd-tree query.  The arithmetic sequence (gather,
-        subtract origin, divide by span; subtract mean, divide by std)
-        matches :meth:`features`, so the block is bit-identical to the
+        Per-neighbor columns are filled with strided ufunc ``out=`` writes,
+        and the kd-tree gathers land in ``workspace`` buffers (a
+        :class:`repro.perf.Workspace`) when given.  ``neighbor_idx`` lets a
+        caller that has already resolved (or cached) the ``(Q,
+        num_neighbors)`` nearest-sample indices for this block skip the
+        kd-tree query.  The arithmetic sequence (gather, subtract origin,
+        divide by span; subtract mean, divide by std) matches
+        :meth:`features`, so the block is bit-identical to the
         corresponding slice of the allocating result.
         """
         query_points = np.atleast_2d(np.asarray(query_points, dtype=np.float64))
@@ -233,18 +266,12 @@ class FeatureExtractor:
 
         if workspace is not None:
             pbuf = workspace.buffer(("feat", "pts"), (nq * kk, 3), dtype=np.float64)
-            vbuf = workspace.buffer(("feat", "vals"), (nq, kk), dtype=np.float64)
             if sample.points.dtype == np.float64:
                 np.take(sample.points, idx.ravel(), axis=0, out=pbuf)
             else:
                 pbuf[...] = sample.points[idx.ravel()]
-            if sample.values.dtype == np.float64:
-                np.take(sample.values, idx, out=vbuf)
-            else:
-                vbuf[...] = sample.values[idx]
         else:
             pbuf = np.asarray(sample.points, dtype=np.float64)[idx.ravel()]
-            vbuf = sample.values[idx].astype(np.float64)
 
         # Neighbor coordinates: (pts - origin) / span per neighbor column.
         pts3 = pbuf.reshape(nq, kk, 3)
@@ -252,15 +279,74 @@ class FeatureExtractor:
             cols = out[:, 4 * j : 4 * j + 3]
             np.subtract(pts3[:, j, :], normalizer.origin, out=cols)
             cols /= normalizer.span
-        # Neighbor values: (v - mean) / std into the strided value columns.
-        vbuf -= normalizer.value_mean
-        vbuf /= normalizer.value_std
-        out[:, 3 : 4 * kk : 4] = vbuf
         # The query's own normalized coordinates fill the last three columns.
         tail = out[:, 4 * kk :]
         np.subtract(query_points, normalizer.origin, out=tail)
         tail /= normalizer.span
+        return self.values_into(sample, normalizer, out, idx, workspace=workspace)
+
+    def values_into(
+        self,
+        sample: SampledField,
+        normalizer: Normalizer,
+        out: np.ndarray,
+        neighbor_idx: np.ndarray,
+        workspace=None,
+    ) -> np.ndarray:
+        """Fill only the neighbor-value columns of a ``(Q, feature_size)`` block.
+
+        The value half of :meth:`features_into` — gather, subtract mean,
+        divide by std — with the same ops, so a block whose coordinate
+        columns are already in place comes out bit-identical to a fresh
+        :meth:`features_into` block.
+        """
+        nq, kk = neighbor_idx.shape
+        if workspace is not None:
+            vbuf = workspace.buffer(("feat", "vals"), (nq, kk), dtype=np.float64)
+            if sample.values.dtype == np.float64:
+                np.take(sample.values, neighbor_idx, out=vbuf)
+            else:
+                vbuf[...] = sample.values[neighbor_idx]
+        else:
+            vbuf = sample.values[neighbor_idx].astype(np.float64)
+        vbuf -= normalizer.value_mean
+        vbuf /= normalizer.value_std
+        out[:, 3 : 4 * kk : 4] = vbuf
         return out
+
+    def prediction_block(
+        self,
+        sample: SampledField,
+        query_points: np.ndarray,
+        normalizer: Normalizer,
+        dtype=np.float64,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(block, idx)``: prediction inputs whose coordinate columns are built.
+
+        Of the ``feature_size`` columns, all but the ``num_neighbors``
+        value columns — each neighbor's normalized (x, y, z) and the
+        query's own — depend only on where the samples and queries are
+        and on the coordinate normalization, never on sample values.
+        They are built once per geometry by :meth:`features_into` into a
+        ``(Q, feature_size)`` block of the compute ``dtype`` (so float32
+        rounds exactly as a fresh block would) and kept in the
+        :class:`NeighborMemo` beside the neighbor indices.  Callers refill
+        the value columns with :meth:`values_into` before each use; the
+        block is the memo's, shared with every later caller of the same
+        geometry.  A new sample, query array, normalization origin/span or
+        dtype rebuilds it.
+        """
+        idx = self._neighbor_indices(sample, query_points)
+        memo = self._memo
+        if memo is None or memo.idx is not idx:
+            # Geometry memo off: the block lives for this call only.
+            memo = NeighborMemo(sample, query_points, idx)
+        key = (normalizer.origin.tobytes(), normalizer.span.tobytes(), np.dtype(dtype).str)
+        if memo.block is None or memo.block_key != key:
+            block = np.empty((len(idx), self.feature_size), dtype=dtype)
+            self.features_into(sample, query_points, normalizer, block, neighbor_idx=idx)
+            memo.block, memo.block_key = block, key
+        return memo.block, idx
 
     # ------------------------------------------------------------- targets
     def targets(

@@ -512,21 +512,21 @@ class ReconstructionPipeline:
             return reconstruct_one(t, fld, slot, finetune_seconds, message)
 
         # ------------------------------------------------- batched fine-tune
-        # Scheduler items become *block indices* (the scheduler int-casts
-        # its items); each block fine-tunes K timesteps from the base in
-        # one fused ModelStack, then emits them in timestep order.  The
-        # journal keeps per-timestep granularity throughout.
-        blocks: list[list[int]] = []
+        # Scheduler items become *blocks* of timesteps; each block
+        # fine-tunes K timesteps from the base in one fused ModelStack,
+        # then emits them in timestep order.  The journal, the stats and
+        # interruptions keep per-timestep granularity throughout.
+        blocks: list[tuple[int, ...]] = []
         if batched_finetune and steps_to_run:
             size = int(finetune_batch) if finetune_batch > 0 else len(steps_to_run)
             blocks = [
-                steps_to_run[i : i + size] for i in range(0, len(steps_to_run), size)
+                tuple(steps_to_run[i : i + size]) for i in range(0, len(steps_to_run), size)
             ]
         base_flat = snapshot_weights(reconstructor.model).data.copy()
 
-        def materialize_block(block_index: int):
+        def materialize_block(block: tuple[int, ...]):
             items = []
-            for t in blocks[block_index]:
+            for t in block:
                 if on_stage is not None:
                     on_stage("materialize", t)
                 fld = field0 if t == steps[0] else self.field(t)
@@ -562,8 +562,7 @@ class ReconstructionPipeline:
             )
             return flats, [h.total_seconds for h in histories]
 
-        def process_block(block_index: int, items):
-            ts = [t for t, _, _ in items]
+        def process_block(ts: tuple[int, ...], items):
             if on_stage is not None:
                 for t in ts:
                     on_stage("process", t)
@@ -595,7 +594,7 @@ class ReconstructionPipeline:
                     wal.record(t, "fine-tuned", weights_sha=content_hash(flat), **shard_coords)
             return items, flats, seconds, stale
 
-        def emit_block(block_index: int, payload):
+        def emit_block(block: tuple[int, ...], payload):
             items, flats, seconds, stale = payload
             message = None
             if stale is not None:
@@ -621,7 +620,7 @@ class ReconstructionPipeline:
                 depth=depth,
                 interrupt=interrupt,
             )
-            items_to_run = list(range(len(blocks)))
+            items_to_run = blocks
         else:
             scheduler = CampaignScheduler(
                 materialize, process, emit, pipeline=pipeline, depth=depth, interrupt=interrupt
@@ -630,15 +629,6 @@ class ReconstructionPipeline:
         try:
             emitted = scheduler.run(items_to_run)
         except CampaignInterrupted as exc:
-            if batched_finetune:
-                # Translate block indices back into timestep coordinates.
-                done_steps = [t for bi in exc.completed for t in blocks[bi]]
-                next_blocks = blocks[len(exc.completed):]
-                exc = CampaignInterrupted(
-                    str(exc),
-                    completed=tuple(done_steps),
-                    next_timestep=next_blocks[0][0] if next_blocks else None,
-                )
             if wal is not None:
                 done = steps[: len(skipped_rows)] + list(exc.completed)
                 wal.write_manifest(

@@ -452,13 +452,15 @@ class FCNNReconstructor:
     ) -> np.ndarray:
         """Predict (denormalized) scalar values at arbitrary positions.
 
-        With ``fast_path`` the query points stream through the workspace in
-        fixed-size blocks: each block's features are written into a reused
-        arena buffer (:meth:`FeatureExtractor.features_into`), pushed
-        through the network and denormalized straight into the result
-        slice, so peak memory is one block rather than the full feature
-        matrix.  Block boundaries equal the slow path's prediction batches,
-        keeping results bit-identical (``dtype_policy="float64"``).
+        The one FCNN inference kernel: offline reconstruction, the warm
+        campaign and shard pools and the serving evaluator all predict
+        through it.  With ``fast_path`` the coordinate feature columns come
+        from the extractor's per-geometry memo
+        (:meth:`FeatureExtractor.prediction_block`), so a call refills only
+        the value columns; rows then stream through the workspace in
+        fixed-size blocks and are denormalized straight into the result.
+        Block boundaries equal the slow path's prediction batches, keeping
+        results bit-identical (``dtype_policy="float64"``).
         """
         model, normalizer = self._require_trained()
         g = grid if grid is not None else sample.grid
@@ -487,26 +489,16 @@ class FCNNReconstructor:
         nq = len(points)
         out = np.empty(nq, dtype=np.float64)
         block = max(self.batch_size, 16384)
-        width = self.extractor.feature_size
-        # One kd-tree query for the whole call (memoized across calls when
-        # the same (sample, points) objects come back — the per-timestep
-        # reconstruction loop); blocks below then slice it for free.
-        idx = self.extractor._neighbor_indices(sample, points)
+        feat, idx = self.extractor.prediction_block(sample, points, local, ws.dtype)
         model.attach_workspace(ws)
         model.set_training(False)
         try:
             for start in range(0, nq, block):
                 stop = min(start + block, nq)
-                feat = ws.buffer(("recon", "feat"), (stop - start, width))
-                self.extractor.features_into(
-                    sample,
-                    points[start:stop],
-                    local,
-                    feat,
-                    workspace=ws,
-                    neighbor_idx=idx[start:stop],
+                rows = self.extractor.values_into(
+                    sample, local, feat[start:stop], idx[start:stop], workspace=ws
                 )
-                pred = model.forward(feat)
+                pred = model.forward(rows)
                 local.denormalize_values_into(pred[:, 0], out[start:stop])
         finally:
             model.set_training(True)

@@ -433,25 +433,25 @@ class InSituWriter:
                 )
             return t
 
-        # Batched fine-tuning: scheduler items become *block indices*.  The
-        # first block stays ``[t0]`` when the base still has to be trained;
-        # every later block fine-tunes its timesteps from that base in one
-        # fused ModelStack.  The journal keeps per-timestep granularity.
-        blocks: list[list[int]] = []
+        # Batched fine-tuning: scheduler items become *blocks* of timesteps.
+        # The first block stays ``(t0,)`` when the base still has to be
+        # trained; every later block fine-tunes its timesteps from that base
+        # in one fused ModelStack.  The journal, the stats and interruptions
+        # keep per-timestep granularity.
+        blocks: list[tuple[int, ...]] = []
         if self.batched_finetune and steps_to_run:
             rest = steps_to_run
             if self.train_model and model is None:
-                blocks.append([rest[0]])
+                blocks.append((rest[0],))
                 rest = rest[1:]
             size = self.finetune_batch if self.finetune_batch > 0 else max(1, len(rest))
-            blocks.extend(rest[i : i + size] for i in range(0, len(rest), size))
+            blocks.extend(tuple(rest[i : i + size]) for i in range(0, len(rest), size))
 
-        def materialize_block(block_index: int):
-            return [materialize(t) for t in blocks[block_index]]
+        def materialize_block(block: tuple[int, ...]):
+            return [materialize(t) for t in block]
 
-        def process_block(block_index: int, items):
+        def process_block(ts: tuple[int, ...], items):
             nonlocal model, emit_model
-            ts = blocks[block_index]
             if not self.train_model or (model is None and len(ts) == 1):
                 # Untrained campaigns, and the base-training first block,
                 # go through the serial stage unchanged.
@@ -488,8 +488,8 @@ class InSituWriter:
                 for (_, sample, _), flat in zip(items, flats)
             ]
 
-        def emit_block(block_index: int, payloads):
-            return [emit(t, payload) for t, payload in zip(blocks[block_index], payloads)]
+        def emit_block(block: tuple[int, ...], payloads):
+            return [emit(t, payload) for t, payload in zip(block, payloads)]
 
         if self.batched_finetune:
             scheduler = CampaignScheduler(
@@ -500,7 +500,7 @@ class InSituWriter:
                 name="insitu",
                 interrupt=interrupt,
             )
-            items_to_run = list(range(len(blocks)))
+            items_to_run = blocks
         else:
             scheduler = CampaignScheduler(
                 materialize, process, emit, pipeline=pipeline, name="insitu", interrupt=interrupt
@@ -509,15 +509,6 @@ class InSituWriter:
         try:
             scheduler.run(items_to_run)
         except CampaignInterrupted as exc:
-            if self.batched_finetune:
-                # Translate block indices back into timestep coordinates.
-                done_steps = [t for bi in exc.completed for t in blocks[bi]]
-                next_blocks = blocks[len(exc.completed):]
-                exc = CampaignInterrupted(
-                    str(exc),
-                    completed=tuple(done_steps),
-                    next_timestep=next_blocks[0][0] if next_blocks else None,
-                )
             # Flush a *readable* partial campaign (post hoc tools work on
             # the completed prefix) plus the resume manifest, then let the
             # interruption propagate.

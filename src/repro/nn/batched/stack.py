@@ -19,13 +19,18 @@ Workspace discipline matches the serial fast path: with an attached
 :class:`repro.perf.Workspace` every activation, gradient and optimizer
 scratch tensor lives in a reused arena buffer (``out=`` writes only), so
 steady-state epochs are allocation-free.
+
+The stack is a training engine only.  Inference, serving included, runs
+one member at a time through
+:meth:`repro.core.FCNNReconstructor.predict_values`: a stacked forward
+saved no per-member time there.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import _DETERMINISTIC_N, Dense, Identity, ReLU
+from repro.nn.layers import Dense, Identity, ReLU
 from repro.nn.network import Sequential
 
 __all__ = ["StackedParameter", "StackedDense", "StackedReLU", "StackedIdentity", "ModelStack"]
@@ -63,7 +68,6 @@ class StackedLayer:
 
     _ws = None       # active repro.perf.Workspace, or None (allocating path)
     _ws_tag = -1     # layer index within the owning ModelStack
-    training = True  # toggled by ModelStack.set_training
 
     def __init__(self) -> None:
         self.trainable = True
@@ -109,37 +113,12 @@ class StackedDense(StackedLayer):
             )
         self._input = x
         ws = self._ws
-        # Inference through a skinny output head must stay row-count
-        # independent per member (see repro.nn.layers._DETERMINISTIC_N):
-        # run the serial path's exact 2-D einsum once per member — the
-        # head is tiny, so the member loop costs nothing, and each slice
-        # is literally the serial op.  Training keeps the batched BLAS
-        # path, whose numerics the serial Trainer mirrors.
-        skinny = not self.training and self.out_features < _DETERMINISTIC_N
         if ws is None:
-            if skinny:
-                out = np.empty(
-                    (self.k, x.shape[1], self.out_features), dtype=np.float64
-                )
-                for member in range(self.k):
-                    np.einsum(
-                        "mk,kn->mn", x[member], self.weight.value[member],
-                        out=out[member],
-                    )
-                out += self.bias.value[:, None, :]
-                return out
             return np.matmul(x, self.weight.value) + self.bias.value[:, None, :]
         # Fast lane: one fused matmul over the stack, then the bias add —
         # per member the exact op sequence of the serial Dense fast path.
         out = ws.buffer((self._ws_tag, "fwd"), (self.k, x.shape[1], self.out_features))
-        if skinny:
-            for member in range(self.k):
-                np.einsum(
-                    "mk,kn->mn", x[member], self.weight.value[member],
-                    out=out[member],
-                )
-        else:
-            np.matmul(x, self.weight.value, out=out)
+        np.matmul(x, self.weight.value, out=out)
         out += self.bias.value[:, None, :]
         return out
 
@@ -322,18 +301,6 @@ class ModelStack:
         for layer in self.layers:
             layer.set_trainable(flag)
 
-    def set_training(self, flag: bool) -> None:
-        """Toggle training vs inference mode across the whole stack.
-
-        Mirrors :meth:`repro.nn.Sequential.set_training`: in inference
-        mode every skinny output head (``out_features <
-        repro.nn.layers._DETERMINISTIC_N``) switches to the fixed-
-        accumulation-order einsum, keeping fused stacked prediction
-        bit-identical to the serial predict path per member.
-        """
-        for layer in self.layers:
-            layer.training = bool(flag)
-
     def freeze_all_but_last(self, num_trainable: int) -> None:
         """Case-2 freeze: only the last ``num_trainable`` Dense layers adapt.
 
@@ -387,11 +354,11 @@ class ModelStack:
         """A one-member stack over ``layers[:cut]`` viewing ``member``'s weights.
 
         The weights are views, not copies, and the layers keep their
-        indices (so their arena tags), trainability and training mode:
-        per member it runs the exact ops of the K-wide prefix, one
-        ``(B, n) @ (n, m)`` slice per BLAS call either way.  The batched
-        trainer's Case-2 staging streams each member's rows through it,
-        so no K-wide input stack is ever built.
+        indices (so their arena tags) and trainability: per member it runs
+        the exact ops of the K-wide prefix, one ``(B, n) @ (n, m)`` slice
+        per BLAS call either way.  The batched trainer's Case-2 staging
+        streams each member's rows through it, so no K-wide input stack is
+        ever built.
         """
         if not (0 <= member < self.k):
             raise IndexError(f"member {member} out of range for K={self.k}")
@@ -405,7 +372,6 @@ class ModelStack:
                 view.set_trainable(layer.trainable)
             else:
                 view = type(layer)()
-            view.training = layer.training
             layers.append(view)
         return ModelStack(layers, k=1)
 
@@ -420,29 +386,6 @@ class ModelStack:
         if not (0 <= member < self.k):
             raise IndexError(f"member {member} out of range for K={self.k}")
         return np.concatenate([p.value[member].ravel() for p in self.parameters()])
-
-    def set_member_weights(self, member: int, flat: np.ndarray) -> None:
-        """Write one member's weights from a flat vector, in place.
-
-        The inverse of :meth:`member_weights` (same
-        :func:`repro.perf.snapshot_weights` layout), so a journal sidecar
-        or registry artifact restores straight into the stack without
-        rebuilding it — the serving layer's hot :class:`ModelStack` reuse
-        depends on this being allocation-free.
-        """
-        if not (0 <= member < self.k):
-            raise IndexError(f"member {member} out of range for K={self.k}")
-        flat = np.asarray(flat, dtype=np.float64).ravel()
-        expected = sum(int(np.prod(p.shape[1:], dtype=np.int64)) for p in self.parameters())
-        if flat.size != expected:
-            raise ValueError(
-                f"flat vector has {flat.size} weights, stack member needs {expected}"
-            )
-        offset = 0
-        for p in self.parameters():
-            n = int(np.prod(p.shape[1:], dtype=np.int64))
-            p.value[member].ravel()[...] = flat[offset : offset + n]
-            offset += n
 
     def num_parameters(self) -> int:
         """Total scalar parameter count across the whole stack."""

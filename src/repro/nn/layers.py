@@ -9,7 +9,8 @@ Fast path: when a :class:`repro.perf.Workspace` is attached (via
 :meth:`repro.nn.Sequential.attach_workspace`), ``Dense`` and ``ReLU``
 write into reused arena buffers instead of allocating — ``np.matmul(...,
 out=)`` for the affine maps, an in-place masked multiply for the
-activation (fusing Dense+ReLU into one buffer).  The operation sequence is
+activation (fusing Dense+ReLU into one buffer; at inference an in-place
+``np.maximum`` that keeps no mask).  The operation sequence is
 unchanged, so results are bit-identical to the allocating path; layers
 without a fast branch simply ignore the workspace and keep allocating,
 which composes safely within one network.
@@ -180,6 +181,15 @@ class ReLU(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         ws = self._ws
+        if not self.training:
+            # Inference keeps no mask, so a backward after it raises rather
+            # than reuse a stale one.  Negative inputs become +0.0, as on
+            # the slow path.
+            self._mask = None
+            if ws is None:
+                return np.where(x > 0, x, 0.0)
+            out = x if ws.owns(x) else ws.buffer((self._ws_tag, "fwd"), x.shape)
+            return np.maximum(x, 0.0, out=out)
         if ws is None:
             self._mask = x > 0
             return np.where(self._mask, x, 0.0)

@@ -283,6 +283,9 @@ class CampaignScheduler:
     ----------
     materialize:
         ``fn(timestep) -> item`` — produce/load + sample the timestep.
+        Every stage receives the scheduler item :meth:`run` was given: a
+        timestep, or a *block* of timesteps (a tuple) that the stages
+        handle together, as batched fine-tuning does.
         Runs on the prefetch thread (one timestep ahead); must be free of
         order-dependent side effects (the analytic datasets and the
         samplers' stateless per-(seed, timestep) RNG qualify).
@@ -323,6 +326,7 @@ class CampaignScheduler:
     own tree roots — see :class:`repro.obs.SpanTracker`), occupancy
     gauges ``campaign.occupancy.{prefetch,finetune,reconstruct}`` and the
     ``campaign.timesteps`` counter; :attr:`stats` keeps the same numbers.
+    Stats, the counter and interruptions count timesteps, never blocks.
     """
 
     def __init__(
@@ -350,23 +354,32 @@ class CampaignScheduler:
     def _interrupted(self) -> bool:
         return self.interrupt is not None and bool(self.interrupt.triggered)
 
-    def _raise_interrupted(self, steps: list[int], done: int) -> None:
+    def _raise_interrupted(self, steps: list, done: int) -> None:
+        completed = tuple(t for item in steps[:done] for t in _timesteps(item))
+        total = sum(len(_timesteps(item)) for item in steps)
+        next_timestep = _timesteps(steps[done])[0] if done < len(steps) else None
         record_event(
             "campaign.interrupted",
-            completed=done,
-            total=len(steps),
-            next_timestep=steps[done] if done < len(steps) else None,
+            completed=len(completed),
+            total=total,
+            next_timestep=next_timestep,
         )
         raise CampaignInterrupted(
-            f"campaign interrupted after {done}/{len(steps)} timesteps",
-            completed=tuple(steps[:done]),
-            next_timestep=steps[done] if done < len(steps) else None,
+            f"campaign interrupted after {len(completed)}/{total} timesteps",
+            completed=completed,
+            next_timestep=next_timestep,
         )
 
     # ------------------------------------------------------------------ run
     def run(self, timesteps) -> list:
-        """Process every timestep; returns per-timestep emit results in order."""
-        steps = [int(t) for t in timesteps]
+        """Process every item; returns per-item emit results in order.
+
+        An item is a timestep or a block (a list or tuple of timesteps).
+        """
+        steps = [
+            tuple(int(t) for t in item) if isinstance(item, (list, tuple)) else int(item)
+            for item in timesteps
+        ]
         wall0 = time.perf_counter()
         busy = {"prefetch": 0.0, "process": 0.0, "emit": 0.0}
         if not steps:
@@ -376,21 +389,22 @@ class CampaignScheduler:
         else:
             results = self._run_serial(steps, busy)
         wall = time.perf_counter() - wall0
+        count = sum(len(_timesteps(item)) for item in steps)
         self.stats = CampaignStats(
-            timesteps=len(steps),
+            timesteps=count,
             pipeline=self.pipeline,
             wall_seconds=wall,
             prefetch_seconds=busy["prefetch"],
             process_seconds=busy["process"],
             emit_seconds=busy["emit"],
         )
-        obs_counter("campaign.timesteps").inc(len(steps))
+        obs_counter("campaign.timesteps").inc(count)
         obs_gauge("campaign.occupancy.prefetch").set(self.stats.occupancy("prefetch"))
         obs_gauge("campaign.occupancy.finetune").set(self.stats.occupancy("process"))
         obs_gauge("campaign.occupancy.reconstruct").set(self.stats.occupancy("emit"))
         return results
 
-    def _run_serial(self, steps: list[int], busy: dict) -> list:
+    def _run_serial(self, steps: list, busy: dict) -> list:
         results = []
         for t in steps:
             if self._interrupted():
@@ -410,7 +424,7 @@ class CampaignScheduler:
         return results
 
     # -------------------------------------------------------- pipelined mode
-    def _run_pipelined(self, steps: list[int], busy: dict) -> list:
+    def _run_pipelined(self, steps: list, busy: dict) -> list:
         n = len(steps)
         results: list = [None] * n
         fetch_q: Queue = Queue(maxsize=1)
@@ -507,6 +521,11 @@ class CampaignScheduler:
         if cut is not None:
             self._raise_interrupted(steps, cut)
         return results
+
+
+def _timesteps(item) -> tuple:
+    """The timesteps one scheduler item stands for."""
+    return item if isinstance(item, tuple) else (item,)
 
 
 def _stoppable_put(q: Queue, item, stop: threading.Event) -> None:
@@ -1029,20 +1048,21 @@ class _WorkerState:
             self.models[tag] = recon
             self.num_weights[tag] = int(meta["num_weights"])
             self.scratch[tag] = np.empty(meta["num_weights"], dtype=np.float64)
-        self._slabs: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._slabs: dict = {}
 
     def slab(self, start: int, stop: int, num_neighbors: int, workers: int):
-        """Cached ``(query positions, neighbor indices)`` for one chunk.
+        """One chunk's cached neighbor memo: query positions, indices, columns.
 
         Neighbor indices replicate :meth:`FeatureExtractor._neighbor_indices`
         exactly (same tree data, same query, same padding) so priming the
-        extractor memo with them is bit-identical to letting it query.
+        extractor memo with them is bit-identical to letting it query; the
+        chunk's coordinate columns are built into the memo on first use.
         """
         key = (start, stop, num_neighbors)
         cached = self._slabs.get(key)
         if cached is not None:
             return cached
-        from repro.core.features import TIE_BREAK_PAD, canonical_neighbors
+        from repro.core.features import TIE_BREAK_PAD, NeighborMemo, canonical_neighbors
 
         points = self.geometry.void_points[start:stop]
         k = min(num_neighbors, self.geometry.num_samples)
@@ -1054,8 +1074,8 @@ class _WorkerState:
         if k < num_neighbors:
             pad = np.repeat(idx[:, -1:], num_neighbors - k, axis=1)
             idx = np.concatenate([idx, pad], axis=1)
-        self._slabs[key] = (points, idx)
-        return points, idx
+        memo = self._slabs[key] = NeighborMemo(self.sample, points, idx)
+        return memo
 
     def close(self) -> None:
         self.arrays.clear()
@@ -1098,8 +1118,9 @@ def _campaign_worker(payload: dict) -> int:
     Runs in pool workers (or in-process on the executor's serial fallback).
     Decodes the slot's XOR weight delta into the warm model, refreshes the
     warm sample shell's values in place, primes the feature extractor's
-    neighbor memo from the per-chunk cache and predicts the chunk — every
-    step bit-identical to the serial predict path.
+    neighbor memo (indices and coordinate columns) from the per-chunk cache
+    and predicts the chunk — every step bit-identical to the serial predict
+    path.
     """
     state = _worker_state(payload)
     slot = int(payload["slot"])
@@ -1118,13 +1139,10 @@ def _campaign_worker(payload: dict) -> int:
     state.sample.values[...] = state.arrays["values"][slot]
 
     extractor = recon.extractor
-    points, idx = state.slab(start, stop, extractor.num_neighbors, extractor.workers)
+    memo = state.slab(start, stop, extractor.num_neighbors, extractor.workers)
     if extractor.cache_geometry:
-        extractor._cached_sample = state.sample
-        extractor._cached_tree = state.tree
-        extractor._cached_query = points
-        extractor._cached_idx = idx
+        extractor._memo = memo
     state.arrays["out"][slot, ti, start:stop] = recon.predict_values(
-        state.sample, points, state.geometry.grid
+        state.sample, memo.query, state.geometry.grid
     )
     return stop - start

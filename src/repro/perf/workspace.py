@@ -14,9 +14,9 @@ after the first batch of an epoch the training loop runs allocation-free
 Each key owns one flat backing buffer that grows to the largest shape
 ever requested under it; a request hands out a cached C-contiguous view
 of its leading elements.  Arena memory therefore follows the largest
-live request per tag, not the history of shapes seen (a serving stack
-evaluated at K = 1…8 holds the K = 8 buffers once, not eight sets).  The
-price is one aliasing rule: a view stays valid only until the same tag
+live request per tag, not the history of shapes seen (a model that
+trained on 1,024-row batches and then predicts 16,384-row blocks holds
+the larger buffers once, not both sets).  The price is one aliasing rule: a view stays valid only until the same tag
 is requested again, at *any* shape.
 
 Bit-exactness contract: the fast path only changes *where* results are
@@ -61,6 +61,13 @@ class Workspace:
         self._owned: dict[int, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
+
+    def __getstate__(self) -> dict:
+        # A copy (deepcopy or pickle) starts with an empty arena: ownership
+        # is keyed on the id() of this arena's views, which no copy keeps.
+        state = self.__dict__.copy()
+        state.update(_buffers={}, _views={}, _owned={}, hits=0, misses=0)
+        return state
 
     def buffer(self, tag, shape, dtype=None) -> np.ndarray:
         """A C-contiguous ``shape`` view of the ``(tag, dtype)`` buffer.

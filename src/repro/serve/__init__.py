@@ -1,9 +1,10 @@
-"""Reconstruction-as-a-service: registry, fused serving engine, replay bench.
+"""Reconstruction-as-a-service: registry, serving engine, replay bench.
 
 The front door over the campaign substrate (PR 4-9): trained per-timestep
 weights live in a durable :class:`ModelRegistry` (mmap'd cold tier + hot
-LRU), a :class:`ReconstructionServer` coalesces and stacks concurrent
-requests into fused :class:`repro.nn.batched` evaluations with per-tenant
+LRU), a :class:`ReconstructionServer` coalesces concurrent requests and
+groups distinct keys of one namespace into :class:`StackEvaluator`
+evaluations with per-tenant
 token-bucket backpressure and deadline shedding, and responses stream as
 aligned predict-block chunks straight out of a (shared-memory) result
 ring — bit-identical to the offline ``run_campaign`` reconstruction path

@@ -1,5 +1,5 @@
 # hot-path
-"""Reconstruction-as-a-service: async request queue over the fused engine.
+"""Reconstruction-as-a-service: async request queue over the inference kernel.
 
 A :class:`ReconstructionServer` accepts reconstruction requests for any
 registry key and answers them from a single dispatcher thread (stdlib
@@ -8,8 +8,8 @@ threading only):
 * **coalescing** — concurrent requests for the same (dataset, fraction,
   timestep) are answered by one evaluation (counter ``serve.coalesced``);
 * **stacking** — distinct timesteps of one namespace queued together
-  become one fused ``(K, n, m)`` :class:`repro.serve.StackEvaluator` pass
-  (histogram ``serve.batch.stack_k``);
+  become one :class:`repro.serve.StackEvaluator` evaluation of up to
+  ``max_batch`` members (histogram ``serve.batch.stack_k``);
 * **result caching** — evaluated rows land in a per-namespace slot ring
   (shared memory when available — the campaign's
   :class:`~repro.perf.shm.SharedArrayBundle` transport — else local
@@ -97,10 +97,9 @@ class ServeRequest:
 class ServerConfig:
     """Tunables of one :class:`ReconstructionServer`."""
 
-    max_batch: int = 8            #: stack members per fused evaluation
+    max_batch: int = 8            #: members per evaluation
     batch_window: float = 0.0     #: seconds to linger collecting a batch
     cache_slots: int = 16         #: result-ring slots per namespace
-    max_stacks: int = 4           #: warm ModelStacks kept per namespace
     max_queue: int = 100_000      #: queued-request bound (reject beyond)
     default_deadline: float | None = None  #: seconds; None = never shed
     tenant_rate: float | None = None       #: tokens/s per tenant; None = off
@@ -570,9 +569,7 @@ class ReconstructionServer:
         if ns is not None:
             return ns
         record = self.registry.namespace(key.dataset, key.fraction)
-        engine = StackEvaluator(
-            record.base, record.geometry, max_stacks=self.config.max_stacks
-        )
+        engine = StackEvaluator(record.base, record.geometry)
         cache = _SlotCache(
             self.config.cache_slots,
             record.geometry.num_samples,

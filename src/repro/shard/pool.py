@@ -35,7 +35,7 @@ import uuid
 
 import numpy as np
 
-from repro.core.features import TIE_BREAK_PAD, canonical_neighbors
+from repro.core.features import TIE_BREAK_PAD, NeighborMemo, canonical_neighbors
 from repro.obs import counter as obs_counter
 from repro.obs import record_event, span
 from repro.parallel.chunking import aligned_chunks
@@ -138,10 +138,12 @@ class _ShardContext:
             )
         self.tree = cKDTree(self.shell.points)
         self.shard = shard
-        self._slabs: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._slabs: dict[tuple[int, int, int], NeighborMemo] = {}
 
-    def slab(self, state: "_ShardState", start: int, stop: int, num_neighbors: int, workers: int):
-        """Cached (query positions, canonical neighbor indices) per chunk."""
+    def slab(
+        self, state: "_ShardState", start: int, stop: int, num_neighbors: int, workers: int
+    ) -> NeighborMemo:
+        """Cached neighbor memo (positions, canonical indices, columns) per chunk."""
         key = (start, stop, num_neighbors)
         cached = self._slabs.get(key)
         if cached is not None:
@@ -163,8 +165,8 @@ class _ShardContext:
         if k < num_neighbors:
             pad = np.repeat(idx[:, -1:], num_neighbors - k, axis=1)
             idx = np.concatenate([idx, pad], axis=1)
-        self._slabs[key] = (points, idx)
-        return points, idx
+        memo = self._slabs[key] = NeighborMemo(self.shell, points, idx)
+        return memo
 
 
 class _ShardState:
@@ -228,15 +230,12 @@ class _ShardState:
         np.take(self.arrays["values"][slot], ctx.sel, out=ctx.shell.values)
 
         extractor = recon.extractor
-        points, idx = ctx.slab(self, start, stop, extractor.num_neighbors, extractor.workers)
+        memo = ctx.slab(self, start, stop, extractor.num_neighbors, extractor.workers)
         if extractor.cache_geometry:
-            extractor._cached_sample = ctx.shell
-            extractor._cached_tree = ctx.tree
-            extractor._cached_query = points
-            extractor._cached_idx = idx
+            extractor._memo = memo
         base = int(self.init["void_offsets"][s])
         self.arrays["out"][slot, ti, base + start : base + stop] = recon.predict_values(
-            ctx.shell, points, ctx.norm_grid
+            ctx.shell, memo.query, ctx.norm_grid
         )
         return stop - start
 

@@ -140,3 +140,27 @@ class TestInSituTraining:
         w_base = base.model.dense_layers()[-1].weight.value
         w_spec = spec.model.dense_layers()[-1].weight.value
         assert not np.array_equal(w_base, w_spec)
+
+    @pytest.mark.parametrize("finetune_batch", [0, 2])
+    def test_batched_campaign_counts_timesteps(self, dataset, tmp_path, finetune_batch):
+        from repro.obs import counter
+        from repro.obs.metrics import MetricsRegistry, activate, deactivate
+
+        writer = InSituWriter(
+            dataset=dataset,
+            sampler=MultiCriteriaSampler(seed=5),
+            fraction=0.05,
+            train_model=True,
+            train_fractions=(0.05,),
+            epochs=2,
+            finetune_epochs=1,
+            model_kwargs={"hidden_layers": (8,), "batch_size": 512},
+            batched_finetune=True,
+            finetune_batch=finetune_batch,
+        )
+        previous = activate(MetricsRegistry())
+        try:
+            writer.run(tmp_path / "camp", timesteps=[0, 8, 16, 24], pipeline=False)
+            assert counter("campaign.timesteps").value == 4
+        finally:
+            deactivate(previous)

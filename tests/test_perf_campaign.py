@@ -333,6 +333,34 @@ class TestScheduler:
         assert counter("campaign.timesteps").value == 3
         assert gauge("campaign.occupancy.finetune").value is not None
 
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_blocks_count_as_their_timesteps(self, metrics, pipeline):
+        from repro.obs import counter
+
+        scheduler = CampaignScheduler(lambda b: b, lambda b, i: list(i), pipeline=pipeline)
+        assert scheduler.run([[0, 1], (2, 3), [4]]) == [[0, 1], [2, 3], [4]]
+        assert scheduler.stats.timesteps == 5
+        assert counter("campaign.timesteps").value == 5
+
+    def test_interrupted_blocks_report_timesteps(self):
+        from repro.resilience.supervise import CampaignInterrupted
+
+        class Once:
+            triggered = False
+
+        stop = Once()
+
+        def process(block, item):
+            stop.triggered = True
+            return item
+
+        scheduler = CampaignScheduler(lambda b: b, process, pipeline=False, interrupt=stop)
+        with pytest.raises(CampaignInterrupted) as excinfo:
+            scheduler.run([(0, 1), (2, 3)])
+        assert excinfo.value.completed == (0, 1)
+        assert excinfo.value.next_timestep == 2
+        assert "after 2/4 timesteps" in str(excinfo.value)
+
     def test_empty_run(self):
         scheduler = CampaignScheduler(lambda t: t, lambda t, i: i)
         assert scheduler.run([]) == []
@@ -506,6 +534,10 @@ class TestBatchedCampaign:
         ref = batched_results["serial"]
         assert [row["timestep"] for row in ref.rows] == list(TIMESTEPS)
         assert all(np.isfinite(v).all() for v in ref.reconstructions)
+
+    def test_stats_count_timesteps_not_blocks(self, batched_results):
+        for result in batched_results.values():
+            assert result.stats.timesteps == len(TIMESTEPS)
 
     @pytest.mark.parametrize("variant", ["blocks-of-1", "pipelined-blocks-of-2"])
     def test_block_size_and_pipeline_invariant(self, batched_results, variant):

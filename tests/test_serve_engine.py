@@ -1,4 +1,4 @@
-"""Fused StackEvaluator: bit-identity to the serial path, stack reuse, chunks."""
+"""StackEvaluator: bit-identity to the serial path, arena bounds, chunks."""
 
 from __future__ import annotations
 
@@ -70,23 +70,6 @@ class TestBitIdentity:
 
 
 class TestStacks:
-    def test_stack_reused_per_member_count(self, serve_registry, namespace):
-        evaluator = StackEvaluator(namespace.base, namespace.geometry, max_stacks=2)
-        rows = [serve_registry.hot(key) for key in serve_registry.keys()[:2]]
-        evaluator.evaluate([rows[0][0]], [rows[0][1]])
-        one = evaluator._stacks[1]
-        evaluator.evaluate([rows[1][0]], [rows[1][1]])
-        assert evaluator._stacks[1] is one  # K=1 stack reused, not rebuilt
-        evaluator.evaluate([w for w, _ in rows], [v for _, v in rows])
-        assert set(evaluator._stacks) == {1, 2}
-
-    def test_stack_lru_bounded(self, serve_registry, namespace):
-        evaluator = StackEvaluator(namespace.base, namespace.geometry, max_stacks=1)
-        rows = [serve_registry.hot(key) for key in serve_registry.keys()]
-        for k in (1, 2, 3):
-            evaluator.evaluate([w for w, _ in rows[:k]], [v for _, v in rows[:k]])
-            assert list(evaluator._stacks) == [k]
-
     def test_mismatched_rows_rejected(self, serve_registry, namespace):
         evaluator = StackEvaluator(namespace.base, namespace.geometry)
         weights, values = serve_registry.hot(serve_registry.keys()[0])
@@ -158,13 +141,14 @@ class TestArena:
         again, _ = swept.evaluate(*self._rows(serve_registry, 8))
         assert again.tobytes() == pred.tobytes()
 
-    def test_close_releases_arena_and_stacks(self, serve_registry, namespace):
+    def test_close_releases_arena_and_columns(self, serve_registry, namespace):
         evaluator = StackEvaluator(namespace.base, namespace.geometry)
         first, _ = evaluator.evaluate(*self._rows(serve_registry, 2))
         assert evaluator._ws.nbytes > 0
+        assert evaluator._model.extractor._memo.block is not None
         evaluator.close()
         assert evaluator._ws.nbytes == 0
-        assert not evaluator._stacks
+        assert evaluator._model.extractor._memo is None
         # a closed evaluator rebuilds what it needs, bit for bit
         second, _ = evaluator.evaluate(*self._rows(serve_registry, 2))
         assert second.tobytes() == first.tobytes()
