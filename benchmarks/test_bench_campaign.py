@@ -61,7 +61,6 @@ is cheaper arithmetic, not parallelism.
 """
 
 import copy
-import os
 import shutil
 import time
 from pathlib import Path
@@ -74,6 +73,7 @@ from repro.datasets import make_dataset
 from repro.experiments.runner import ExperimentResult
 from repro.metrics import score_reconstruction
 from repro.obs import RunRecorder
+from repro.parallel import usable_cpus
 from repro.sampling import SampledField
 
 #: grid dims per --bench-profile
@@ -99,13 +99,6 @@ OBS_DIRS = {
     name: RESULTS_DIR / "obs_campaign" / name for name in CONFIGS if name != "legacy"
 }
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def _effective_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _legacy_campaign(pipeline, base, timesteps):
@@ -255,7 +248,7 @@ def test_campaign_pipeline(benchmark, bench_profile):
             "fraction": FRACTION,
             "finetune_epochs": FINETUNE_EPOCHS,
             "hidden_layers": HIDDEN[profile],
-            "effective_cores": _effective_cores(),
+            "effective_cores": usable_cpus(),
             "end_to_end_speedup": round(end_to_end, 3),
             "pipelined_speedup": round(pipelined_speedup, 3),
             "serial_vs_pipelined_speedup": round(serial_vs_pipelined, 3),
@@ -289,12 +282,12 @@ def test_campaign_pipeline(benchmark, bench_profile):
         )
         # On one core the scheduler threads have nothing to overlap into,
         # so pipelined == legacy work + handoff noise; allow that noise.
-        floor = 1.0 if _effective_cores() >= 2 else 0.9
+        floor = 1.0 if usable_cpus() >= 2 else 0.9
         assert pipelined_speedup >= floor, (
             f"pipelined slower than legacy ({pipelined_speedup:.2f}x < {floor}x)"
         )
-        if _effective_cores() >= 2:
+        if usable_cpus() >= 2:
             assert pipelined_speedup >= 2.0, (
                 f"pipelined campaign speedup {pipelined_speedup:.2f}x < 2x "
-                f"on {_effective_cores()} cores"
+                f"on {usable_cpus()} cores"
             )

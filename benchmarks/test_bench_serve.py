@@ -39,7 +39,6 @@ baseline.  The server runs leave obs records under
         --only 'serve.*' --fail-on-regression
 """
 
-import os
 import shutil
 import time
 from pathlib import Path
@@ -47,6 +46,7 @@ from pathlib import Path
 from conftest import RESULTS_DIR, publish
 from repro.experiments.runner import ExperimentResult
 from repro.obs import RunRecorder, load_run
+from repro.parallel import usable_cpus
 from repro.perf.campaign import make_reconstruction_sink
 from repro.serve import (
     ReconstructionServer,
@@ -76,13 +76,6 @@ SKEW = 1.1
 CONFIGS = ("naive", "unbatched", "batched")
 OBS_DIRS = {name: RESULTS_DIR / "obs_serve" / name for name in ("unbatched", "batched")}
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def _effective_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _assert_served_bits_match_offline(registry) -> None:
@@ -233,7 +226,7 @@ def test_serve_replay(benchmark, bench_profile, tmp_path):
             "tenants": len(TENANTS),
             "zipf_skew": SKEW,
             "chunk_fraction": 0.05,
-            "effective_cores": _effective_cores(),
+            "effective_cores": usable_cpus(),
             "served_bits_match_offline_sink": True,
             "serve_evals": batched.server["evals"],
             "serve_coalesced": batched.server["coalesced"],
@@ -252,5 +245,5 @@ def test_serve_replay(benchmark, bench_profile, tmp_path):
         assert speedup >= 5.0, (
             f"batched serving {speedup:.1f}x naive < 5x "
             f"({batched.rps:.0f} vs {naive['rps']:.0f} rps on "
-            f"{_effective_cores()} core(s))"
+            f"{usable_cpus()} core(s))"
         )

@@ -47,7 +47,6 @@ can gate with::
 kernels must not dilate when the reconstruct stage fans out per shard).
 """
 
-import os
 import shutil
 import time
 from pathlib import Path
@@ -59,6 +58,7 @@ from repro.core import FCNNReconstructor, ReconstructionPipeline
 from repro.datasets import make_dataset
 from repro.experiments.runner import ExperimentResult
 from repro.obs import RunRecorder
+from repro.parallel import usable_cpus
 from repro.perf.campaign import CampaignGeometry
 from repro.shard import ShardPlan, ShardedCampaignGeometry, parse_shards, suggest_halo
 
@@ -77,13 +77,6 @@ FINETUNE_EPOCHS = 6
 CONFIGS = ("pipelined", "batched", "sharded-2", "sharded-4", "sharded-local-4")
 OBS_DIRS = {name: RESULTS_DIR / "obs_shard" / name for name in CONFIGS}
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def _effective_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _exact_halo(pipeline, timestep, counts, num_neighbors):
@@ -230,7 +223,7 @@ def test_shard_campaign(benchmark, bench_profile):
             "fraction": FRACTION,
             "finetune_epochs": FINETUNE_EPOCHS,
             "hidden_layers": HIDDEN[profile],
-            "effective_cores": _effective_cores(),
+            "effective_cores": usable_cpus(),
             "halo": halo,
             "seam_proven_exact": True,
             "sharded_speedup": round(sharded_speedup, 3),
@@ -249,7 +242,7 @@ def test_shard_campaign(benchmark, bench_profile):
         assert sharded_speedup >= 1.8, (
             f"sharded campaign speedup {sharded_speedup:.2f}x < 1.8x "
             f"(pipelined {pipelined['wall_s']:.2f}s vs sharded-4 "
-            f"{sharded4['wall_s']:.2f}s on {_effective_cores()} core(s))"
+            f"{sharded4['wall_s']:.2f}s on {usable_cpus()} core(s))"
         )
         # The decomposition must stay cheap even where it cannot overlap:
         # per-shard trees + chunk fan-out may cost at most 50% over the

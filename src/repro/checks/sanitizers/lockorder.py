@@ -16,9 +16,13 @@ acquisition *order*, so this sanitizer records it:
   :class:`LockOrderViolation` when the sanitizer context exits.
 
 Locks created *by the stdlib's own machinery* (``threading.py``,
-``queue.py``, ``sched.py``) are left unwrapped: ``Condition`` and
-``Queue`` internals have lock-identity expectations a proxy must not
-disturb, and their ordering is the stdlib's problem, not this repo's.
+``queue.py``, ``sched.py``, ``concurrent.futures``) are left unwrapped:
+``Condition`` and ``Queue`` internals have lock-identity expectations a
+proxy must not disturb, and their ordering is the stdlib's problem, not
+this repo's.  ``concurrent.futures`` executors, for one, take an idle
+semaphore as a counter — acquired on the submitting thread, released on
+a worker — which an ownership-based order graph would read as a lock the
+submitter holds forever.
 """
 
 from __future__ import annotations
@@ -29,7 +33,15 @@ import threading
 __all__ = ["LockOrderSanitizer", "LockOrderViolation"]
 
 #: Lock creations whose caller lives in one of these files are not wrapped.
-_STDLIB_CALLERS = ("threading.py", "queue.py", "sched.py", "logging/__init__.py")
+_STDLIB_CALLERS = (
+    "threading.py",
+    "queue.py",
+    "sched.py",
+    "logging/__init__.py",
+    "concurrent/futures/_base.py",
+    "concurrent/futures/thread.py",
+    "concurrent/futures/process.py",
+)
 
 
 class LockOrderViolation(RuntimeError):
@@ -65,6 +77,15 @@ class _LockProxy:
 
     def locked(self):
         return self._inner.locked()
+
+    def __getattr__(self, name: str):
+        # Everything else (``_at_fork_reinit``, which stdlib modules hand
+        # to ``os.register_at_fork``; a semaphore's ``_value``) is the
+        # wrapped lock's own.  ``_inner`` itself is never forwarded, so a
+        # half-built proxy fails plainly instead of recursing.
+        if name == "_inner":
+            raise AttributeError(name)
+        return getattr(self._inner, name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<sanitized {self._label}>"

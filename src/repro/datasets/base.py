@@ -23,6 +23,10 @@ from repro.grid import UniformGrid
 
 __all__ = ["AnalyticDataset", "TimestepField"]
 
+#: About how many grid points :meth:`AnalyticDataset.field` evaluates at
+#: once (whole x-planes, at least one).
+_FIELD_BLOCK_POINTS = 16384
+
 
 @dataclass(frozen=True)
 class TimestepField:
@@ -77,7 +81,9 @@ class AnalyticDataset(abc.ABC):
         """Field values at ``(N, 3)`` physical positions for timestep ``t``.
 
         ``attribute`` selects one of :attr:`attributes`; ``None`` means the
-        default :attr:`attribute`.
+        default :attr:`attribute`.  The value at a point depends only on
+        that point, ``t`` and the attribute, never on the other rows:
+        :meth:`field` relies on it to evaluate a grid block by block.
         """
 
     def _check_attribute(self, attribute: str | None) -> str:
@@ -119,10 +125,33 @@ class AnalyticDataset(abc.ABC):
         grid: UniformGrid | None = None,
         attribute: str | None = None,
     ) -> TimestepField:
-        """Materialize one attribute at timestep ``t`` on ``grid`` (or default)."""
+        """Materialize one attribute at timestep ``t`` on ``grid`` (or default).
+
+        The grid is evaluated in slabs of whole x-planes (about
+        ``_FIELD_BLOCK_POINTS`` points each, contiguous in flat order) into
+        one output array, so the coordinates and :meth:`evaluate`'s
+        temporaries are slab-sized, not grid-sized.  The slab coordinates
+        are the rows of ``g.points()``, and :meth:`evaluate` works point
+        by point, so the values equal ``evaluate(g.points())`` bit for bit.
+        """
         g = grid if grid is not None else self._grid
         name = self._check_attribute(attribute)
-        values = self.evaluate(g.points(), t=t, attribute=name).reshape(g.dims)
+        nx, ny, nz = g.dims
+        plane = ny * nz
+        step = max(1, _FIELD_BLOCK_POINTS // plane)
+        xs = g.axis_coordinates(0)
+        ys = np.repeat(g.axis_coordinates(1), nz)
+        zs = np.tile(g.axis_coordinates(2), ny)
+        values = np.empty(g.dims, dtype=np.float64)
+        flat = values.reshape(-1)
+        for i0 in range(0, nx, step):
+            i1 = min(i0 + step, nx)
+            planes = i1 - i0
+            points = np.empty((planes * plane, 3), dtype=np.float64)
+            points[:, 0] = np.repeat(xs[i0:i1], plane)
+            points[:, 1] = np.tile(ys, planes)
+            points[:, 2] = np.tile(zs, planes)
+            flat[i0 * plane : i1 * plane] = self.evaluate(points, t=t, attribute=name)
         return TimestepField(grid=g, values=values, timestep=int(t), name=name)
 
     def fields(self, timesteps, grid: UniformGrid | None = None):

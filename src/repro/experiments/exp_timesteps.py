@@ -11,10 +11,10 @@ Hurricane dataset at the paper's 3% sampling rate.  Five curves:
   paper shows recovers quality and beats linear everywhere.
 
 The timestep loop runs on the streaming
-:class:`~repro.perf.CampaignScheduler`: timestep ``t+1`` is materialized
-and sampled on the prefetch thread while ``t`` fine-tunes on the main
-thread and ``t-1`` reconstructs/scores on the emit thread.  Fine-tuning
-stays strictly sequential (model state rolls forward in time) and the
+:class:`~repro.perf.CampaignScheduler`: timesteps ``t+1`` and ``t+2`` are
+materialized and sampled on two prefetch threads while ``t`` fine-tunes on
+the main thread and ``t-1`` reconstructs/scores on the emit thread.
+Fine-tuning stays strictly sequential (model state rolls forward in time) and the
 emit stage works on published weight snapshots restored into dedicated
 clones — results are bit-identical to the serial loop
 (``config.campaign_pipeline = False``).

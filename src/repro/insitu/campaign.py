@@ -212,13 +212,14 @@ class InSituWriter:
         """Execute the campaign; returns the written manifest.
 
         With ``pipeline=True`` (default) the time loop runs on the
-        streaming :class:`~repro.perf.CampaignScheduler`: timestep ``t+1``
-        is simulated and sampled on the prefetch thread while ``t`` trains
-        on the calling thread and ``t-1``'s cloud/checkpoint files are
-        written by the emit thread.  Training stays strictly sequential
-        and checkpoints are written from published weight snapshots, so
-        the on-disk campaign is byte-identical to ``pipeline=False``
-        (files and manifest entries land in timestep order either way).
+        streaming :class:`~repro.perf.CampaignScheduler`: timesteps ``t+1``
+        and ``t+2`` are simulated and sampled on two prefetch threads while
+        ``t`` trains on the calling thread and ``t-1``'s cloud/checkpoint
+        files are written by the emit thread.  Training stays strictly
+        sequential and checkpoints are written from published weight
+        snapshots, so the on-disk campaign is byte-identical to
+        ``pipeline=False`` (files and manifest entries land in timestep
+        order either way).
 
         Crash safety: ``journal=True`` keeps a durable write-ahead journal
         (plus per-timestep model-state sidecars) under

@@ -11,7 +11,7 @@ workers).
 """
 
 from repro.parallel.chunking import aligned_chunks, chunk_indices, split_grid, GridChunk
-from repro.parallel.executor import ParallelExecutor
+from repro.parallel.executor import ParallelExecutor, usable_cpus
 from repro.parallel.reconstruct import parallel_reconstruct
 
 __all__ = [
@@ -21,4 +21,5 @@ __all__ = [
     "GridChunk",
     "ParallelExecutor",
     "parallel_reconstruct",
+    "usable_cpus",
 ]

@@ -31,7 +31,20 @@ from typing import Any
 
 from repro.obs import counter, record_event
 
-__all__ = ["ParallelExecutor", "TaskOutcome"]
+__all__ = ["ParallelExecutor", "TaskOutcome", "usable_cpus"]
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on.
+
+    The affinity set where the platform has one (``taskset``, cgroup
+    cpusets), else ``os.cpu_count()``.  ``os.cpu_count()`` alone counts
+    the machine, so under ``taskset -c 0`` on a two-core box it would
+    size every default pool for two CPUs while the process has one.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -69,7 +82,7 @@ class ParallelExecutor:
     Parameters
     ----------
     max_workers:
-        Process count; ``None`` uses ``os.cpu_count()``.  With one worker
+        Process count; ``None`` uses :func:`usable_cpus`.  With one worker
         (or one payload) no pool is created.
     timeout:
         Seconds to wait for each task's result before treating it as
@@ -129,7 +142,7 @@ class ParallelExecutor:
             raise ValueError(f"backoff must be >= 0, got {backoff}")
         if max_respawns is not None and max_respawns < 0:
             raise ValueError(f"max_respawns must be >= 0, got {max_respawns}")
-        self.max_workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
+        self.max_workers = max_workers if max_workers is not None else usable_cpus()
         self.timeout = timeout
         self.retries = int(retries)
         self.backoff = float(backoff)

@@ -6,10 +6,11 @@ implementation ran every stage sequentially and rebuilt all per-timestep
 machinery (process pools, kd-trees, model copies) from scratch each step.
 This module overlaps the stages and keeps everything warm:
 
-* :class:`CampaignScheduler` — a 3-stage software pipeline.  Timestep
-  ``t+1`` is *materialized* (simulated/loaded + sampled) on a prefetch
-  thread while the caller's thread *processes* (fine-tunes on) timestep
-  ``t`` and a single FIFO emit thread *reconstructs* timestep ``t-1``.
+* :class:`CampaignScheduler` — a 3-stage software pipeline.  Timesteps
+  ``t+1`` and ``t+2`` are *materialized* (simulated/loaded + sampled) on
+  two prefetch threads while the caller's thread *processes* (fine-tunes
+  on) timestep ``t`` and a single FIFO emit thread *reconstructs*
+  timestep ``t-1``.
   Fine-tuning stays strictly sequential — model state flows from timestep
   to timestep — so results are **bit-identical** to the serial schedule;
   only side-effect-free work (I/O, sampling, reconstruction of already
@@ -44,9 +45,11 @@ import hashlib
 import threading
 import time
 import uuid
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
-from queue import Empty, Full, Queue
+from queue import Queue
 
 import numpy as np
 
@@ -54,7 +57,7 @@ from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
 from repro.obs import record_event, span
 from repro.parallel.chunking import aligned_chunks
-from repro.parallel.executor import ParallelExecutor
+from repro.parallel.executor import ParallelExecutor, usable_cpus
 from repro.perf import shm as _shm
 from repro.perf.shm import SharedArrayBundle
 from repro.perf.weights import apply_weight_delta, restore_weights, snapshot_weights, weight_delta
@@ -73,8 +76,13 @@ __all__ = [
     "geometry_key",
 ]
 
-#: Poll period for stop-aware blocking queue/semaphore operations.
+#: Poll period for stop-aware blocking waits (futures, semaphore).
 _POLL_SECONDS = 0.05
+
+#: Items the pipelined scheduler materializes ahead of the one in process.
+#: Each holds a full field and its samples; a wider window would need a
+#: memory bound that scales with the field size.
+_PREFETCH_WINDOW = 2
 
 #: Per-process cap on cached worker states (bundle attachments + models).
 _WORKER_STATE_MAX = 4
@@ -260,7 +268,11 @@ class CampaignStats:
     emit_seconds: float
 
     def occupancy(self, stage: str) -> float:
-        """Fraction of the run's wall time ``stage`` spent busy (0..1+)."""
+        """Busy time of ``stage`` over the run's wall time.
+
+        At most 1 for ``process`` and ``emit``; ``prefetch`` sums its two
+        threads, so it can reach 2.
+        """
         busy = {
             "prefetch": self.prefetch_seconds,
             "process": self.process_seconds,
@@ -286,9 +298,13 @@ class CampaignScheduler:
         Every stage receives the scheduler item :meth:`run` was given: a
         timestep, or a *block* of timesteps (a tuple) that the stages
         handle together, as batched fine-tuning does.
-        Runs on the prefetch thread (one timestep ahead); must be free of
-        order-dependent side effects (the analytic datasets and the
-        samplers' stateless per-(seed, timestep) RNG qualify).
+        Runs on a prefetch thread, at most two items ahead of the one in
+        ``process``; with two usable CPUs both items materialize at once,
+        and they are still handed to ``process`` in item order.  Must be
+        free of order-dependent side effects and safe to call from two
+        threads at once (the analytic datasets are pure, each sampler call
+        builds its own per-(seed, timestep) RNG, and the journal and fault
+        schedule lock their own state).
     process:
         ``fn(timestep, item) -> payload`` — fine-tune / mutate shared
         model state.  Runs on the **calling** thread, strictly in timestep
@@ -326,6 +342,8 @@ class CampaignScheduler:
     own tree roots — see :class:`repro.obs.SpanTracker`), occupancy
     gauges ``campaign.occupancy.{prefetch,finetune,reconstruct}`` and the
     ``campaign.timesteps`` counter; :attr:`stats` keeps the same numbers.
+    ``campaign.prefetch`` spans come from both prefetch threads and the
+    prefetch busy time sums them, so its occupancy can reach 2.
     Stats, the counter and interruptions count timesteps, never blocks.
     """
 
@@ -427,13 +445,12 @@ class CampaignScheduler:
     def _run_pipelined(self, steps: list, busy: dict) -> list:
         n = len(steps)
         results: list = [None] * n
-        fetch_q: Queue = Queue(maxsize=1)
         emit_q: Queue = Queue()
         slots = threading.Semaphore(self.depth)
         stop = threading.Event()
         errors: list[tuple[str, int, BaseException]] = []
         err_lock = threading.Lock()
-        # busy and results are written from three threads (prefetcher,
+        # busy and results are written from four threads (two prefetchers,
         # caller, emitter); dict/list item writes are not atomic under
         # free-threaded builds, so every cross-thread write takes this.
         stats_lock = threading.Lock()
@@ -443,22 +460,13 @@ class CampaignScheduler:
                 errors.append((stage, t, exc))
             stop.set()
 
-        def prefetch_loop() -> None:
-            t = steps[0]
-            try:
-                for i, t in enumerate(steps):
-                    if stop.is_set():
-                        return
-                    t0 = time.perf_counter()
-                    with span("campaign.prefetch", timestep=t):
-                        item = self.materialize(t)
-                    with stats_lock:
-                        busy["prefetch"] += time.perf_counter() - t0
-                    _stoppable_put(fetch_q, (i, t, item), stop)
-            except _Stop:
-                return
-            except BaseException as exc:  # noqa: BLE001 - re-raised by run()
-                fail("materialize", t, exc)
+        def fetch(t):
+            t0 = time.perf_counter()
+            with span("campaign.prefetch", timestep=t):
+                item = self.materialize(t)
+            with stats_lock:
+                busy["prefetch"] += time.perf_counter() - t0
+            return item
 
         def emit_loop() -> None:
             while True:
@@ -481,13 +489,20 @@ class CampaignScheduler:
                     # emits, not merely dequeued ones.
                     slots.release()
 
-        prefetcher = threading.Thread(
-            target=prefetch_loop, name=f"{self.name}-prefetch", daemon=True
+        # The prefetch window: item k is in process while items k+1 and
+        # k+2 materialize on up to two threads; futures are taken in item
+        # order, so a fast later item never overtakes an earlier one.
+        window = ThreadPoolExecutor(
+            max_workers=min(_PREFETCH_WINDOW, usable_cpus()),
+            thread_name_prefix=f"{self.name}-prefetch",
+        )
+        ahead: deque[Future] = deque(
+            window.submit(fetch, t) for t in steps[:_PREFETCH_WINDOW]
         )
         emitter = threading.Thread(target=emit_loop, name=f"{self.name}-emit", daemon=True)
-        prefetcher.start()
         emitter.start()
         cut: int | None = None
+        t = steps[0]
         try:
             for k in range(n):
                 if self._interrupted():
@@ -495,24 +510,34 @@ class CampaignScheduler:
                     # processed timesteps still drain below, in order.
                     cut = k
                     break
-                i, t, item = _stoppable_get(fetch_q, stop)
+                t = steps[k]
+                fetched = ahead.popleft()
+                _stoppable_wait(fetched, stop)
+                error = fetched.exception()
+                if error is not None:
+                    fail("materialize", t, error)
+                    break
+                item = fetched.result()
+                if k + _PREFETCH_WINDOW < n:
+                    ahead.append(window.submit(fetch, steps[k + _PREFETCH_WINDOW]))
                 t0 = time.perf_counter()
                 with span("campaign.finetune", timestep=t):
                     payload = self.process(t, item)
                 with stats_lock:
                     busy["process"] += time.perf_counter() - t0
                 _stoppable_acquire(slots, stop)
-                emit_q.put((i, t, payload))
+                emit_q.put((k, t, payload))
         except _Stop:
             pass
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             fail("process", t, exc)
         finally:
+            # Queued fetches are dropped; running ones finish while the
+            # emitter drains, and no prefetch thread outlives run().
+            window.shutdown(wait=False, cancel_futures=True)
             emit_q.put(_DONE)
             emitter.join()
-            stop.set()  # release a prefetcher blocked on a full fetch queue
-            _drain(fetch_q)
-            prefetcher.join()
+            window.shutdown(wait=True)
         if errors:
             stage, t, exc = errors[0]
             exc.args = exc.args if exc.args else (f"campaign {stage} stage failed",)
@@ -528,37 +553,26 @@ def _timesteps(item) -> tuple:
     return item if isinstance(item, tuple) else (item,)
 
 
-def _stoppable_put(q: Queue, item, stop: threading.Event) -> None:
-    while True:
+def _stoppable_wait(future: Future, stop: threading.Event) -> None:
+    """Wait until ``future`` is done; raise :class:`_Stop` once ``stop`` is set.
+
+    ``stop`` is checked first, so a stage failure stops the caller even
+    when the next item is already materialized.  ``exception(timeout)``
+    raises only on timeout, never the item's own error.
+    """
+    while not stop.is_set():
         try:
-            q.put(item, timeout=_POLL_SECONDS)
+            future.exception(timeout=_POLL_SECONDS)
             return
-        except Full:
-            if stop.is_set():
-                raise _Stop from None
-
-
-def _stoppable_get(q: Queue, stop: threading.Event):
-    while True:
-        try:
-            return q.get(timeout=_POLL_SECONDS)
-        except Empty:
-            if stop.is_set():
-                raise _Stop from None
+        except FuturesTimeoutError:
+            pass
+    raise _Stop
 
 
 def _stoppable_acquire(sem: threading.Semaphore, stop: threading.Event) -> None:
     while not sem.acquire(timeout=_POLL_SECONDS):
         if stop.is_set():
             raise _Stop
-
-
-def _drain(q: Queue) -> None:
-    while True:
-        try:
-            q.get_nowait()
-        except Empty:
-            return
 
 
 # --------------------------------------------------------------------------

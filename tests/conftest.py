@@ -11,6 +11,8 @@ poisoning the session.  Tests that violate an invariant *on purpose*
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,16 @@ def _runtime_sanitizers(request: pytest.FixtureRequest):
 
     with sanitize():
         yield
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs whatever the host (``repro.parallel.usable_cpus``).
+
+    The pipelined campaign scheduler then prefetches on two threads, even
+    on a one-CPU runner.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 @pytest.fixture

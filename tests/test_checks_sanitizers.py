@@ -8,6 +8,7 @@ themselves exercised at the bottom via pytester.
 
 from __future__ import annotations
 
+import sys
 import threading
 from multiprocessing import shared_memory
 
@@ -100,6 +101,49 @@ def test_lock_proxy_supports_blocking_protocol():
         assert not lock.acquire(blocking=False)  # failed acquire: no record
         lock.release()
         assert not lock.locked()
+
+
+def test_lock_proxy_forwards_the_rest_of_the_lock_api():
+    # Stdlib modules hand a lock's _at_fork_reinit to os.register_at_fork;
+    # the proxy must expose it (and any other attribute) from the real lock.
+    with LockOrderSanitizer():
+        lock = threading.Lock()
+        assert "sanitized" in repr(lock)
+        assert lock._at_fork_reinit == lock._inner._at_fork_reinit
+        lock._at_fork_reinit()
+        assert not lock.locked()
+        assert threading.Semaphore(2)._value == 2
+
+
+def test_first_import_of_concurrent_futures_thread_under_sanitizer():
+    # The module registers its shutdown lock's _at_fork_reinit at import.
+    import concurrent.futures
+    import concurrent.futures.thread as saved
+    import importlib
+
+    del sys.modules["concurrent.futures.thread"]
+    try:
+        with LockOrderSanitizer():
+            module = importlib.import_module("concurrent.futures.thread")
+            with module.ThreadPoolExecutor(max_workers=1) as pool:
+                assert pool.submit(abs, -3).result(timeout=10) == 3
+    finally:
+        # Later tests keep the module the rest of the process uses.
+        sys.modules["concurrent.futures.thread"] = saved
+        concurrent.futures.thread = saved
+
+
+def test_thread_pool_idle_semaphore_is_not_an_order_edge():
+    # A pool's idle semaphore is a counter: the submitting thread acquires
+    # it and a worker releases it.  Read as a lock the submitter holds, it
+    # would close a cycle with the pool's shutdown lock on the next submit.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with LockOrderSanitizer() as sanitizer:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for i in range(6):
+                assert pool.submit(abs, -i).result(timeout=10) == i
+    assert sanitizer.violations == []
 
 
 # ------------------------------------------------------------------ shm leaks

@@ -1,11 +1,19 @@
 """Unit tests for domain decomposition and parallel reconstruction."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.grid import UniformGrid
 from repro.interpolation import DelaunayLinearInterpolator, NearestNeighborInterpolator
-from repro.parallel import ParallelExecutor, chunk_indices, parallel_reconstruct, split_grid
+from repro.parallel import (
+    ParallelExecutor,
+    chunk_indices,
+    parallel_reconstruct,
+    split_grid,
+    usable_cpus,
+)
 
 
 class TestChunkIndices:
@@ -78,6 +86,26 @@ class TestParallelExecutor:
     def test_validation(self):
         with pytest.raises(ValueError):
             ParallelExecutor(max_workers=0)
+
+    def test_default_width_counts_usable_cpus(self, monkeypatch):
+        # Pinned to one CPU of a two-CPU machine (taskset -c 0).
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert ParallelExecutor().max_workers == 1
+
+
+class TestUsableCpus:
+    def test_affinity_set_wins_over_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5, 7}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        assert usable_cpus() == 3
+
+    def test_without_affinity_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert usable_cpus() == 1
 
 
 def _square(v):

@@ -10,6 +10,9 @@ timestep.
 from __future__ import annotations
 
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -364,6 +367,216 @@ class TestScheduler:
     def test_empty_run(self):
         scheduler = CampaignScheduler(lambda t: t, lambda t, i: i)
         assert scheduler.run([]) == []
+
+
+# ---------------------------------------------------------------------------
+# the prefetch window: two items materialize ahead of process, in order
+
+
+def _prefetch_threads(name: str) -> list:
+    return [th for th in threading.enumerate() if th.name.startswith(f"{name}-prefetch")]
+
+
+class TestPrefetchWindow:
+    def test_slow_early_items_arrive_in_item_order(self, two_cpus):
+        steps = [3, 1, 4, 0, 5, 9, 2, 6]
+
+        def materialize(t):
+            # Earlier items take longer, so later ones finish first.
+            time.sleep(0.005 * (len(steps) - steps.index(t)))
+            return t * 10
+
+        calls = []
+
+        def process(t, item):
+            calls.append(t)
+            return item + 1
+
+        def emit(t, payload):
+            return (t, payload * 2)
+
+        got = CampaignScheduler(materialize, process, emit, name="window").run(steps)
+        assert calls == steps
+        want = CampaignScheduler(
+            materialize, lambda t, item: item + 1, emit, pipeline=False
+        ).run(steps)
+        assert got == want
+
+    def test_at_most_two_items_ahead_of_process(self, two_cpus):
+        lock = threading.Lock()
+        started: set = set()
+        ahead = []
+
+        def materialize(t):
+            with lock:
+                started.add(t)
+            time.sleep(0.002)
+            return t
+
+        def beyond(t) -> int:
+            with lock:
+                return sum(1 for j in started if j > t)
+
+        def process(t, item):
+            ahead.append(beyond(t))
+            time.sleep(0.02)  # a slow trainer: an unbounded prefetch would run away
+            ahead.append(beyond(t))
+            return item
+
+        CampaignScheduler(materialize, process, name="window").run(range(12))
+        assert max(ahead) == 2
+
+    def test_two_materialize_calls_in_flight_at_once(self, two_cpus):
+        barrier = threading.Barrier(2, timeout=10)
+        names = set()
+
+        def materialize(t):
+            names.add(threading.current_thread().name)
+            if t < 2:
+                barrier.wait()  # passes only if items 0 and 1 materialize together
+            return t
+
+        assert CampaignScheduler(materialize, lambda t, i: i, name="window").run(
+            range(5)
+        ) == [0, 1, 2, 3, 4]
+        assert names == {"window-prefetch_0", "window-prefetch_1"}
+
+    def test_one_usable_cpu_runs_one_prefetch_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        names = set()
+
+        def materialize(t):
+            names.add(threading.current_thread().name)
+            return t
+
+        CampaignScheduler(materialize, lambda t, i: i, name="window").run(range(6))
+        assert names == {"window-prefetch_0"}
+
+    def test_materialize_failure_during_process_is_reraised(self, two_cpus):
+        failed = threading.Event()
+        seen = []
+
+        def materialize(t):
+            if t == 1:
+                failed.set()
+                raise RuntimeError("injected materialize failure at 1")
+            return t
+
+        def process(t, item):
+            seen.append(t)
+            if t == 0:
+                assert failed.wait(timeout=10)  # item 1 fails while item 0 trains
+            return item
+
+        scheduler = CampaignScheduler(materialize, process, name="window")
+        with pytest.raises(RuntimeError, match="injected materialize failure at 1"):
+            scheduler.run([0, 1, 2, 3])
+        assert seen == [0]
+
+    def test_emit_failure_stops_caller_before_next_process(self, two_cpus):
+        emit_failed = threading.Event()
+        seen = []
+
+        def process(t, item):
+            seen.append(t)
+            if t == 1:
+                assert emit_failed.wait(timeout=10)  # item 2 is materialized by now
+            return item
+
+        def emit(t, payload):
+            if t == 0:
+                emit_failed.set()
+                raise KeyError("injected emit failure at 0")
+            return payload
+
+        scheduler = CampaignScheduler(lambda t: t, process, emit, name="window")
+        with pytest.raises(KeyError, match="injected emit failure at 0"):
+            scheduler.run([0, 1, 2, 3])
+        assert seen == [0, 1]
+
+    @pytest.mark.parametrize("failing", [None, "materialize", "process", "emit"])
+    def test_no_prefetch_thread_outlives_run(self, two_cpus, failing):
+        def stage(name):
+            def fn(t, *rest):
+                if name == failing and t == 2:
+                    raise RuntimeError(f"injected {name} failure")
+                return rest[-1] if rest else t
+
+            return fn
+
+        scheduler = CampaignScheduler(
+            stage("materialize"), stage("process"), stage("emit"), name="window"
+        )
+        if failing is None:
+            assert scheduler.run(range(6)) == list(range(6))
+        else:
+            with pytest.raises(RuntimeError, match=f"injected {failing} failure"):
+                scheduler.run(range(6))
+        leftover = _prefetch_threads("window")
+        for thread in leftover:
+            thread.join(timeout=5)
+        assert not [thread.name for thread in leftover if thread.is_alive()]
+
+    def test_interrupt_names_completed_prefix(self, two_cpus):
+        from repro.resilience.supervise import CampaignInterrupted
+
+        class Flag:
+            triggered = False
+
+        flag = Flag()
+        emitted = []
+
+        def process(t, item):
+            if t == 2:
+                flag.triggered = True
+            return item
+
+        scheduler = CampaignScheduler(
+            lambda t: t, process, lambda t, p: emitted.append(t), name="window",
+            interrupt=flag,
+        )
+        with pytest.raises(CampaignInterrupted) as excinfo:
+            scheduler.run([0, 1, 2, 3, 4])
+        assert excinfo.value.completed == (0, 1, 2)
+        assert excinfo.value.next_timestep == 3
+        assert emitted == [0, 1, 2]
+        assert not _prefetch_threads("window")
+
+    def test_stress_matches_serial_schedule(self, two_cpus):
+        lock = threading.Lock()
+        materialized = []
+
+        def materialize(t):
+            values = np.random.default_rng(t).standard_normal(4096)
+            total = float(np.sort(values)[::7].sum()) + sum(range(50 * t))
+            with lock:
+                materialized.append(t)
+            return total
+
+        def stages():
+            state = {"acc": 0.0}
+
+            def process(t, item):
+                state["acc"] = state["acc"] * 1.000001 + item  # order-dependent
+                return (t, state["acc"])
+
+            return process, lambda t, payload: payload
+
+        steps = list(range(50))
+        want = CampaignScheduler(materialize, *stages(), pipeline=False).run(steps)
+        materialized.clear()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t0 = time.perf_counter()
+            got = CampaignScheduler(materialize, *stages(), name="window").run(steps)
+            elapsed = time.perf_counter() - t0
+        finally:
+            sys.setswitchinterval(previous)
+        assert got == want
+        assert sorted(materialized) == steps  # each item materialized exactly once
+        assert elapsed < 60.0
+        assert not _prefetch_threads("window")
 
 
 # ---------------------------------------------------------------------------

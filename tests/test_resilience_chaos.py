@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -68,6 +69,35 @@ def base_model(campaign_pipeline):
 def _strip_timing(rows):
     """finetune_seconds is wall-clock; everything else must be bit-equal."""
     return [{k: v for k, v in row.items() if k != "finetune_seconds"} for row in rows]
+
+
+class _OverlappedPrefetch:
+    """Stage hook making the first two timesteps materialize at once.
+
+    Wraps a fault schedule's ``fire``.  The barrier holds the first two
+    ``materialize`` calls until both have started, so the two prefetch
+    threads record their ``sampled`` journal entries in either order;
+    ``threads`` names every thread that materialized.
+    """
+
+    def __init__(self, fire, timesteps) -> None:
+        self.fire = fire
+        self.first = set(timesteps[:2])
+        self.barrier = threading.Barrier(2, timeout=30)
+        self.threads: set[str] = set()
+        self._lock = threading.Lock()
+
+    def __call__(self, stage: str, timestep: int) -> None:
+        if stage == "materialize":
+            with self._lock:
+                self.threads.add(threading.current_thread().name)
+            if timestep in self.first:
+                self.barrier.wait()
+        self.fire(stage, timestep)
+
+    def assert_two_prefetch_threads(self) -> None:
+        assert len(self.threads) == 2, self.threads
+        assert all("-prefetch" in name for name in self.threads), self.threads
 
 
 # ----------------------------------------------------------- fault schedule
@@ -275,7 +305,7 @@ class TestBatchedResume:
         with pytest.raises(JournalCorruptionError, match="config"):
             self._run(campaign_pipeline, base_model, wal, resume=True)
 
-    def test_insitu_sigterm_then_resume_byte_identical(self, tmp_path):
+    def test_insitu_sigterm_then_resume_byte_identical(self, tmp_path, two_cpus):
         data = make_dataset("combustion", dims=DIMS, seed=0)
 
         def writer(**kw):
@@ -299,6 +329,7 @@ class TestBatchedResume:
         schedule = FaultSchedule(
             [Fault("process", timestep=TIMESTEPS[1], kind="sigterm")]
         )
+        hook = _OverlappedPrefetch(schedule.fire, TIMESTEPS)
         with GracefulInterrupt() as interrupt:
             with pytest.raises(CampaignInterrupted) as excinfo:
                 writer(finetune_batch=1).run(
@@ -306,15 +337,16 @@ class TestBatchedResume:
                     TIMESTEPS,
                     journal=True,
                     interrupt=interrupt,
-                    on_stage=schedule.fire,
+                    on_stage=hook,
                 )
+        hook.assert_two_prefetch_threads()
         assert schedule.fired == [("process", TIMESTEPS[1], "sigterm")]
         assert excinfo.value.next_timestep in TIMESTEPS
         # Resume with a different block size: byte-identical regardless.
         writer(finetune_batch=2).run(target, TIMESTEPS, resume=True)
         assert chaos.directory_digest(target) == reference
 
-    def test_sharded_insitu_sigterm_then_resume_byte_identical(self, tmp_path):
+    def test_sharded_insitu_sigterm_then_resume_byte_identical(self, tmp_path, two_cpus):
         """Kill -> resume of a *sharded* campaign: per-(timestep, shard)
         checkpoints and the shard-aware journal replay stay byte-identical
         to an uninterrupted sharded run."""
@@ -342,6 +374,7 @@ class TestBatchedResume:
         schedule = FaultSchedule(
             [Fault("process", timestep=TIMESTEPS[1], kind="sigterm")]
         )
+        hook = _OverlappedPrefetch(schedule.fire, TIMESTEPS)
         with GracefulInterrupt() as interrupt:
             with pytest.raises(CampaignInterrupted) as excinfo:
                 writer().run(
@@ -349,8 +382,9 @@ class TestBatchedResume:
                     TIMESTEPS,
                     journal=True,
                     interrupt=interrupt,
-                    on_stage=schedule.fire,
+                    on_stage=hook,
                 )
+        hook.assert_two_prefetch_threads()
         assert schedule.fired == [("process", TIMESTEPS[1], "sigterm")]
         assert excinfo.value.next_timestep in TIMESTEPS
         writer().run(target, TIMESTEPS, resume=True)
@@ -479,12 +513,13 @@ class TestInSituResume:
         return chaos.directory_digest(full_dir)
 
     def test_sigterm_then_resume_byte_identical(
-        self, writer, reference_digest, tmp_path
+        self, writer, reference_digest, tmp_path, two_cpus
     ):
         target = tmp_path / "campaign"
         schedule = FaultSchedule(
             [Fault("process", timestep=TIMESTEPS[1], kind="sigterm")]
         )
+        hook = _OverlappedPrefetch(schedule.fire, TIMESTEPS)
         with GracefulInterrupt() as interrupt:
             with pytest.raises(CampaignInterrupted) as excinfo:
                 writer.run(
@@ -492,8 +527,9 @@ class TestInSituResume:
                     TIMESTEPS,
                     journal=True,
                     interrupt=interrupt,
-                    on_stage=schedule.fire,
+                    on_stage=hook,
                 )
+        hook.assert_two_prefetch_threads()
         assert schedule.fired == [("process", TIMESTEPS[1], "sigterm")]
         assert excinfo.value.next_timestep in TIMESTEPS
         # The interruption left a readable partial campaign + resume manifest.
