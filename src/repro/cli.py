@@ -171,11 +171,8 @@ def _tool_main(argv: list[str]) -> int:
     p.add_argument("--finetune-epochs", type=int, default=10)
     p.add_argument("--batched-finetune", action="store_true",
                    help="fine-tune every timestep from the pretrained base "
-                        "through the fused repro.nn.batched engine "
-                        "(block-size invariant; see docs/TRAINING.md)")
-    p.add_argument("--finetune-batch", type=int, default=0, metavar="K",
-                   help="timesteps per fused fine-tune block with "
-                        "--batched-finetune (0 = all in one block)")
+                        "instead of rolling the weights forward "
+                        "(see docs/TRAINING.md)")
     p.add_argument("--shards", default=None, metavar="AxBxC",
                    help="spatial domain decomposition for in situ training "
                         "(e.g. 2x2x1, or a shard count like 4): one model "
@@ -252,7 +249,6 @@ def _tool_dispatch(args) -> str:
                                   finetune_epochs=args.finetune_epochs, seed=args.seed,
                                   pipeline=args.pipeline == "on",
                                   batched_finetune=args.batched_finetune,
-                                  finetune_batch=args.finetune_batch,
                                   shards=args.shards, halo=args.halo,
                                   journal=args.journal, resume=args.resume)
     return tools.cmd_render(args.input, args.output, mode=args.mode,

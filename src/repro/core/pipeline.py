@@ -199,7 +199,6 @@ class ReconstructionPipeline:
         finetune_epochs: int = 10,
         finetune_strategy: str = "full",
         batched_finetune: bool = False,
-        finetune_batch: int = 0,
         pipeline: bool = True,
         warm_pool: bool = True,
         max_workers: int | None = None,
@@ -234,20 +233,16 @@ class ReconstructionPipeline:
         ``(pipeline, warm_pool)`` combination produces **bit-identical**
         reconstructions and scores.
 
-        ``batched_finetune=True`` switches the fine-tune stage to the
-        :mod:`repro.nn.batched` engine: timesteps are grouped into blocks
-        of ``finetune_batch`` (0 = all timesteps in one block) and each
-        block's models advance together through fused stacked matmuls via
-        :meth:`FCNNReconstructor.fine_tune_batch`.  Semantics change
-        deliberately: every timestep fine-tunes **from the pretrained
-        base** (the paper's transfer setup, enabling per-timestep partial
-        checkpoints) instead of rolling the weights forward timestep to
-        timestep, so batched rows differ from serial rows by design.
-        Batched results are *block-size invariant* — any
-        ``finetune_batch`` (and any pipeline/warm_pool combination)
-        produces bit-identical reconstructions — and journal/resume keeps
-        its per-timestep granularity (one weight sidecar per timestep,
-        sliced out of the stack).
+        ``batched_finetune=True`` fine-tunes every timestep **from the
+        pretrained base** (the paper's transfer setup, enabling per-timestep
+        partial checkpoints) instead of rolling the weights forward
+        timestep to timestep, so its rows differ from rolling rows by
+        design.  Each timestep is one
+        :meth:`FCNNReconstructor.fine_tune_batch` call that leaves
+        ``reconstructor`` untouched, so only one timestep's training data
+        is alive at a time and, as in rolling campaigns, the
+        reconstruction of ``t-1`` overlaps the fine-tune of ``t``.
+        Journal/resume keeps one weight sidecar per timestep.
 
         ``shards`` (an ``"AxBxC"`` spec or 3-tuple) decomposes the grid
         spatially (:mod:`repro.shard`): reconstruction fans out one task
@@ -277,9 +272,11 @@ class ReconstructionPipeline:
           :class:`~repro.resilience.supervise.SupervisionPolicy` (or
           prepared :class:`~repro.resilience.supervise.WorkerSupervisor`):
           per-stage deadlines recycle a hung pool, and a "poison" timestep
-          whose reconstruct keeps failing (or whose fine-tune raises —
-          weights are rolled back) is quarantined as degraded
-          nearest-neighbor output instead of aborting the campaign.
+          whose reconstruct keeps failing is quarantined as degraded
+          nearest-neighbor output instead of aborting the campaign.  A
+          timestep whose fine-tune raises is reconstructed with the weights
+          it entered with (the previous timestep's when rolling, the base's
+          when from base) and flagged; only that timestep is quarantined.
         * ``interrupt`` — a
           :class:`~repro.resilience.supervise.GracefulInterrupt`: on
           SIGTERM/SIGINT the scheduler drains in-flight work, the journal
@@ -423,49 +420,96 @@ class ReconstructionPipeline:
                     sup.on_stall = lambda stage, t, elapsed: pool_executor.recycle("stall")
             sup.start()
 
-        def materialize(t: int) -> TimestepField:
+        local_shards = shard_plan is not None and shard_scope == "local"
+        base_flat = None
+        if batched_finetune:
+            # From-base fine-tunes never mutate the base, so a quarantined
+            # one reconstructs with its weights (one row per shard in local
+            # scope).
+            base_flat = snapshot_weights(reconstructor.model).data
+            if local_shards:
+                base_flat = np.tile(base_flat, (shard_plan.num_shards, 1))
+        fallback = (
+            "the pretrained base weights" if batched_finetune
+            else "the previous timestep's weights"
+        )
+
+        def materialize(t: int):
             if on_stage is not None:
                 on_stage("materialize", t)
             fld = field0 if t == steps[0] else self.field(t)
+            train = [self.sample(fld, f) for f in self.train_fractions]
             if wal is not None:
                 wal.record(t, "sampled", field_sha=content_hash(fld.values))
-            return fld
+            return fld, train
 
-        def process(t: int, fld: TimestepField):
-            if on_stage is not None:
-                on_stage("process", t)
-            geometry.refresh(train_shell, fld)
-            train = [self.sample(fld, f) for f in self.train_fractions]
-            stale: str | None = None
-            if sup is None:
-                finetune_seconds = reconstructor.fine_tune(
+        def fine_tune(fld: TimestepField, train) -> tuple[np.ndarray, float]:
+            """This timestep's published weights and its epoch seconds.
+
+            Rolling fine-tunes advance ``reconstructor`` in place.  From-base
+            ones leave it untouched and return one flat ``(W,)`` model, or
+            an ``(S, W)`` stack with one model per shard in local scope.
+            """
+            if not batched_finetune:
+                seconds = reconstructor.fine_tune(
                     fld, train, epochs=finetune_epochs, strategy=finetune_strategy
                 ).total_seconds
+                return snapshot_weights(reconstructor.model).data, seconds
+            if local_shards:
+                from repro.shard import fine_tune_shards
+
+                stacks, grouped = fine_tune_shards(
+                    reconstructor,
+                    [fld],
+                    [train],
+                    shard_plan,
+                    epochs=finetune_epochs,
+                    strategy=finetune_strategy,
+                )
+                return stacks[0], sum(h.total_seconds for h in grouped[0])
+            flats, histories = reconstructor.fine_tune_batch(
+                [fld], [train], epochs=finetune_epochs, strategy=finetune_strategy
+            )
+            return flats[0], histories[0].total_seconds
+
+        def process(t: int, item):
+            if on_stage is not None:
+                on_stage("process", t)
+            fld, train = item
+            stale: str | None = None
+            if sup is None:
+                flat, finetune_seconds = fine_tune(fld, train)
             else:
                 # Fine-tuning is deterministic, so retrying a failure is
-                # futile — roll back to the entering weights and carry on
-                # with them (bounded degradation, never a dead campaign).
-                before = snapshot_weights(reconstructor.model).data
+                # futile — reconstruct this timestep with the weights it
+                # entered with and carry on (bounded degradation, never a
+                # dead campaign).
+                if base_flat is not None:
+                    before = base_flat
+                else:
+                    before = snapshot_weights(reconstructor.model).data
                 with sup.stage("process", t):
                     try:
-                        finetune_seconds = reconstructor.fine_tune(
-                            fld, train, epochs=finetune_epochs, strategy=finetune_strategy
-                        ).total_seconds
+                        flat, finetune_seconds = fine_tune(fld, train)
                     except Exception as exc:
                         if not sup.policy.quarantine:
                             raise
-                        restore_weights(reconstructor.model, before)
+                        if not batched_finetune:
+                            restore_weights(reconstructor.model, before)
                         sup.quarantine(t, "fine-tune", exc, attempts=1)
                         stale = f"{type(exc).__name__}: {exc}"
-                        finetune_seconds = 0.0
-            flat = snapshot_weights(reconstructor.model).data
+                        flat, finetune_seconds = before, 0.0
             if wal is not None:
                 wal.save_state(t, flat)
                 wal.record(t, "fine-tuned", weights_sha=content_hash(flat), **shard_coords)
+            geometry.refresh(train_shell, fld)
             slot = sink.publish(t, train_shell.values, {"fcnn": flat})
             return slot, fld, finetune_seconds, stale
 
-        def reconstruct_one(t: int, fld: TimestepField, slot, finetune_seconds, stale_message):
+        def emit(t: int, payload):
+            if on_stage is not None:
+                on_stage("emit", t)
+            slot, fld, finetune_seconds, stale = payload
             if sup is None:
                 volume, report = sink.reconstruct(slot, "fcnn")
             else:
@@ -481,11 +525,11 @@ class ReconstructionPipeline:
                     )
                 else:
                     raise value
-                if stale_message is not None:
+                if stale is not None:
                     report.flag(
                         len(report.degraded),
                         geometry.num_voids,
-                        stale_message,
+                        f"fine-tune quarantined ({stale}); reconstructed with {fallback}",
                         "stale-weights",
                     )
             row = {
@@ -499,135 +543,11 @@ class ReconstructionPipeline:
                 wal.record(t, "emitted", row=_jsonable(row))
             return row, (volume if self.keep_reconstructions else None)
 
-        def emit(t: int, payload):
-            if on_stage is not None:
-                on_stage("emit", t)
-            slot, fld, finetune_seconds, stale = payload
-            message = None
-            if stale is not None:
-                message = (
-                    f"fine-tune quarantined ({stale}); reconstructed with "
-                    "the previous timestep's weights"
-                )
-            return reconstruct_one(t, fld, slot, finetune_seconds, message)
-
-        # ------------------------------------------------- batched fine-tune
-        # Scheduler items become *blocks* of timesteps; each block
-        # fine-tunes K timesteps from the base in one fused ModelStack,
-        # then emits them in timestep order.  The journal, the stats and
-        # interruptions keep per-timestep granularity throughout.
-        blocks: list[tuple[int, ...]] = []
-        if batched_finetune and steps_to_run:
-            size = int(finetune_batch) if finetune_batch > 0 else len(steps_to_run)
-            blocks = [
-                tuple(steps_to_run[i : i + size]) for i in range(0, len(steps_to_run), size)
-            ]
-        base_flat = snapshot_weights(reconstructor.model).data.copy()
-
-        def materialize_block(block: tuple[int, ...]):
-            items = []
-            for t in block:
-                if on_stage is not None:
-                    on_stage("materialize", t)
-                fld = field0 if t == steps[0] else self.field(t)
-                train = [self.sample(fld, f) for f in self.train_fractions]
-                if wal is not None:
-                    wal.record(t, "sampled", field_sha=content_hash(fld.values))
-                items.append((t, fld, train))
-            return items
-
-        def finetune_block(items):
-            """One batched fine-tune call: per-timestep flats + epoch seconds.
-
-            Local shard scope trains one model per (timestep, shard)
-            (:func:`repro.shard.fine_tune_shards`) and returns ``(S, W)``
-            stacks; otherwise one model per timestep, flat ``(W,)``.
-            """
-            fields = [fld for _, fld, _ in items]
-            trains = [train for _, _, train in items]
-            if shard_plan is not None and shard_scope == "local":
-                from repro.shard import fine_tune_shards
-
-                flats, grouped = fine_tune_shards(
-                    reconstructor,
-                    fields,
-                    trains,
-                    shard_plan,
-                    epochs=finetune_epochs,
-                    strategy=finetune_strategy,
-                )
-                return flats, [sum(h.total_seconds for h in hs) for hs in grouped]
-            flats, histories = reconstructor.fine_tune_batch(
-                fields, trains, epochs=finetune_epochs, strategy=finetune_strategy
-            )
-            return flats, [h.total_seconds for h in histories]
-
-        def process_block(ts: tuple[int, ...], items):
-            if on_stage is not None:
-                for t in ts:
-                    on_stage("process", t)
-            stale: str | None = None
-            if sup is None:
-                flats, seconds = finetune_block(items)
-            else:
-                with sup.stage("process", ts[0]):
-                    try:
-                        flats, seconds = finetune_block(items)
-                    except Exception as exc:
-                        if not sup.policy.quarantine:
-                            raise
-                        # Deterministic training: retrying is futile.  The
-                        # base model is untouched (fine_tune_batch never
-                        # mutates it), so every member degrades to base
-                        # weights and the campaign carries on.
-                        for t in ts:
-                            sup.quarantine(t, "fine-tune", exc, attempts=1)
-                        stale = f"{type(exc).__name__}: {exc}"
-                        degraded = base_flat
-                        if shard_plan is not None and shard_scope == "local":
-                            degraded = np.tile(base_flat, (shard_plan.num_shards, 1))
-                        flats = [degraded] * len(ts)
-                        seconds = [0.0] * len(ts)
-            if wal is not None:
-                for t, flat in zip(ts, flats):
-                    wal.save_state(t, flat)
-                    wal.record(t, "fine-tuned", weights_sha=content_hash(flat), **shard_coords)
-            return items, flats, seconds, stale
-
-        def emit_block(block: tuple[int, ...], payload):
-            items, flats, seconds, stale = payload
-            message = None
-            if stale is not None:
-                message = (
-                    f"fine-tune quarantined ({stale}); reconstructed with "
-                    "the pretrained base weights"
-                )
-            out = []
-            for (t, fld, _), flat, finetune_seconds in zip(items, flats, seconds):
-                if on_stage is not None:
-                    on_stage("emit", t)
-                geometry.refresh(train_shell, fld)
-                slot = sink.publish(t, train_shell.values, {"fcnn": flat})
-                out.append(reconstruct_one(t, fld, slot, finetune_seconds, message))
-            return out
-
-        if batched_finetune:
-            scheduler = CampaignScheduler(
-                materialize_block,
-                process_block,
-                emit_block,
-                pipeline=pipeline,
-                depth=depth,
-                interrupt=interrupt,
-            )
-            items_to_run = blocks
-        else:
-            scheduler = CampaignScheduler(
-                materialize, process, emit, pipeline=pipeline, depth=depth, interrupt=interrupt
-            )
-            items_to_run = steps_to_run
+        scheduler = CampaignScheduler(
+            materialize, process, emit, pipeline=pipeline, depth=depth, interrupt=interrupt
+        )
         try:
-            emitted = scheduler.run(items_to_run)
+            emitted = scheduler.run(steps_to_run)
         except CampaignInterrupted as exc:
             if wal is not None:
                 done = steps[: len(skipped_rows)] + list(exc.completed)
@@ -643,8 +563,6 @@ class ReconstructionPipeline:
                 sup.stop()
             if own_wal and wal is not None:
                 wal.close()
-        if batched_finetune:
-            emitted = [pair for block in emitted for pair in block]
         rows = skipped_rows + [row for row, _ in emitted]
         volumes = None
         if self.keep_reconstructions:

@@ -342,6 +342,12 @@ class FCNNReconstructor:
         (:func:`repro.perf.restore_weights` layout, journal-sidecar
         ready) plus its :class:`~repro.nn.TrainingHistory`.
 
+        Fusing saves no time: on a 2-vCPU Xeon one K=4 Case-2 call and
+        four K=1 calls take the same time, while peak memory grows with
+        K.  The campaign drivers and :func:`repro.serve.build_registry`
+        therefore pass one timestep per call; the Case-2 speed comes from
+        the frozen-prefix cache below.
+
         ``strategy="last"`` (paper Case 2) additionally enables the
         frozen-prefix activation cache: the frozen layers run once per
         step over the full training slab instead of every batch of every
@@ -353,7 +359,8 @@ class FCNNReconstructor:
         each member's bits never depend on its group's size.  Each step's
         training matrix is built only when the trainer stages it and is
         freed before the next one is built, so peak memory is the
-        ``(K, N, ·)`` training slabs plus one step's features.
+        ``(K, N, ·)`` training slabs plus one step's features.  Each
+        member's result is the same for any K.
 
         **Single-writer:** the call shares the instance's one
         :class:`~repro.perf.Workspace` arena, whose buffers are keyed by

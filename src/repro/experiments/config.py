@@ -78,14 +78,11 @@ class ExperimentConfig:
     #: streaming CampaignScheduler (bit-identical to the serial schedule;
     #: False forces the serial loop — see docs/PERFORMANCE.md)
     campaign_pipeline: bool = True
-    #: fine-tune campaign timesteps from the pretrained base through the
-    #: fused repro.nn.batched engine instead of rolling weights forward
-    #: (block-size invariant; changes the trajectory by design — see
+    #: fine-tune every campaign timestep from the pretrained base
+    #: (FCNNReconstructor.fine_tune_batch, one timestep per call) instead
+    #: of rolling weights forward (changes the trajectory by design — see
     #: docs/TRAINING.md)
     batched_finetune: bool = False
-    #: timesteps per fused fine-tune block with batched_finetune
-    #: (0 = all timesteps in one block)
-    finetune_batch: int = 0
     #: spatial domain decomposition for campaigns: an ``AxBxC`` spec, a
     #: plain shard count, or None (unsharded) — see repro.shard and
     #: docs/PERFORMANCE.md ("Shard-parallel campaigns")

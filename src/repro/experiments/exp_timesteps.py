@@ -19,12 +19,11 @@ emit stage works on published weight snapshots restored into dedicated
 clones — results are bit-identical to the serial loop
 (``config.campaign_pipeline = False``).
 
-With ``config.batched_finetune`` the ``fcnn-ft`` curves switch to the
-fused :mod:`repro.nn.batched` engine: every timestep fine-tunes **from
-the pretrained base** (the paper's transfer setup) and timesteps advance
-together in blocks of ``config.finetune_batch`` — a different (but
-block-size-invariant) trajectory from the rolling curves by design; see
-docs/TRAINING.md.
+With ``config.batched_finetune`` the ``fcnn-ft`` curves fine-tune every
+timestep **from the pretrained base** (the paper's transfer setup) with
+one :meth:`~repro.core.FCNNReconstructor.fine_tune_batch` call per model
+and timestep — a different trajectory from the rolling curves by design;
+see docs/TRAINING.md.
 """
 
 from __future__ import annotations
@@ -72,8 +71,10 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         pipeline.train_fcnn(fcnn, timestep=t, epochs=config.epochs)
         pretrained[tag] = fcnn
 
-    # Rolling fine-tuned copies (model state carries forward in time) and
-    # emit-side twins the published per-timestep weights are restored into.
+    # Caller-side copies to fine-tune (rolling ones carry model state
+    # forward in time) and emit-side twins the published per-timestep
+    # weights are restored into; the emit thread reconstructs with
+    # ``pretrained``, so the caller never touches it.
     # clone() copies only the learned state — not deepcopy's arenas/caches.
     finetuned = {tag: model.clone() for tag, model in pretrained.items()}
     emitters = {tag: model.clone() for tag, model in pretrained.items()}
@@ -83,16 +84,22 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         sample = test_samples(pipeline, field, (config.timestep_fraction,), config)[
             config.timestep_fraction
         ]
-        return field, sample
+        train = [pipeline.sample(field, f) for f in config.train_fractions]
+        return field, sample, train
 
     def process(t: int, item):
-        field, sample = item
-        # Both rolling models fine-tune on the same (deterministic) draws.
-        train = [pipeline.sample(field, f) for f in config.train_fractions]
+        field, sample, train = item
+        # Both models fine-tune on the same (deterministic) draws.
         flats = {}
         for tag, model in finetuned.items():
-            model.fine_tune(field, train, epochs=config.finetune_epochs, strategy="full")
-            flats[tag] = snapshot_weights(model.model).data
+            if config.batched_finetune:
+                # From the base: fine_tune_batch leaves ``model`` as it is.
+                (flats[tag],), _ = model.fine_tune_batch(
+                    [field], [train], epochs=config.finetune_epochs, strategy="full"
+                )
+            else:
+                model.fine_tune(field, train, epochs=config.finetune_epochs, strategy="full")
+                flats[tag] = snapshot_weights(model.model).data
         return field, sample, flats
 
     def emit(t: int, payload):
@@ -106,47 +113,8 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
             record[f"fcnn-ft@{tag}"] = snr(field.values, model.reconstruct(sample))
         return record
 
-    # Batched variant: scheduler items become block indices, every block's
-    # fcnn-ft members fine-tune together from the pretrained base.
-    blocks: list[tuple[int, ...]] = []
-    if config.batched_finetune:
-        size = config.finetune_batch if config.finetune_batch > 0 else len(timesteps)
-        blocks = [timesteps[i : i + size] for i in range(0, len(timesteps), size)]
-
-    def materialize_block(block_index: int):
-        return [materialize(t) for t in blocks[block_index]]
-
-    def process_block(block_index: int, items):
-        fields = [field for field, _ in items]
-        trains = [
-            [pipeline.sample(field, f) for f in config.train_fractions] for field in fields
-        ]
-        flats_per_t = [{} for _ in items]
-        for tag, model in pretrained.items():
-            flats, _histories = model.fine_tune_batch(
-                fields, trains, epochs=config.finetune_epochs, strategy="full"
-            )
-            for slot, flat in zip(flats_per_t, flats):
-                slot[tag] = flat
-        return [
-            (field, sample, flats) for (field, sample), flats in zip(items, flats_per_t)
-        ]
-
-    def emit_block(block_index: int, payloads):
-        return [emit(t, payload) for t, payload in zip(blocks[block_index], payloads)]
-
-    if config.batched_finetune:
-        scheduler = CampaignScheduler(
-            materialize_block, process_block, emit_block, pipeline=config.campaign_pipeline
-        )
-        records = (
-            record for block in scheduler.run(range(len(blocks))) for record in block
-        )
-    else:
-        scheduler = CampaignScheduler(
-            materialize, process, emit, pipeline=config.campaign_pipeline
-        )
-        records = iter(scheduler.run(timesteps))
+    scheduler = CampaignScheduler(materialize, process, emit, pipeline=config.campaign_pipeline)
+    records = scheduler.run(timesteps)
     for record in records:
         result.rows.append(record)
         for key, value in record.items():

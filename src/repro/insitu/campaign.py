@@ -127,24 +127,23 @@ class InSituWriter:
         Storage budget per timestep.
     train_model:
         When True, a :class:`FCNNReconstructor` is trained in situ at the
-        first stored timestep and Case-1 fine-tuned (``finetune_epochs``)
-        at each subsequent one; the base model and per-timestep Case-2
-        partial checkpoints are written alongside the clouds.
+        first stored timestep and Case-2 fine-tuned (``finetune_epochs``
+        of the last two layers) at each subsequent one; the base model and
+        per-timestep Case-2 partial checkpoints are written alongside the
+        clouds.
     batched_finetune:
         When True (with ``train_model``), every timestep after the first
-        is fine-tuned **from the pretrained base** through the
-        :mod:`repro.nn.batched` engine — timesteps are grouped into
-        blocks of ``finetune_batch`` (0 = all remaining timesteps in one
-        block) and each block's models advance together through fused
-        stacked matmuls.  The on-disk campaign is *block-size invariant*;
-        it differs from the serial (rolling) campaign by design.
+        is fine-tuned **from the pretrained base** with one
+        :meth:`~repro.core.FCNNReconstructor.fine_tune_batch` call instead
+        of rolling the weights forward; the on-disk campaign differs from
+        the rolling one by design.
     shards / halo:
         Spatial domain decomposition (requires ``train_model``).  The
         first stored timestep still trains the global base model, but
-        every later timestep is fine-tuned per shard on its halo-extended
-        box (one batched submission per block, so ``shards`` composes with
-        ``batched_finetune``) and emits one Case-2 partial checkpoint per
-        (timestep, shard) — ``model_tXXXX_sXX.npz``.  ``halo`` defaults to
+        every later timestep is fine-tuned from it per shard on its
+        halo-extended box (one batched submission per timestep) and emits
+        one Case-2 partial checkpoint per (timestep, shard) —
+        ``model_tXXXX_sXX.npz``.  ``halo`` defaults to
         :func:`repro.shard.suggest_halo` for the model's kNN stencil.
     """
 
@@ -159,7 +158,6 @@ class InSituWriter:
         finetune_epochs: int = 10,
         model_kwargs: dict | None = None,
         batched_finetune: bool = False,
-        finetune_batch: int = 0,
         shards=None,
         halo: int | None = None,
     ) -> None:
@@ -174,7 +172,6 @@ class InSituWriter:
         self.finetune_epochs = int(finetune_epochs)
         self.model_kwargs = dict(model_kwargs or {})
         self.batched_finetune = bool(batched_finetune)
-        self.finetune_batch = int(finetune_batch)
         if shards is not None:
             from repro.shard import parse_shards, suggest_halo
 
@@ -381,6 +378,10 @@ class InSituWriter:
                     epochs=self.finetune_epochs, strategy="last",
                 )
                 flat = stacks[0]
+            elif self.batched_finetune:
+                (flat,), _ = model.fine_tune_batch(
+                    [field], [train], epochs=self.finetune_epochs, strategy="last"
+                )
             else:
                 model.fine_tune(field, train, epochs=self.finetune_epochs, strategy="last")
                 flat = snapshot_weights(model.model).data
@@ -434,81 +435,11 @@ class InSituWriter:
                 )
             return t
 
-        # Batched fine-tuning: scheduler items become *blocks* of timesteps.
-        # The first block stays ``(t0,)`` when the base still has to be
-        # trained; every later block fine-tunes its timesteps from that base
-        # in one fused ModelStack.  The journal, the stats and interruptions
-        # keep per-timestep granularity.
-        blocks: list[tuple[int, ...]] = []
-        if self.batched_finetune and steps_to_run:
-            rest = steps_to_run
-            if self.train_model and model is None:
-                blocks.append((rest[0],))
-                rest = rest[1:]
-            size = self.finetune_batch if self.finetune_batch > 0 else max(1, len(rest))
-            blocks.extend(tuple(rest[i : i + size]) for i in range(0, len(rest), size))
-
-        def materialize_block(block: tuple[int, ...]):
-            return [materialize(t) for t in block]
-
-        def process_block(ts: tuple[int, ...], items):
-            nonlocal model, emit_model
-            if not self.train_model or (model is None and len(ts) == 1):
-                # Untrained campaigns, and the base-training first block,
-                # go through the serial stage unchanged.
-                return [process(t, item) for t, item in zip(ts, items)]
-            if on_stage is not None:
-                for t in ts:
-                    on_stage("process", t)
-            if plan is not None:
-                from repro.shard import fine_tune_shards
-
-                flats, _histories = fine_tune_shards(
-                    model,
-                    [field for field, _, _ in items],
-                    [train for _, _, train in items],
-                    plan,
-                    epochs=self.finetune_epochs,
-                    strategy="last",
-                )
-            else:
-                flats, _histories = model.fine_tune_batch(
-                    [field for field, _, _ in items],
-                    [train for _, _, train in items],
-                    epochs=self.finetune_epochs,
-                    strategy="last",
-                )
-            if wal is not None:
-                for t, flat in zip(ts, flats):
-                    wal.save_state(t, flat)
-                    wal.record(
-                        t, "fine-tuned", weights_sha=content_hash(flat), **shard_coords
-                    )
-            return [
-                (sample, flat, False)
-                for (_, sample, _), flat in zip(items, flats)
-            ]
-
-        def emit_block(block: tuple[int, ...], payloads):
-            return [emit(t, payload) for t, payload in zip(block, payloads)]
-
-        if self.batched_finetune:
-            scheduler = CampaignScheduler(
-                materialize_block,
-                process_block,
-                emit_block,
-                pipeline=pipeline,
-                name="insitu",
-                interrupt=interrupt,
-            )
-            items_to_run = blocks
-        else:
-            scheduler = CampaignScheduler(
-                materialize, process, emit, pipeline=pipeline, name="insitu", interrupt=interrupt
-            )
-            items_to_run = steps_to_run
+        scheduler = CampaignScheduler(
+            materialize, process, emit, pipeline=pipeline, name="insitu", interrupt=interrupt
+        )
         try:
-            scheduler.run(items_to_run)
+            scheduler.run(steps_to_run)
         except CampaignInterrupted as exc:
             # Flush a *readable* partial campaign (post hoc tools work on
             # the completed prefix) plus the resume manifest, then let the

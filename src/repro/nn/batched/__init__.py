@@ -1,12 +1,13 @@
 """Batched multi-model training: K weight sets per layer, fused matmuls.
 
-The campaign's fine-tune stage is strictly sequential per timestep in the
-serial engine; this package makes training itself wide instead.  K models
-sharing one architecture stack their per-layer weights into ``(K, n, m)``
-tensors and advance together through batched ``np.matmul`` calls —
-forward, backward and the in-place Adam step all fuse across members,
-reusing :class:`repro.perf.Workspace` arenas so steady-state epochs stay
-allocation-free.
+K models sharing one architecture stack their per-layer weights into
+``(K, n, m)`` tensors and advance together through batched ``np.matmul``
+calls — forward, backward and the in-place Adam step all fuse across
+members, reusing :class:`repro.perf.Workspace` arenas so steady-state
+epochs stay allocation-free.  Fusion saves no time over K=1 and its
+memory grows with K, so from-base campaigns and registry builds train one
+timestep per stack; the engine's Case-2 frozen-prefix cache is what
+they use it for.
 
 Entry points:
 

@@ -24,6 +24,13 @@ matmul happens at block rather than per-batch shape); disable it with
 ``case2_prefix_cache=False`` to recover the exact serial Case-2 op
 sequence.
 
+Fusing members saves no time on its own: on a 2-vCPU Xeon one K=4 Case-2
+fit and four K=1 fits take the same time (6.9–8.2 s vs 7.6–7.9 s for
+4 × 5 epochs at 72×72×36), and the prefix slabs make peak memory grow
+with K.  The Case-2 speed-up over the single-model trainer is the prefix
+cache, which works at K=1, so the library fits one member per call
+outside :func:`repro.shard.fine_tune_shards`.
+
 Telemetry mirrors the serial trainer under a ``train.batched.*`` prefix:
 ``train.batched.fit``/``train.batched.epoch`` spans, batch/epoch counters,
 loss/model-count gauges and epoch-seconds histograms.
@@ -99,6 +106,9 @@ class BatchedTrainer:
         Enable the frozen-prefix activation cache (default).  ``False``
         keeps the frozen layers in the per-batch loop — slower, but the
         exact serial Case-2 op sequence.
+
+    Members' results do not depend on K, and a larger K saves no time
+    while its memory grows (see the module docstring).
     """
 
     def __init__(

@@ -3,7 +3,10 @@
 
 Every layer implements ``forward`` (caching what backward needs) and
 ``backward`` (accumulating parameter gradients, returning the gradient with
-respect to its input).  Batches are rows: activations are ``(B, features)``.
+respect to its input).  Layers with parameters take
+``need_input_grad=False`` to skip forming that input gradient and return
+``None``, as :meth:`repro.nn.Sequential.backward` does for the lowest
+trainable layer.  Batches are rows: activations are ``(B, features)``.
 
 Fast path: when a :class:`repro.perf.Workspace` is attached (via
 :meth:`repro.nn.Sequential.attach_workspace`), ``Dense`` and ``ReLU``
@@ -140,7 +143,7 @@ class Dense(Layer):
         out += self.bias.value
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
         if self._input is None:
             raise RuntimeError("backward called before forward")
         x = self._input
@@ -149,13 +152,15 @@ class Dense(Layer):
             # Accumulate (+=) so gradient checks can sum over micro-batches.
             self.weight.grad += x.T @ grad_out
             self.bias.grad += grad_out.sum(axis=0)
-            return grad_out @ self.weight.value.T
+            return grad_out @ self.weight.value.T if need_input_grad else None
         gw = ws.buffer((self._ws_tag, "gw"), self.weight.shape)
         np.matmul(x.T, grad_out, out=gw)
         self.weight.grad += gw
         gb = ws.buffer((self._ws_tag, "gb"), self.bias.shape)
         np.sum(grad_out, axis=0, out=gb)
         self.bias.grad += gb
+        if not need_input_grad:
+            return None
         gin = ws.buffer((self._ws_tag, "bwd"), x.shape)
         np.matmul(grad_out, self.weight.value.T, out=gin)
         return gin
@@ -283,12 +288,14 @@ class LayerNorm(Layer):
         self._cache = (xhat, inv, x)
         return xhat * self.gain.value + self.bias.value
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         xhat, inv, _ = self._cache
         self.gain.grad += (grad_out * xhat).sum(axis=0)
         self.bias.grad += grad_out.sum(axis=0)
+        if not need_input_grad:
+            return None
         g = grad_out * self.gain.value
         # d/dx of (x - mu) / sqrt(var + eps), vectorized per row.
         return inv * (g - g.mean(axis=1, keepdims=True)

@@ -31,13 +31,32 @@ class Sequential:
             out = layer.forward(out)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backpropagate a loss gradient; returns the input gradient."""
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Backpropagate a loss gradient into every trainable parameter.
+
+        Backprop stops at the lowest layer with a trainable parameter and
+        does not form that layer's input gradient, as autograd does for
+        frozen layers: Case-2 fine-tuning never runs the frozen prefix
+        backward, and nothing forms the gradient with respect to the
+        network input.  Parameters at or above the stop get the same
+        gradients as a full backward.  Chain :meth:`Layer.backward` for
+        input gradients.
+        """
         ws = self._ws
         grad = np.asarray(grad_out, dtype=np.float64 if ws is None else ws.dtype)
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+        stop = self._lowest_trainable()
+        if stop < 0:
+            return
+        for i in range(len(self.layers) - 1, stop, -1):
+            grad = self.layers[i].backward(grad)
+        self.layers[stop].backward(grad, need_input_grad=False)
+
+    def _lowest_trainable(self) -> int:
+        """Index of the lowest layer with a trainable parameter (-1 if none)."""
+        for i, layer in enumerate(self.layers):
+            if any(p.trainable for p in layer.parameters()):
+                return i
+        return -1
 
     # ------------------------------------------------------------ fast path
     def attach_workspace(self, workspace) -> None:

@@ -66,6 +66,24 @@ def active_recorder() -> "RunRecorder | None":
     return _ACTIVE
 
 
+def _detach_forked_child() -> None:
+    """Turn telemetry off in a forked child (a campaign pool worker).
+
+    The child inherits the parent's tracker, registry and event file in
+    whatever state the fork caught them: another parent thread may have
+    held the tracker's lock or the file's buffer lock, which the child
+    could then never acquire.  Its telemetry is dropped instead, so it
+    never touches them.
+    """
+    global _ACTIVE
+    _ACTIVE = None
+    _timing.deactivate()
+    _metrics.deactivate()
+
+
+os.register_at_fork(after_in_child=_detach_forked_child)
+
+
 def record_event(kind: str, **payload) -> None:
     """Emit a custom event to the active recorder; no-op when none is active.
 

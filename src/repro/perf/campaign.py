@@ -79,9 +79,9 @@ __all__ = [
 #: Poll period for stop-aware blocking waits (futures, semaphore).
 _POLL_SECONDS = 0.05
 
-#: Items the pipelined scheduler materializes ahead of the one in process.
-#: Each holds a full field and its samples; a wider window would need a
-#: memory bound that scales with the field size.
+#: Timesteps the pipelined scheduler materializes ahead of the one in
+#: process.  Each holds a full field and its samples; a wider window would
+#: need a memory bound that scales with the field size.
 _PREFETCH_WINDOW = 2
 
 #: Per-process cap on cached worker states (bundle attachments + models).
@@ -295,12 +295,9 @@ class CampaignScheduler:
     ----------
     materialize:
         ``fn(timestep) -> item`` — produce/load + sample the timestep.
-        Every stage receives the scheduler item :meth:`run` was given: a
-        timestep, or a *block* of timesteps (a tuple) that the stages
-        handle together, as batched fine-tuning does.
-        Runs on a prefetch thread, at most two items ahead of the one in
-        ``process``; with two usable CPUs both items materialize at once,
-        and they are still handed to ``process`` in item order.  Must be
+        Runs on a prefetch thread, at most two timesteps ahead of the one
+        in ``process``; with two usable CPUs both materialize at once, and
+        they are still handed to ``process`` in timestep order.  Must be
         free of order-dependent side effects and safe to call from two
         threads at once (the analytic datasets are pure, each sampler call
         builds its own per-(seed, timestep) RNG, and the journal and fault
@@ -344,7 +341,6 @@ class CampaignScheduler:
     ``campaign.timesteps`` counter; :attr:`stats` keeps the same numbers.
     ``campaign.prefetch`` spans come from both prefetch threads and the
     prefetch busy time sums them, so its occupancy can reach 2.
-    Stats, the counter and interruptions count timesteps, never blocks.
     """
 
     def __init__(
@@ -372,32 +368,25 @@ class CampaignScheduler:
     def _interrupted(self) -> bool:
         return self.interrupt is not None and bool(self.interrupt.triggered)
 
-    def _raise_interrupted(self, steps: list, done: int) -> None:
-        completed = tuple(t for item in steps[:done] for t in _timesteps(item))
-        total = sum(len(_timesteps(item)) for item in steps)
-        next_timestep = _timesteps(steps[done])[0] if done < len(steps) else None
+    def _raise_interrupted(self, steps: list[int], done: int) -> None:
+        completed = tuple(steps[:done])
+        next_timestep = steps[done] if done < len(steps) else None
         record_event(
             "campaign.interrupted",
-            completed=len(completed),
-            total=total,
+            completed=done,
+            total=len(steps),
             next_timestep=next_timestep,
         )
         raise CampaignInterrupted(
-            f"campaign interrupted after {len(completed)}/{total} timesteps",
+            f"campaign interrupted after {done}/{len(steps)} timesteps",
             completed=completed,
             next_timestep=next_timestep,
         )
 
     # ------------------------------------------------------------------ run
     def run(self, timesteps) -> list:
-        """Process every item; returns per-item emit results in order.
-
-        An item is a timestep or a block (a list or tuple of timesteps).
-        """
-        steps = [
-            tuple(int(t) for t in item) if isinstance(item, (list, tuple)) else int(item)
-            for item in timesteps
-        ]
+        """Process every timestep; returns per-timestep emit results in order."""
+        steps = [int(t) for t in timesteps]
         wall0 = time.perf_counter()
         busy = {"prefetch": 0.0, "process": 0.0, "emit": 0.0}
         if not steps:
@@ -407,16 +396,15 @@ class CampaignScheduler:
         else:
             results = self._run_serial(steps, busy)
         wall = time.perf_counter() - wall0
-        count = sum(len(_timesteps(item)) for item in steps)
         self.stats = CampaignStats(
-            timesteps=count,
+            timesteps=len(steps),
             pipeline=self.pipeline,
             wall_seconds=wall,
             prefetch_seconds=busy["prefetch"],
             process_seconds=busy["process"],
             emit_seconds=busy["emit"],
         )
-        obs_counter("campaign.timesteps").inc(count)
+        obs_counter("campaign.timesteps").inc(len(steps))
         obs_gauge("campaign.occupancy.prefetch").set(self.stats.occupancy("prefetch"))
         obs_gauge("campaign.occupancy.finetune").set(self.stats.occupancy("process"))
         obs_gauge("campaign.occupancy.reconstruct").set(self.stats.occupancy("emit"))
@@ -546,11 +534,6 @@ class CampaignScheduler:
         if cut is not None:
             self._raise_interrupted(steps, cut)
         return results
-
-
-def _timesteps(item) -> tuple:
-    """The timesteps one scheduler item stands for."""
-    return item if isinstance(item, tuple) else (item,)
 
 
 def _stoppable_wait(future: Future, stop: threading.Event) -> None:

@@ -1,10 +1,10 @@
-"""Registry builders: train + batched fine-tune a campaign into a registry.
+"""Registry builders: train + fine-tune a campaign into a registry.
 
 The serving layer consumes what the campaign produces — per-timestep
 fine-tuned flat weight vectors over one frozen sample geometry.
 :func:`build_registry` runs that production path end to end (pretrain a
-base at the first timestep, fine-tune every timestep from the base
-through :meth:`~repro.core.FCNNReconstructor.fine_tune_batch` — the
+base at the first timestep, fine-tune every timestep from the base with
+one :meth:`~repro.core.FCNNReconstructor.fine_tune_batch` call each — the
 ``run_campaign(batched_finetune=True)`` trajectory) and lands the
 results in a durable :class:`~repro.serve.ModelRegistry`, one key per
 timestep.  Used by ``repro serve build`` and the replay benches.
@@ -13,8 +13,6 @@ timestep.  Used by ``repro serve build`` and the replay benches.
 from __future__ import annotations
 
 from pathlib import Path
-
-import numpy as np
 
 from repro.obs import span
 from repro.serve.registry import ModelKey, ModelRegistry
@@ -35,7 +33,7 @@ def build_registry(
     seed: int = 0,
     hot_capacity: int = 16,
 ) -> ModelRegistry:
-    """Train, batched-fine-tune and register one (dataset, fraction) family.
+    """Train, fine-tune from the base and register one (dataset, fraction) family.
 
     Returns the populated registry; its ``geometry_cache`` is primed with
     the namespace geometry, so a server over it reuses the builder's void
@@ -68,11 +66,13 @@ def build_registry(
     )
     registry.create_namespace(data.name, fraction, recon, geometry.grid, geometry.indices)
 
-    fields = [field0 if t == steps[0] else pipe.field(t) for t in steps]
-    trains = [[pipe.sample(fld, f) for f in pipe.train_fractions] for fld in fields]
     with span("serve.build.finetune", steps=len(steps)):
-        flats, _ = recon.fine_tune_batch(fields, trains, epochs=finetune_epochs)
-    for t, fld, flat in zip(steps, fields, flats):
-        values = fld.values.ravel()[geometry.indices]
-        registry.put(ModelKey(data.name, float(fraction), t), np.asarray(flat), values)
+        # One timestep at a time: only its field and training samples are
+        # alive while it fine-tunes, and it is registered before the next.
+        for t in steps:
+            fld = field0 if t == steps[0] else pipe.field(t)
+            train = [pipe.sample(fld, f) for f in pipe.train_fractions]
+            (flat,), _ = recon.fine_tune_batch([fld], [train], epochs=finetune_epochs)
+            values = fld.values.ravel()[geometry.indices]
+            registry.put(ModelKey(data.name, float(fraction), t), flat, values)
     return registry

@@ -238,7 +238,6 @@ def cmd_campaign(
     seed: int = 0,
     pipeline: bool = True,
     batched_finetune: bool = False,
-    finetune_batch: int = 0,
     shards=None,
     halo: int | None = None,
     journal: bool = False,
@@ -279,7 +278,6 @@ def cmd_campaign(
         epochs=epochs,
         finetune_epochs=finetune_epochs,
         batched_finetune=batched_finetune,
-        finetune_batch=finetune_batch,
         shards=shards,
         halo=halo,
     )

@@ -141,8 +141,7 @@ class TestInSituTraining:
         w_spec = spec.model.dense_layers()[-1].weight.value
         assert not np.array_equal(w_base, w_spec)
 
-    @pytest.mark.parametrize("finetune_batch", [0, 2])
-    def test_batched_campaign_counts_timesteps(self, dataset, tmp_path, finetune_batch):
+    def test_batched_campaign_counts_timesteps(self, dataset, tmp_path):
         from repro.obs import counter
         from repro.obs.metrics import MetricsRegistry, activate, deactivate
 
@@ -156,7 +155,6 @@ class TestInSituTraining:
             finetune_epochs=1,
             model_kwargs={"hidden_layers": (8,), "batch_size": 512},
             batched_finetune=True,
-            finetune_batch=finetune_batch,
         )
         previous = activate(MetricsRegistry())
         try:

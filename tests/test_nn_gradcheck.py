@@ -99,13 +99,17 @@ class TestParameterGradients:
 
 class TestInputGradient:
     def test_input_gradient_matches(self, rng):
+        # Sequential.backward stops below the network input, so chain the
+        # layers' own backward passes, which still return input gradients.
         model = small_net(Tanh, rng)
         loss = MSELoss()
         x = rng.normal(size=(3, 4))
         y = rng.normal(size=(3, 2))
         model.zero_grad()
         pred = model.forward(x)
-        dx = model.backward(loss.gradient(pred, y))
+        dx = loss.gradient(pred, y)
+        for layer in reversed(model.layers):
+            dx = layer.backward(dx)
 
         numeric = np.zeros_like(x)
         for i in range(x.size):

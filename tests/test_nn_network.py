@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn import Dense, ReLU, Sequential, mlp
+from repro.nn import Adam, Dense, LayerNorm, MSELoss, ReLU, Sequential, Trainer, mlp
 from repro.nn.network import from_spec
+from repro.perf import Workspace
 
 
 class TestSequential:
@@ -72,6 +73,101 @@ class TestFreezing:
         model.freeze_all_but_last(1)
         frozen = [p for layer in model.dense_layers()[:-1] for p in layer.parameters()]
         assert all(not p.trainable for p in frozen)
+
+
+class _FullBackward(Sequential):
+    """Backprop through every layer down to the network input."""
+
+    def backward(self, grad_out):
+        ws = self.workspace
+        grad = np.asarray(grad_out, dtype=np.float64 if ws is None else ws.dtype)
+        for layer in reversed(self.layers):
+            grad = layer.backward(grad)
+        return grad
+
+
+def _case(strategy: str, network_cls=Sequential) -> Sequential:
+    model = network_cls(mlp(6, [16, 12, 8, 4], 3, seed=2).layers)
+    if strategy == "last":
+        model.freeze_all_but_last(2)
+    return model
+
+
+class TestBackwardStop:
+    """Backward stops at the lowest trainable layer, with unchanged results."""
+
+    @pytest.mark.parametrize("workspace", [False, True], ids=["slow", "workspace"])
+    @pytest.mark.parametrize("strategy", ["full", "last"], ids=["case1", "case2"])
+    def test_gradients_bit_identical_to_full_backward(self, strategy, workspace):
+        rng = np.random.default_rng(4)
+        x, g = rng.normal(size=(40, 6)), rng.normal(size=(40, 3))
+        grads = []
+        for cls in (Sequential, _FullBackward):
+            model = _case(strategy, cls)
+            if workspace:
+                model.attach_workspace(Workspace())
+            model.zero_grad()
+            model.forward(x)
+            model.backward(g)
+            grads.append([p.grad.copy() for p in model.parameters() if p.trainable])
+        stopped, full = grads
+        assert len(stopped) == (4 if strategy == "last" else 10)
+        for mine, theirs in zip(stopped, full):
+            assert mine.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("workspace", [False, True], ids=["slow", "workspace"])
+    @pytest.mark.parametrize("strategy", ["full", "last"], ids=["case1", "case2"])
+    def test_training_bit_identical_to_full_backward(self, strategy, workspace):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(300, 6)), rng.normal(size=(300, 3))
+        params = []
+        for cls in (Sequential, _FullBackward):
+            model = _case(strategy, cls)
+            Trainer(
+                model,
+                loss=MSELoss(),
+                optimizer=Adam(model.parameters()),
+                batch_size=64,
+                seed=1,
+                workspace=Workspace() if workspace else None,
+            ).fit(x, y, epochs=3)
+            params.append([p.value.copy() for p in model.parameters()])
+        for mine, theirs in zip(*params):
+            assert mine.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("strategy,stop", [("full", 0), ("last", 6)])
+    def test_no_layer_below_the_stop_runs_backward(self, strategy, stop, monkeypatch):
+        model = _case(strategy)
+        calls = []
+        for i, layer in enumerate(model.layers):
+            def spy(grad, *args, _i=i, _inner=layer.backward, **kwargs):
+                calls.append((_i, kwargs.get("need_input_grad", True)))
+                return _inner(grad, *args, **kwargs)
+
+            monkeypatch.setattr(layer, "backward", spy)
+        model.forward(np.ones((5, 6)))
+        assert model.backward(np.ones((5, 3))) is None
+        top = len(model.layers) - 1
+        assert calls == [(i, True) for i in range(top, stop, -1)] + [(stop, False)]
+
+    def test_fully_frozen_network_runs_no_backward(self):
+        model = mlp(3, [4], 2, seed=0)
+        model.set_all_trainable(False)
+        model.forward(np.ones((2, 3)))
+        model.backward(np.ones((2, 2)))
+        assert all((p.grad == 0).all() for p in model.parameters())
+
+    def test_layer_norm_skips_input_gradient_on_request(self):
+        layer = LayerNorm(4)
+        x = np.random.default_rng(0).normal(size=(5, 4))
+        layer.forward(x)
+        assert layer.backward(np.ones((5, 4))).shape == x.shape
+        grads = [p.grad.copy() for p in layer.parameters()]
+        for p in layer.parameters():
+            p.zero_grad()
+        assert layer.backward(np.ones((5, 4)), need_input_grad=False) is None
+        for p, g in zip(layer.parameters(), grads):
+            assert p.grad.tobytes() == g.tobytes()
 
 
 class TestSpecRoundtrip:

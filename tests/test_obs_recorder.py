@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -166,6 +167,40 @@ class TestCrashTolerance:
         monkeypatch.undo()
         assert not (run_dir / MANIFEST_FILENAME).exists()
         assert not list(run_dir.glob("*.tmp"))  # temp file cleaned up
+
+    def test_forked_child_drops_telemetry_instead_of_blocking(self, tmp_path):
+        """A pool worker forked while another thread held the tracker's
+        lock must not wait on that lock, nor write to the parent's stream."""
+        run_dir = tmp_path / "forked"
+        with RunRecorder(run_dir):
+            tracker = timing_mod.active_tracker()
+            with tracker._lock:  # as while another thread writes a span event
+                pid = os.fork()
+                if pid == 0:  # pragma: no cover - runs in the child
+                    code = 1
+                    try:
+                        with span("child.work"):
+                            counter("child.calls").inc()
+                        record_event("child.event")
+                        code = 0 if timing_mod.active_tracker() is None else 3
+                    finally:
+                        os._exit(code)
+            deadline = time.monotonic() + 30.0
+            while True:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            if not done:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+            with span("parent.after"):
+                pass
+        assert done, "forked child blocked on the parent's telemetry"
+        assert os.waitstatus_to_exitcode(status) == 0
+        names = {e.get("name") or e["kind"] for e in load_run(run_dir).events}
+        assert "parent.after" in names
+        assert not {"child.work", "child.event"} & names
 
 
 class TestTrainingIntegration:

@@ -336,34 +336,6 @@ class TestScheduler:
         assert counter("campaign.timesteps").value == 3
         assert gauge("campaign.occupancy.finetune").value is not None
 
-    @pytest.mark.parametrize("pipeline", [False, True])
-    def test_blocks_count_as_their_timesteps(self, metrics, pipeline):
-        from repro.obs import counter
-
-        scheduler = CampaignScheduler(lambda b: b, lambda b, i: list(i), pipeline=pipeline)
-        assert scheduler.run([[0, 1], (2, 3), [4]]) == [[0, 1], [2, 3], [4]]
-        assert scheduler.stats.timesteps == 5
-        assert counter("campaign.timesteps").value == 5
-
-    def test_interrupted_blocks_report_timesteps(self):
-        from repro.resilience.supervise import CampaignInterrupted
-
-        class Once:
-            triggered = False
-
-        stop = Once()
-
-        def process(block, item):
-            stop.triggered = True
-            return item
-
-        scheduler = CampaignScheduler(lambda b: b, process, pipeline=False, interrupt=stop)
-        with pytest.raises(CampaignInterrupted) as excinfo:
-            scheduler.run([(0, 1), (2, 3)])
-        assert excinfo.value.completed == (0, 1)
-        assert excinfo.value.next_timestep == 2
-        assert "after 2/4 timesteps" in str(excinfo.value)
-
     def test_empty_run(self):
         scheduler = CampaignScheduler(lambda t: t, lambda t, i: i)
         assert scheduler.run([]) == []
@@ -718,11 +690,7 @@ class TestFineTuneBatch:
 @pytest.fixture(scope="module")
 def batched_results(campaign_pipeline, base_model):
     results = {}
-    for name, kw in {
-        "serial": dict(pipeline=False, finetune_batch=0),
-        "blocks-of-1": dict(pipeline=False, finetune_batch=1),
-        "pipelined-blocks-of-2": dict(pipeline=True, finetune_batch=2),
-    }.items():
+    for name, pipeline in {"serial": False, "pipelined": True}.items():
         results[name] = campaign_pipeline.run_campaign(
             base_model.clone(),
             TIMESTEPS,
@@ -730,7 +698,7 @@ def batched_results(campaign_pipeline, base_model):
             finetune_epochs=2,
             batched_finetune=True,
             warm_pool=False,
-            **kw,
+            pipeline=pipeline,
         )
     return results
 
@@ -752,10 +720,9 @@ class TestBatchedCampaign:
         for result in batched_results.values():
             assert result.stats.timesteps == len(TIMESTEPS)
 
-    @pytest.mark.parametrize("variant", ["blocks-of-1", "pipelined-blocks-of-2"])
-    def test_block_size_and_pipeline_invariant(self, batched_results, variant):
+    def test_pipeline_invariant(self, batched_results):
         ref = batched_results["serial"]
-        got = batched_results[variant]
+        got = batched_results["pipelined"]
         assert self._scores(got) == self._scores(ref)
         for mine, theirs in zip(got.reconstructions, ref.reconstructions):
             assert mine.tobytes() == theirs.tobytes()
@@ -802,6 +769,7 @@ class TestBatchedCampaign:
     def test_quarantined_block_degrades_to_base_weights(
         self, campaign_pipeline, base_model
     ):
+        """Every timestep's fine-tune raises: each one degrades on its own."""
         from repro.resilience import SupervisionPolicy
 
         model = base_model.clone()
@@ -816,7 +784,6 @@ class TestBatchedCampaign:
             0.05,
             finetune_epochs=2,
             batched_finetune=True,
-            finetune_batch=2,
             warm_pool=False,
             supervision=SupervisionPolicy(),
         )
@@ -825,6 +792,97 @@ class TestBatchedCampaign:
         assert all(rec.stage == "fine-tune" for rec in result.quarantined)
         assert all(row["degraded_points"] > 0 for row in result.rows)
         assert all(row["finetune_seconds"] == 0.0 for row in result.rows)
+
+    @pytest.mark.parametrize("pipeline", [False, True], ids=["serial", "pipelined"])
+    def test_matches_plain_per_timestep_loop(
+        self, campaign_pipeline, base_model, tmp_path, pipeline
+    ):
+        """Rows, volumes and sidecars equal fine_tune_batch([f], [t]) from a
+        clone of the base followed by a plain reconstruct, one timestep at
+        a time."""
+        from repro.metrics import score_reconstruction
+        from repro.resilience.journal import CampaignJournal
+
+        wal = tmp_path / "journal.jsonl"
+        result = campaign_pipeline.run_campaign(
+            base_model.clone(),
+            TIMESTEPS,
+            0.05,
+            finetune_epochs=2,
+            batched_finetune=True,
+            warm_pool=False,
+            pipeline=pipeline,
+            journal=wal,
+        )
+        field0 = campaign_pipeline.field(TIMESTEPS[0])
+        geometry = campaign_pipeline.geometry_cache.get(
+            campaign_pipeline.sample(field0, 0.05)
+        )
+        journal = CampaignJournal(wal, resume=True)
+        try:
+            for i, t in enumerate(TIMESTEPS):
+                field = campaign_pipeline.field(t)
+                train = [campaign_pipeline.sample(field, f) for f in (0.02, 0.05)]
+                (flat,), _ = base_model.clone().fine_tune_batch(
+                    [field], [train], epochs=2, strategy="full"
+                )
+                assert journal.load_state(t).tobytes() == flat.tobytes()
+                model = base_model.clone()
+                restore_weights(model.model, flat)
+                want = model.reconstruct(geometry.refresh(geometry.shell(timestep=t), field))
+                assert result.reconstructions[i].tobytes() == want.tobytes()
+                assert self._scores(result)[i] == {
+                    "timestep": t,
+                    "degraded_points": 0,
+                    **score_reconstruction(field.values, want).as_dict(),
+                }
+        finally:
+            journal.close()
+
+    def test_fine_tune_failure_quarantines_only_its_timestep(
+        self, campaign_pipeline, base_model, batched_results
+    ):
+        from repro.resilience import SupervisionPolicy
+
+        poison = TIMESTEPS[1]
+        model = base_model.clone()
+        fine_tune_batch = model.fine_tune_batch
+
+        def poisoned(fields, trains, **kwargs):
+            if any(f.timestep == poison for f in fields):
+                raise RuntimeError("optimizer exploded")
+            return fine_tune_batch(fields, trains, **kwargs)
+
+        model.fine_tune_batch = poisoned
+        result = campaign_pipeline.run_campaign(
+            model,
+            TIMESTEPS,
+            0.05,
+            finetune_epochs=2,
+            batched_finetune=True,
+            warm_pool=False,
+            supervision=SupervisionPolicy(),
+        )
+        assert [(rec.timestep, rec.stage) for rec in result.quarantined] == [
+            (poison, "fine-tune")
+        ]
+        ref = batched_results["serial"]
+        for i, t in enumerate(TIMESTEPS):
+            if t == poison:
+                row = result.rows[i]
+                assert row["degraded_points"] > 0 and row["finetune_seconds"] == 0.0
+                # Reconstructed with the pretrained base weights.
+                geometry = campaign_pipeline.geometry_cache.get(
+                    campaign_pipeline.sample(campaign_pipeline.field(TIMESTEPS[0]), 0.05)
+                )
+                field = campaign_pipeline.field(t)
+                want = base_model.clone().reconstruct(
+                    geometry.refresh(geometry.shell(timestep=t), field)
+                )
+                assert result.reconstructions[i].tobytes() == want.tobytes()
+                continue
+            assert self._scores(result)[i] == self._scores(ref)[i]
+            assert result.reconstructions[i].tobytes() == ref.reconstructions[i].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1034,18 +1092,17 @@ class TestInSituPipelined:
         assert sorted(match) == names
 
     def test_batched_campaign_block_size_invariant_on_disk(self, tmp_path):
+        """One fine-tune per timestep writes the checkpoints one fused call
+        over every later timestep produces, pipelined or not."""
         import filecmp
 
-        from repro.insitu import InSituWriter
+        from repro.insitu import CampaignReader, InSituWriter
         from repro.sampling import MultiCriteriaSampler
 
         data = make_dataset("combustion", dims=DIMS, seed=0)
+        model_kwargs = {"hidden_layers": (8,), "batch_size": 1024, "seed": 7}
         dirs = {}
-        for name, kw in {
-            "one-block": dict(finetune_batch=0, pipeline=False),
-            "blocks-of-1": dict(finetune_batch=1, pipeline=True),
-        }.items():
-            pipeline = kw.pop("pipeline")
+        for name in ("serial", "pipelined"):
             writer = InSituWriter(
                 data,
                 MultiCriteriaSampler(seed=0),
@@ -1054,17 +1111,27 @@ class TestInSituPipelined:
                 train_fractions=(0.02,),
                 epochs=2,
                 finetune_epochs=1,
-                model_kwargs={"hidden_layers": (8,), "batch_size": 1024, "seed": 7},
+                model_kwargs=model_kwargs,
                 batched_finetune=True,
-                **kw,
             )
             out = tmp_path / name
-            writer.run(out, TIMESTEPS, pipeline=pipeline)
+            writer.run(out, TIMESTEPS, pipeline=name == "pipelined")
             dirs[name] = out
-        names = sorted(p.name for p in dirs["one-block"].iterdir())
-        assert names == sorted(p.name for p in dirs["blocks-of-1"].iterdir())
+        names = sorted(p.name for p in dirs["serial"].iterdir())
+        assert names == sorted(p.name for p in dirs["pipelined"].iterdir())
         match, mismatch, errors = filecmp.cmpfiles(
-            dirs["one-block"], dirs["blocks-of-1"], names, shallow=False
+            dirs["serial"], dirs["pipelined"], names, shallow=False
         )
         assert mismatch == [] and errors == []
         assert sorted(match) == names
+
+        sampler = MultiCriteriaSampler(seed=0)
+        fields = [data.field(t=t) for t in TIMESTEPS]
+        trains = [[sampler.sample(f, 0.02)] for f in fields]
+        base = FCNNReconstructor(**model_kwargs)
+        base.train(fields[0], trains[0], epochs=2)
+        fused, _ = base.fine_tune_batch(fields[1:], trains[1:], epochs=1, strategy="last")
+        reader = CampaignReader(dirs["serial"])
+        for t, flat in zip(TIMESTEPS[1:], fused):
+            on_disk = snapshot_weights(reader.load_model(t).model).data
+            assert on_disk.tobytes() == flat.tobytes()

@@ -263,8 +263,9 @@ class TestBatchedResume:
     def test_crash_then_resume_with_other_block_size_bit_identical(
         self, campaign_pipeline, base_model, tmp_path
     ):
-        """Resume may regroup the remaining timesteps into different fused
-        blocks — block-size invariance keeps the output bit-identical."""
+        """A from-base campaign crashed at its last timestep resumes
+        bit-identically: the resume restores no weights, because every
+        timestep fine-tunes from the unchanged base."""
         full = self._run(
             campaign_pipeline, base_model, tmp_path / "full" / "journal.jsonl"
         )
@@ -276,14 +277,11 @@ class TestBatchedResume:
                 campaign_pipeline,
                 base_model,
                 wal,
-                finetune_batch=1,
                 on_stage=schedule.fire,
             )
         assert schedule.fired
 
-        resumed = self._run(
-            campaign_pipeline, base_model, wal, finetune_batch=0, resume=True
-        )
+        resumed = self._run(campaign_pipeline, base_model, wal, resume=True)
         assert resumed.resumed == len(TIMESTEPS) - 1
         assert _strip_timing(resumed.rows) == _strip_timing(full.rows)
         for i, volume in enumerate(resumed.reconstructions):
@@ -308,7 +306,7 @@ class TestBatchedResume:
     def test_insitu_sigterm_then_resume_byte_identical(self, tmp_path, two_cpus):
         data = make_dataset("combustion", dims=DIMS, seed=0)
 
-        def writer(**kw):
+        def writer():
             return InSituWriter(
                 dataset=data,
                 sampler=MultiCriteriaSampler(seed=5),
@@ -318,7 +316,6 @@ class TestBatchedResume:
                 epochs=3,
                 finetune_epochs=2,
                 batched_finetune=True,
-                **kw,
             )
 
         full_dir = tmp_path / "full"
@@ -332,7 +329,7 @@ class TestBatchedResume:
         hook = _OverlappedPrefetch(schedule.fire, TIMESTEPS)
         with GracefulInterrupt() as interrupt:
             with pytest.raises(CampaignInterrupted) as excinfo:
-                writer(finetune_batch=1).run(
+                writer().run(
                     target,
                     TIMESTEPS,
                     journal=True,
@@ -342,8 +339,7 @@ class TestBatchedResume:
         hook.assert_two_prefetch_threads()
         assert schedule.fired == [("process", TIMESTEPS[1], "sigterm")]
         assert excinfo.value.next_timestep in TIMESTEPS
-        # Resume with a different block size: byte-identical regardless.
-        writer(finetune_batch=2).run(target, TIMESTEPS, resume=True)
+        writer().run(target, TIMESTEPS, resume=True)
         assert chaos.directory_digest(target) == reference
 
     def test_sharded_insitu_sigterm_then_resume_byte_identical(self, tmp_path, two_cpus):
