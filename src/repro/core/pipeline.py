@@ -422,7 +422,7 @@ class ReconstructionPipeline:
 
         local_shards = shard_plan is not None and shard_scope == "local"
         base_flat = None
-        if batched_finetune:
+        if batched_finetune and sup is not None:
             # From-base fine-tunes never mutate the base, so a quarantined
             # one reconstructs with its weights (one row per shard in local
             # scope).

@@ -81,7 +81,8 @@ def _detach_forked_child() -> None:
     _metrics.deactivate()
 
 
-os.register_at_fork(after_in_child=_detach_forked_child)
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_detach_forked_child)
 
 
 def record_event(kind: str, **payload) -> None:

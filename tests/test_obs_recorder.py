@@ -168,6 +168,7 @@ class TestCrashTolerance:
         assert not (run_dir / MANIFEST_FILENAME).exists()
         assert not list(run_dir.glob("*.tmp"))  # temp file cleaned up
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_drops_telemetry_instead_of_blocking(self, tmp_path):
         """A pool worker forked while another thread held the tracker's
         lock must not wait on that lock, nor write to the parent's stream."""
