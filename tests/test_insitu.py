@@ -141,7 +141,10 @@ class TestInSituTraining:
         w_spec = spec.model.dense_layers()[-1].weight.value
         assert not np.array_equal(w_base, w_spec)
 
-    def test_batched_campaign_counts_timesteps(self, dataset, tmp_path):
+    @pytest.mark.parametrize("ahead", [0, 2])
+    def test_batched_campaign_counts_timesteps(self, dataset, tmp_path, ahead):
+        """One count per timestep, with none (serial) or two (pipelined)
+        timesteps prefetched ahead of the one training."""
         from repro.obs import counter
         from repro.obs.metrics import MetricsRegistry, activate, deactivate
 
@@ -158,7 +161,7 @@ class TestInSituTraining:
         )
         previous = activate(MetricsRegistry())
         try:
-            writer.run(tmp_path / "camp", timesteps=[0, 8, 16, 24], pipeline=False)
+            writer.run(tmp_path / "camp", timesteps=[0, 8, 16, 24], pipeline=ahead > 0)
             assert counter("campaign.timesteps").value == 4
         finally:
             deactivate(previous)

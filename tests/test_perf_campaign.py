@@ -720,12 +720,38 @@ class TestBatchedCampaign:
         for result in batched_results.values():
             assert result.stats.timesteps == len(TIMESTEPS)
 
-    def test_pipeline_invariant(self, batched_results):
+    @pytest.mark.parametrize("variant", ["blocks-of-1", "pipelined-blocks-of-2"])
+    def test_block_size_and_pipeline_invariant(
+        self, campaign_pipeline, base_model, batched_results, variant
+    ):
+        """Serial or pipelined, each volume equals the one reconstructed from
+        the weights fine_tune_batch gives when fed blocks of 1 or 2 timesteps:
+        no member depends on the block it is trained in."""
+        block = int(variant.rsplit("-", 1)[1])
         ref = batched_results["serial"]
-        got = batched_results["pipelined"]
+        got = batched_results["pipelined" if variant.startswith("pipelined") else "serial"]
         assert self._scores(got) == self._scores(ref)
         for mine, theirs in zip(got.reconstructions, ref.reconstructions):
             assert mine.tobytes() == theirs.tobytes()
+
+        geometry = campaign_pipeline.geometry_cache.get(
+            campaign_pipeline.sample(campaign_pipeline.field(TIMESTEPS[0]), 0.05)
+        )
+        for start in range(0, len(TIMESTEPS), block):
+            fields = [campaign_pipeline.field(t) for t in TIMESTEPS[start : start + block]]
+            trains = [
+                [campaign_pipeline.sample(f, fr) for fr in (0.02, 0.05)] for f in fields
+            ]
+            flats, _ = base_model.clone().fine_tune_batch(
+                fields, trains, epochs=2, strategy="full"
+            )
+            for i, (field, flat) in enumerate(zip(fields, flats), start):
+                model = base_model.clone()
+                restore_weights(model.model, flat)
+                want = model.reconstruct(
+                    geometry.refresh(geometry.shell(timestep=field.timestep), field)
+                )
+                assert got.reconstructions[i].tobytes() == want.tobytes()
 
     def test_from_base_semantics_differ_from_rolling(
         self, batched_results, campaign_results
