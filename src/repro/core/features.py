@@ -19,11 +19,22 @@ from repro.datasets.base import TimestepField
 from repro.grid import UniformGrid, field_gradients
 from repro.sampling.base import SampledField
 
-__all__ = ["FeatureExtractor", "NeighborMemo", "TIE_BREAK_PAD", "canonical_neighbors"]
+__all__ = [
+    "FeatureExtractor",
+    "NeighborMemo",
+    "TIE_BREAK_PAD",
+    "TRAINING_BLOCK",
+    "canonical_neighbors",
+]
 
 #: Extra kd-tree candidates fetched per query so rank-k distance ties
 #: resolve canonically (see :func:`canonical_neighbors`).
 TIE_BREAK_PAD = 15
+
+#: Rows per block of a training-set build (:meth:`FeatureExtractor.training_rows`):
+#: the block's temporaries stay near 1 MB while the per-block overhead is a
+#: few dozen NumPy calls.
+TRAINING_BLOCK = 4096
 
 
 def canonical_neighbors(dist: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
@@ -148,12 +159,10 @@ class FeatureExtractor:
         sample: SampledField,
         query_points: np.ndarray,
         normalizer: Normalizer,
-        *,
-        canonical: bool = True,
     ) -> np.ndarray:
         """Assemble ``(Q, feature_size)`` inputs for arbitrary query points."""
         query_points = np.atleast_2d(np.asarray(query_points, dtype=np.float64))
-        idx = self._neighbor_indices(sample, query_points, canonical=canonical)
+        idx = self._neighbor_indices(sample, query_points)
 
         neighbor_xyz = normalizer.normalize_coords(sample.points[idx.ravel()]).reshape(
             len(query_points), self.num_neighbors, 3
@@ -354,33 +363,96 @@ class FeatureExtractor:
         field: TimestepField,
         flat_indices: np.ndarray,
         normalizer: Normalizer,
+        gradients: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Assemble ``(Q, target_size)`` targets from the full field."""
+        """Assemble ``(Q, target_size)`` targets from the full field.
+
+        ``gradients`` is the field's ``(P, 3)`` :func:`field_gradients`
+        when the caller already has it (a training-set build computes it
+        once per timestep); otherwise it is computed here.
+        """
         flat_indices = np.asarray(flat_indices, dtype=np.int64)
         scalar = normalizer.normalize_values(field.flat[flat_indices])[:, None]
         if not self.include_gradients:
             return scalar
-        grads = field_gradients(field.grid, field.values)[flat_indices]
+        if gradients is None:
+            gradients = field_gradients(field.grid, field.values)
+        grads = gradients[flat_indices]
         return np.concatenate([scalar, normalizer.normalize_gradients(grads)], axis=1)
 
+    def training_gradients(self, field: TimestepField) -> np.ndarray | None:
+        """The field gradients a training-set build needs, or ``None`` without a gradient head."""
+        return field_gradients(field.grid, field.values) if self.include_gradients else None
+
     # ------------------------------------------------------- training sets
+    def training_rows(
+        self,
+        field: TimestepField,
+        sample: SampledField,
+        normalizer: Normalizer,
+        block: int,
+        gradients: np.ndarray | None,
+        rows: np.ndarray | None = None,
+        out: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
+        """Write the training rows over ``sample``'s voids, ``block`` rows at a time.
+
+        ``rows`` picks void locations by position in
+        :meth:`SampledField.void_indices` (all of them, in order, by
+        default).  One kd-tree query finds their neighbors; each block then
+        gets its inputs from :meth:`features_into` and its targets from
+        :meth:`targets` over ``gradients`` (:meth:`training_gradients`).
+        With ``out=(x, y)`` the blocks land in place in consecutive rows of
+        ``x`` and ``y``; otherwise each block is a new pair.  Yields each
+        ``(x, y)`` block once written, so peak memory is the caller's
+        arrays plus one block and the query's neighbor indices.
+
+        The rows equal the allocating :meth:`features` and :meth:`targets`
+        over the same points, bit for bit, with one difference: training
+        keeps the kd-tree's raw neighbor order.  No spatial subset ever
+        has to reproduce a training selection, so the padded canonical
+        query (see :meth:`_neighbor_indices`) would only add cost.  Every
+        row is computed independently, so the block height changes no bit.
+        """
+        if field.grid != sample.grid:
+            raise ValueError("field and sample must live on the same grid")
+        void = sample.void_indices()
+        if rows is not None:
+            void = void[rows]
+        points = field.grid.index_to_position(field.grid.flat_to_multi(void))
+        idx = self._neighbor_indices(sample, points, canonical=False)
+        for start in range(0, len(void), block):
+            stop = min(start + block, len(void))
+            if out is None:
+                x = np.empty((stop - start, self.feature_size))
+                y = np.empty((stop - start, self.target_size))
+            else:
+                x, y = out[0][start:stop], out[1][start:stop]
+            self.features_into(
+                sample, points[start:stop], normalizer, x, neighbor_idx=idx[start:stop]
+            )
+            y[...] = self.targets(field, void[start:stop], normalizer, gradients)
+            yield x, y
+
     def training_data(
         self,
         field: TimestepField,
         sample: SampledField,
         normalizer: Normalizer,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Inputs/targets over the sample's void locations (Fig 4 workflow)."""
-        if field.grid != sample.grid:
-            raise ValueError("field and sample must live on the same grid")
-        void = sample.void_indices()
-        points = field.grid.index_to_position(field.grid.flat_to_multi(void))
-        # Training selection keeps the kd-tree's raw neighbor order: no
-        # spatial subset ever has to reproduce it, so the padded canonical
-        # query (a prediction-path property — see `_neighbor_indices`)
-        # would only add cost.
-        x = self.features(sample, points, normalizer, canonical=False)
-        y = self.targets(field, void, normalizer)
+        """Inputs/targets over the sample's void locations (Fig 4 workflow).
+
+        Built in place by :meth:`training_rows`, ``TRAINING_BLOCK`` rows
+        at a time.
+        """
+        n = len(sample.void_indices())
+        x = np.empty((n, self.feature_size))
+        y = np.empty((n, self.target_size))
+        gradients = self.training_gradients(field)
+        for _ in self.training_rows(
+            field, sample, normalizer, TRAINING_BLOCK, gradients, out=(x, y)
+        ):
+            pass  # each block is already in place
         return x, y
 
     def fit_normalizer(

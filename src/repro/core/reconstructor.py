@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.features import FeatureExtractor
+from repro.core.features import TRAINING_BLOCK, FeatureExtractor
 from repro.core.normalization import Normalizer
 from repro.datasets.base import TimestepField
 from repro.grid import UniformGrid
@@ -180,6 +180,75 @@ class FCNNReconstructor:
             return max(1, int(round(train_fraction * rows)))
         return rows
 
+    def _step_rows(self, samples: list[SampledField], train_fraction: float) -> int:
+        """Training rows of one step: its samples' void rows, thinned by ``train_fraction``."""
+        return self._kept_rows(sum(len(s.void_indices()) for s in samples), train_fraction)
+
+    def _training_blocks(
+        self,
+        field: TimestepField,
+        samples: list[SampledField],
+        normalizer: Normalizer,
+        train_fraction: float,
+        rng: np.random.Generator,
+        gradients: np.ndarray | None = None,
+        out: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
+        """Build one step's training rows as consecutive ``(x, y)`` blocks.
+
+        The rows are every sample's void rows, concatenated in sample
+        order.  With ``train_fraction < 1`` they are the
+        ``rng.choice(N, size=kept, replace=False)`` subset in drawn order:
+        the draw comes first and only the kept rows are built.  Blocks are
+        at most ``TRAINING_BLOCK`` rows (:meth:`FeatureExtractor.training_rows`);
+        with ``out=(x, y)`` they are written in place into ``x`` and ``y``.
+        One ``fcnn.features`` span covers the build, and ``gradients``
+        (:meth:`FeatureExtractor.training_gradients`) are computed once
+        when the caller has none.
+        """
+        ext = self.extractor
+        counts = [len(sample.void_indices()) for sample in samples]
+        total = sum(counts)
+        keep = self._kept_rows(total, train_fraction)
+        with span("fcnn.features", samples=len(samples), rows=keep):
+            if gradients is None:
+                gradients = ext.training_gradients(field)
+            if train_fraction >= 1.0:
+                start = 0
+                for sample, n in zip(samples, counts):
+                    part = slice(start, start + n)
+                    yield from ext.training_rows(
+                        field, sample, normalizer, TRAINING_BLOCK, gradients,
+                        out=None if out is None else (out[0][part], out[1][part]),
+                    )
+                    start += n
+                return
+            kept = rng.choice(total, size=keep, replace=False)
+            offsets = np.cumsum([0, *counts])
+            owner = np.searchsorted(offsets, kept, side="right") - 1
+            if out is None:  # one spare pair, refilled for every block
+                height = min(keep, TRAINING_BLOCK)
+                spare = (
+                    np.empty((height, ext.feature_size)),
+                    np.empty((height, ext.target_size)),
+                )
+            for start in range(0, keep, TRAINING_BLOCK):
+                stop = min(start + TRAINING_BLOCK, keep)
+                if out is None:
+                    x, y = spare[0][: stop - start], spare[1][: stop - start]
+                else:
+                    x, y = out[0][start:stop], out[1][start:stop]
+                # A block's rows may come from several samples: build each
+                # sample's share and scatter it to its drawn positions.
+                for s in np.unique(owner[start:stop]):
+                    mine = owner[start:stop] == s
+                    rows = kept[start:stop][mine] - offsets[s]
+                    for xs, ys in ext.training_rows(
+                        field, samples[s], normalizer, len(rows), gradients, rows=rows
+                    ):
+                        x[mine], y[mine] = xs, ys
+                yield x, y
+
     def _training_matrix(
         self,
         field: TimestepField,
@@ -187,22 +256,17 @@ class FCNNReconstructor:
         normalizer: Normalizer,
         train_fraction: float,
         rng: np.random.Generator,
+        gradients: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        xs, ys = [], []
-        for sample in samples:
-            x, y = self.extractor.training_data(field, sample, normalizer)
-            xs.append(x)
-            ys.append(y)
-        if len(xs) == 1:
-            x, y = xs[0], ys[0]
-        else:
-            x = np.concatenate(xs, axis=0)
-            y = np.concatenate(ys, axis=0)
-        del xs, ys
-        keep = self._kept_rows(len(x), train_fraction)
-        if train_fraction < 1.0:
-            idx = rng.choice(len(x), size=keep, replace=False)
-            x, y = x[idx], y[idx]
+        """One step's ``(N, features)`` / ``(N, targets)`` training pair, built in place."""
+        rows = self._step_rows(samples, train_fraction)
+        x = np.empty((rows, self.extractor.feature_size))
+        y = np.empty((rows, self.extractor.target_size))
+        blocks = self._training_blocks(
+            field, samples, normalizer, train_fraction, rng, gradients, out=(x, y)
+        )
+        for _ in blocks:
+            pass  # each block is already in place
         return x, y
 
     # -------------------------------------------------------------- training
@@ -232,17 +296,17 @@ class FCNNReconstructor:
         checkpointed state), and NaN/Inf recovery policies.
         """
         sample_list = self._as_sample_list(samples)
-        combined_values = np.concatenate([s.values for s in sample_list])
-        combined = SampledFieldView(values=combined_values)
+        # One gradient pass per timestep serves the fit and the targets.
+        gradients = self.extractor.training_gradients(field)
         normalizer = Normalizer.fit(
-            field.grid,
-            combined.values,
-            gradients=_field_gradients_cached(field) if self.extractor.include_gradients else None,
+            field.grid, np.concatenate([s.values for s in sample_list]), gradients=gradients
         )
 
         rng = np.random.default_rng(self.seed)
-        with span("fcnn.features", samples=len(sample_list)):
-            x, y = self._training_matrix(field, sample_list, normalizer, train_fraction, rng)
+        x, y = self._training_matrix(
+            field, sample_list, normalizer, train_fraction, rng, gradients
+        )
+        del gradients
 
         self.model = self._build_model()
         # Cast before building the optimizer so Adam's moments match.
@@ -354,12 +418,14 @@ class FCNNReconstructor:
         epoch.  Pass ``prefix_cache=False`` for the exact serial Case-2
         op sequence (bit-identical to per-step :meth:`fine_tune`).
 
-        Steps whose training matrices disagree in row count are grouped
-        into separate stacks (fused batching needs a rectangular slab);
-        each member's bits never depend on its group's size.  Each step's
-        training matrix is built only when the trainer stages it and is
-        freed before the next one is built, so peak memory is the
-        ``(K, N, ·)`` training slabs plus one step's features.  Each
+        Steps whose training sets disagree in row count are grouped into
+        separate stacks (fused batching needs a rectangular slab); each
+        member's bits never depend on its group's size.  No step's
+        ``(N, features)`` matrix is ever built: the trainer stages each
+        step's rows as they are built, one block at a time — through the
+        frozen prefix into the ``(K, N, width)`` slab for a cached Case 2,
+        straight into the ``(K, N, features)`` slab otherwise — so peak
+        memory is the ``(K, N, ·)`` training slabs plus one block.  Each
         member's result is the same for any K.
 
         **Single-writer:** the call shares the instance's one
@@ -399,8 +465,8 @@ class FCNNReconstructor:
 
         sample_lists = [self._as_sample_list(samples) for samples in samples_per_step]
 
-        def load(i: int) -> tuple[np.ndarray, np.ndarray]:
-            """Step ``i``'s training matrix, built only when the trainer stages it."""
+        def load(i: int, rows: int):
+            """Step ``i``'s ``rows`` training rows, built in blocks as the trainer stages them."""
             field = fields[i]
             tuned = dataclasses.replace(
                 normalizer,
@@ -408,10 +474,8 @@ class FCNNReconstructor:
                 span=_grid_span(field.grid),
             )
             rng = np.random.default_rng(self.seed + 1)
-            with span("fcnn.features.batched", step=i):
-                return self._training_matrix(
-                    field, sample_lists[i], tuned, train_fraction, rng
-                )
+            blocks = self._training_blocks(field, sample_lists[i], tuned, train_fraction, rng)
+            return rows, blocks
 
         # The batched engine is float64-only; a float32 arena would change
         # the gather dtype, so fall back to the allocating float64 path.
@@ -419,15 +483,14 @@ class FCNNReconstructor:
         if workspace is not None and workspace.dtype != np.float64:
             workspace = None
 
-        # Group by row count (known without building a matrix) so every
+        # Group by row count (known without building a row) so every
         # member of a stack trains on an equal number of rows.
         groups: dict[int, list[int]] = {}
         for i, sample_list in enumerate(sample_lists):
-            rows = sum(len(sample.void_indices()) for sample in sample_list)
-            groups.setdefault(self._kept_rows(rows, train_fraction), []).append(i)
+            groups.setdefault(self._step_rows(sample_list, train_fraction), []).append(i)
         flats: list[np.ndarray | None] = [None] * len(fields)
         histories: list[TrainingHistory | None] = [None] * len(fields)
-        for steps in groups.values():
+        for rows, steps in groups.items():
             stack = ModelStack.from_network(model, k=len(steps))
             if strategy == "last":
                 stack.freeze_all_but_last(num_trainable)
@@ -440,10 +503,10 @@ class FCNNReconstructor:
                 workspace=workspace,
                 case2_prefix_cache=prefix_cache,
             )
-            # Members are built one at a time inside the trainer, which
-            # releases each one's features once it is staged.
+            # The trainer stages one member at a time, block by block: no
+            # step's (N, features) matrix is ever built.
             runs = trainer.fit(
-                [functools.partial(load, i) for i in steps], None, epochs=epochs
+                [functools.partial(load, i, rows) for i in steps], None, epochs=epochs
             )
             for member, i in enumerate(steps):
                 flats[i] = stack.member_weights(member)
@@ -707,19 +770,7 @@ class FCNNReconstructor:
 # helpers
 
 
-class SampledFieldView:
-    """Minimal value holder used when blending multiple samples' statistics."""
-
-    def __init__(self, values: np.ndarray) -> None:
-        self.values = values
-
-
 def _grid_span(grid: UniformGrid) -> np.ndarray:
     span = (np.asarray(grid.dims, dtype=np.float64) - 1.0) * np.asarray(grid.spacing)
     return np.where(span <= 0, 1.0, span)
 
-
-def _field_gradients_cached(field: TimestepField) -> np.ndarray:
-    from repro.grid import field_gradients
-
-    return field_gradients(field.grid, field.values)

@@ -13,11 +13,11 @@ Case-2 fast path: when the stack has a frozen prefix
 (:meth:`ModelStack.freeze_all_but_last`), the prefix is evaluated **once**
 per fit (it never changes — its weights are frozen) and the epoch loop
 trains only the suffix layers: no forward *or* backward work through
-frozen layers, ever.  Members are staged one at a time: each member's
-rows stream through the prefix in ``PREFIX_BLOCK``-row blocks straight
-into a ``(K, N, width)`` activation slab, and its inputs are released
-before the next member is built, so peak memory is the slabs plus one
-member's inputs — never a ``(K, N, features)`` input stack.  The
+frozen layers, ever.  Members are staged one at a time, block by block:
+each block of a member's rows goes through the prefix in mini-batch-sized
+pieces straight into a ``(K, N, width)`` activation slab and is released,
+so peak memory is the slabs plus one block — never a member's
+``(N, features)`` inputs, let alone a ``(K, N, features)`` stack.  The
 cached-prefix trajectory is proven correct against finite differences
 rather than claimed bit-identical to the serial Case-2 run (the prefix
 matmul happens at block rather than per-batch shape); disable it with
@@ -54,10 +54,6 @@ from repro.obs import histogram as obs_histogram
 from repro.obs import span
 
 __all__ = ["BatchedTrainer", "batched_loss_gradient"]
-
-#: rows per block when streaming the frozen prefix over the training slab;
-#: K-independent so blocked evaluation keeps member results K-invariant
-PREFIX_BLOCK = 16384
 
 
 def batched_loss_gradient(loss: Loss, pred: np.ndarray, target: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -143,13 +139,14 @@ class BatchedTrainer:
         ``x`` is ``(K, N, features)`` and ``y`` is ``(K, N, targets)`` —
         member ``k`` trains on the ``(x[k], y[k])`` slab.  Alternatively
         pass ``y=None`` and ``x`` as K zero-argument callables, the k-th
-        returning member ``k``'s ``(x_k, y_k)`` pair: members are then
-        built one at a time and each is released once staged, so only one
-        member's inputs are ever alive (:meth:`_stage`).  Every member
-        sees the same number of rows (a rectangular stack is what makes
-        the fused batching possible).  Returns one
-        :class:`~repro.nn.TrainingHistory` per member; epoch wall time is
-        attributed ``1/K`` to each.
+        returning member ``k``'s ``(rows, blocks)``: its row count and an
+        iterable of consecutive ``(x, y)`` row blocks.  Members are then
+        staged one at a time, block by block, and each block is released
+        once staged, so only one block of inputs is ever alive
+        (:meth:`_stage`).  Every member sees the same number of rows (a
+        rectangular stack is what makes the fused batching possible).
+        Returns one :class:`~repro.nn.TrainingHistory` per member; epoch
+        wall time is attributed ``1/K`` to each.
         """
         k = self.stack.k
         ws = self.workspace
@@ -236,57 +233,82 @@ class BatchedTrainer:
         return histories
 
     def _stage(self, members: list, cut: int) -> tuple[np.ndarray, np.ndarray]:
-        """Build the ``(K, N, ·)`` training slabs one member at a time.
+        """Build the ``(K, N, ·)`` training slabs one member block at a time.
 
-        With a frozen prefix (``cut > 0``) each member's inputs stream
-        through :meth:`ModelStack.member_prefix` in ``PREFIX_BLOCK``-row
-        blocks (K-independent boundaries, so member results don't depend
-        on how many members ride along) straight into a ``(K, N, width)``
-        activation slab; otherwise they are copied into one
-        ``(K, N, features)`` slab.  Member ``m``'s inputs are dropped
-        before member ``m + 1`` is built.
+        With a frozen prefix (``cut > 0``) each block of a member's inputs
+        goes through :meth:`ModelStack.member_prefix` in pieces of at most
+        ``batch_size`` rows straight into a ``(K, N, width)`` activation
+        slab, so the prefix's arena buffers never outgrow the mini-batch
+        shape; otherwise blocks are copied into one ``(K, N, features)``
+        slab.  Targets go to the ``(K, N, targets)`` slab.  Rows round the
+        same at any block height, so a member's bits depend neither on its
+        blocks nor on how many members ride along.
         """
         k = self.stack.k
-        xm, ym = self._member(members, 0)
-        n = len(xm)
-        width = self.stack.prefix_width(cut) if cut > 0 else xm.shape[1]
-        x = np.empty((k, n, width), dtype=xm.dtype)
-        y = np.empty((k, n, ym.shape[1]), dtype=ym.dtype)
+        dtype = np.float64 if self.workspace is None else self.workspace.dtype
+        dense = self.stack.dense_layers()
+        width = self.stack.prefix_width(cut) if cut > 0 else dense[0].in_features
+        n, blocks = self._member(members, 0)
+        x = np.empty((k, n, width), dtype=dtype)
+        y = np.empty((k, n, dense[-1].out_features), dtype=dtype)
         for m in range(k):
             if m > 0:
-                xm, ym = self._member(members, m)
-                if len(xm) != n:
+                rows, blocks = self._member(members, m)
+                if rows != n:
                     raise ValueError(
-                        f"member {m} has {len(xm)} rows, member 0 has {n}; "
+                        f"member {m} has {rows} rows, member 0 has {n}; "
                         "a stack trains on equal row counts"
                     )
-            y[m] = ym
-            if cut > 0:
-                prefix = self.stack.member_prefix(m, cut)
-                if self.workspace is not None:
-                    prefix.attach_workspace(self.workspace)
-                with span("train.batched.prefix", member=m, rows=n, width=width):
-                    for start in range(0, n, PREFIX_BLOCK):
-                        stop = min(start + PREFIX_BLOCK, n)
-                        x[m, start:stop] = prefix.forward(xm[None, start:stop])[0]
-            else:
-                x[m] = xm
-            del xm, ym
+            if cut == 0:
+                self._fill(m, blocks, x, y, None)
+                continue
+            prefix = self.stack.member_prefix(m, cut)
+            if self.workspace is not None:
+                prefix.attach_workspace(self.workspace)
+            with span("train.batched.prefix", member=m, rows=n, width=width):
+                self._fill(m, blocks, x, y, prefix)
         return x, y
 
-    def _member(self, members: list, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Load and check member ``m``'s ``(x_m, y_m)`` pair."""
-        dtype = np.float64 if self.workspace is None else self.workspace.dtype
-        xm, ym = members[m]()
-        xm = np.ascontiguousarray(xm, dtype=dtype)
-        ym = np.ascontiguousarray(ym, dtype=dtype)
-        if xm.ndim != 2 or ym.ndim != 2 or len(xm) != len(ym):
-            raise ValueError(
-                f"member {m} needs 2D x/y with equal row counts, got {xm.shape} and {ym.shape}"
-            )
-        if len(xm) == 0:
-            raise ValueError(f"training set is empty: member {m} has shape {xm.shape}")
-        return xm, ym
+    def _member(self, members: list, m: int) -> tuple[int, object]:
+        """Load member ``m``'s ``(rows, blocks)`` and check its row count."""
+        rows, blocks = members[m]()
+        if rows < 1:
+            raise ValueError(f"training set is empty: member {m} has {rows} rows")
+        return int(rows), blocks
+
+    def _fill(
+        self, m: int, blocks, x: np.ndarray, y: np.ndarray, prefix: ModelStack | None
+    ) -> None:
+        """Write member ``m``'s row blocks into its slab rows, through ``prefix`` if any."""
+        n = x.shape[1]
+        source = iter(blocks)
+        start = 0
+        try:
+            for xb, yb in source:
+                xb = np.ascontiguousarray(xb, dtype=x.dtype)
+                yb = np.ascontiguousarray(yb, dtype=y.dtype)
+                stop = start + len(xb)
+                if xb.ndim != 2 or yb.ndim != 2 or len(yb) != len(xb) or stop > n:
+                    raise ValueError(
+                        f"member {m}: x/y block {xb.shape} / {yb.shape} at row "
+                        f"{start} does not fit its {n} rows"
+                    )
+                y[m, start:stop] = yb
+                if prefix is None:
+                    x[m, start:stop] = xb
+                else:
+                    for a in range(0, len(xb), self.batch_size):
+                        b = min(a + self.batch_size, len(xb))
+                        x[m, start + a : start + b] = prefix.forward(xb[None, a:b])[0]
+                start = stop
+        finally:
+            # A generator source may hold a span open across its blocks;
+            # it must close before the caller's staging span does.
+            close = getattr(source, "close", None)
+            if close is not None:
+                close()
+        if start != n:
+            raise ValueError(f"member {m} yielded {start} of its {n} rows")
 
     def _run_epoch(
         self, x: np.ndarray, y: np.ndarray, order: np.ndarray, cut: int
@@ -331,6 +353,7 @@ class BatchedTrainer:
         return [total / counted for total in epoch_loss]
 
 
-def _member_of(slabs: tuple[np.ndarray, np.ndarray], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Member ``m``'s rows of caller-provided ``(x, y)`` slabs (views, no copy)."""
-    return slabs[0][m], slabs[1][m]
+def _member_of(slabs: tuple[np.ndarray, np.ndarray], m: int) -> tuple[int, list]:
+    """Member ``m``'s rows of caller-provided ``(x, y)`` slabs as one block (views, no copy)."""
+    x, y = slabs[0][m], slabs[1][m]
+    return len(x), [(x, y)]

@@ -1,12 +1,12 @@
 """Batched Case-2 fine-tuning streams its members: bounded memory, same bits.
 
-``FCNNReconstructor.fine_tune_batch(strategy="last")`` builds one
-member's training matrix at a time, pushes it through the frozen prefix
-straight into the ``(K, N, width)`` activation slab and frees it before
-building the next.  Peak memory is therefore the slabs plus one member's
-features, and the weights equal those of the earlier formulation that
-stacked every member's ``(N, features)`` matrix first — reimplemented
-below from public pieces as the reference.
+``FCNNReconstructor.fine_tune_batch(strategy="last")`` builds each
+member's training rows block by block and pushes every block through the
+frozen prefix straight into the ``(K, N, width)`` activation slab, so no
+member's ``(N, features)`` matrix is ever built.  Peak memory is therefore
+the slabs plus one block, and the weights equal those of the earlier
+formulation that stacked every member's ``(N, features)`` matrix first —
+reimplemented below from public pieces as the reference.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.core import FCNNReconstructor, ReconstructionPipeline
 from repro.core.reconstructor import _grid_span
 from repro.datasets import make_dataset
 from repro.nn.batched import BatchedAdam, BatchedTrainer, ModelStack
-from repro.nn.batched.trainer import PREFIX_BLOCK
 from repro.perf import Workspace
 
 DIMS = (24, 24, 12)
@@ -66,7 +65,9 @@ def _case2_stack(base, k: int) -> tuple[ModelStack, int]:
 
 def _stacked_reference(base, fields, trains) -> list[np.ndarray]:
     """Every member's matrix built up front, stacked, and pushed through the
-    K-wide frozen prefix; then the suffix trains on the cached activations."""
+    K-wide frozen prefix in one call; then the suffix trains on the cached
+    activations.  Rows round the same at any block height, so the
+    reference's single block matches the trainer's mini-batch-sized ones."""
     model = base.clone()
     xs, ys = [], []
     for field, train in zip(fields, trains):
@@ -83,10 +84,8 @@ def _stacked_reference(base, fields, trains) -> list[np.ndarray]:
     k, n = x.shape[:2]
     stack, cut = _case2_stack(model, k)
     stack.attach_workspace(Workspace())
-    z = np.empty((k, n, stack.prefix_width(cut)))
-    for start in range(0, n, PREFIX_BLOCK):
-        stop = min(start + PREFIX_BLOCK, n)
-        z[:, start:stop] = stack.forward(x[:, start:stop], stop=cut)
+    z = stack.forward(x, stop=cut).copy()
+    assert z.shape == (k, n, stack.prefix_width(cut))
     stack.detach_workspace()
     suffix = ModelStack(stack.layers[cut:], k)  # shares the stack's layers
     trainer = BatchedTrainer(

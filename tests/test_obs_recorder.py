@@ -256,3 +256,61 @@ class TestTrainingIntegration:
         assert loss_off == loss_on
         for a, b in zip(params_off, params_on):
             np.testing.assert_array_equal(a, b)
+
+
+def _walk(nodes):
+    for node in nodes:
+        yield node
+        yield from _walk(node.children)
+
+
+class TestFeatureSpans:
+    """One ``fcnn.features`` span per training-set build."""
+
+    @pytest.mark.parametrize("from_base", [False, True], ids=["rolling", "from-base"])
+    def test_one_span_per_pretrain_and_timestep(self, tmp_path, from_base):
+        from repro.core import FCNNReconstructor, ReconstructionPipeline
+        from repro.datasets import make_dataset
+
+        data = make_dataset("combustion", dims=(12, 12, 6), seed=0)
+        pipe = ReconstructionPipeline(data, train_fractions=(0.05, 0.1))
+        recon = FCNNReconstructor(hidden_layers=(16, 8), batch_size=256, seed=3)
+        steps = [0, 2, 4]
+        run_dir = tmp_path / "run"
+        with RunRecorder(run_dir):
+            pipe.train_fcnn(recon, timestep=0, epochs=1)
+            pipe.run_campaign(
+                recon,
+                steps,
+                0.05,
+                finetune_epochs=1,
+                finetune_strategy="last" if from_base else "full",
+                batched_finetune=from_base,
+                warm_pool=False,
+            )
+        spans = list(_walk(load_run(run_dir).roots))
+        builds = [s for s in spans if s.name == "fcnn.features"]
+        assert len(builds) == 1 + len(steps)
+        assert "fcnn.features.batched" not in {s.name for s in spans}
+        by_id = {s.id: s for s in spans}
+        parents = [by_id[s.parent_id].name for s in builds[1:]]
+        # A streamed Case-2 member's build nests under its prefix pass.
+        want = "train.batched.prefix" if from_base else "campaign.finetune"
+        assert parents == [want] * len(steps)
+
+    def test_a_failed_block_closes_the_build_span_first(self, tmp_path):
+        from repro.nn.batched import BatchedTrainer, ModelStack
+
+        stack = ModelStack.from_network(mlp(3, [8, 8], 1, seed=0), k=1)
+        stack.freeze_all_but_last(1)
+
+        def blocks():
+            with span("fcnn.features"):
+                yield np.ones((4, 3)), np.ones((4, 1))
+                yield np.ones((4, 2)), np.ones((4, 1))  # wrong width
+
+        trainer = BatchedTrainer(stack, batch_size=2)
+        with RunRecorder(tmp_path / "run"):
+            with pytest.raises(ValueError, match="input shape"):
+                trainer.fit([lambda: (8, blocks())], None, epochs=1)
+            assert timing_mod.active_tracker().depth == 0
