@@ -49,10 +49,18 @@ class TimestepField:
 class AnalyticDataset(abc.ABC):
     """A deterministic analytic scalar field ``f(points, t)``.
 
-    Subclasses define :meth:`evaluate` over physical coordinates.  The
-    *reference domain* (``default_grid``) fixes the coordinate normalization
-    so that evaluating a finer or shifted grid probes the same underlying
-    physical field.
+    Subclasses write each field once, as :meth:`formula` over coordinates
+    normalized to the *reference domain* (``default_grid``), so that
+    evaluating a finer or shifted grid probes the same underlying physical
+    field.  The formula must be elementwise over ``x, y, z`` arrays that
+    broadcast against each other: :meth:`evaluate` passes three ``(N,)``
+    point columns, while :meth:`field` passes one grid slab's axis vectors
+    shaped ``(planes, 1, 1)``, ``(1, ny, 1)`` and ``(1, 1, nz)``, so a term
+    of two coordinates is computed once per grid line of the slab, not once
+    per point.  Both give the same bits because every output element goes
+    through the same operations on the same coordinates in the same order;
+    a formula keeps that by never mixing elements (no reductions, no sorts)
+    and by building accumulators in the operands' broadcast shape.
     """
 
     #: short registry name, e.g. ``"hurricane"``
@@ -77,14 +85,25 @@ class AnalyticDataset(abc.ABC):
         """Reference grid (paper-scale dims are documented per dataset)."""
 
     @abc.abstractmethod
+    def formula(
+        self, x: np.ndarray, y: np.ndarray, z: np.ndarray, tau: float, attribute: str
+    ) -> np.ndarray:
+        """One attribute's values at normalized coordinates ``x, y, z``.
+
+        ``x``, ``y`` and ``z`` broadcast against each other and the result
+        has their broadcast shape; ``tau`` is :meth:`time_fraction` of the
+        timestep and ``attribute`` one of :attr:`attributes`.
+        """
+
     def evaluate(self, points: np.ndarray, t: int = 0, attribute: str | None = None) -> np.ndarray:
         """Field values at ``(N, 3)`` physical positions for timestep ``t``.
 
         ``attribute`` selects one of :attr:`attributes`; ``None`` means the
-        default :attr:`attribute`.  The value at a point depends only on
-        that point, ``t`` and the attribute, never on the other rows:
-        :meth:`field` relies on it to evaluate a grid block by block.
+        default :attr:`attribute`.
         """
+        name = self._check_attribute(attribute)
+        p = self.normalized(points)
+        return self.formula(p[:, 0], p[:, 1], p[:, 2], self.time_fraction(t), name)
 
     def _check_attribute(self, attribute: str | None) -> str:
         name = attribute if attribute is not None else self.attribute
@@ -107,11 +126,15 @@ class AnalyticDataset(abc.ABC):
         the reference extent (the shifted-domain upscaling experiment relies
         on this).
         """
+        lo, span = self._reference_frame()
+        return (np.atleast_2d(np.asarray(points, dtype=np.float64)) - lo) / span
+
+    def _reference_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """Origin and extent (``1`` on flat axes) of the reference domain."""
         ref = self.default_grid()
         lo = np.asarray(ref.origin)
         span = (np.asarray(ref.dims) - 1) * np.asarray(ref.spacing)
-        span = np.where(span == 0, 1.0, span)
-        return (np.atleast_2d(np.asarray(points, dtype=np.float64)) - lo) / span
+        return lo, np.where(span == 0, 1.0, span)
 
     def time_fraction(self, t: int) -> float:
         """Map a timestep index onto ``[0, 1]`` of the simulated evolution."""
@@ -127,31 +150,25 @@ class AnalyticDataset(abc.ABC):
     ) -> TimestepField:
         """Materialize one attribute at timestep ``t`` on ``grid`` (or default).
 
-        The grid is evaluated in slabs of whole x-planes (about
-        ``_FIELD_BLOCK_POINTS`` points each, contiguous in flat order) into
-        one output array, so the coordinates and :meth:`evaluate`'s
-        temporaries are slab-sized, not grid-sized.  The slab coordinates
-        are the rows of ``g.points()``, and :meth:`evaluate` works point
-        by point, so the values equal ``evaluate(g.points())`` bit for bit.
+        Each axis is normalized once, as :meth:`normalized` normalizes a
+        point column, and the grid is evaluated in slabs of whole x-planes
+        (about ``_FIELD_BLOCK_POINTS`` points each) by passing
+        :meth:`formula` the slab's axis vectors, which broadcast to the
+        slab.  The temporaries are slab-sized, not grid-sized, and the
+        values equal ``evaluate(g.points())`` bit for bit.
         """
         g = grid if grid is not None else self._grid
         name = self._check_attribute(attribute)
+        tau = self.time_fraction(t)
         nx, ny, nz = g.dims
-        plane = ny * nz
-        step = max(1, _FIELD_BLOCK_POINTS // plane)
-        xs = g.axis_coordinates(0)
-        ys = np.repeat(g.axis_coordinates(1), nz)
-        zs = np.tile(g.axis_coordinates(2), ny)
+        lo, span = self._reference_frame()
+        xs, ys, zs = ((g.axis_coordinates(a) - lo[a]) / span[a] for a in range(3))
+        ys, zs = ys.reshape(1, ny, 1), zs.reshape(1, 1, nz)
+        step = max(1, _FIELD_BLOCK_POINTS // (ny * nz))
         values = np.empty(g.dims, dtype=np.float64)
-        flat = values.reshape(-1)
         for i0 in range(0, nx, step):
             i1 = min(i0 + step, nx)
-            planes = i1 - i0
-            points = np.empty((planes * plane, 3), dtype=np.float64)
-            points[:, 0] = np.repeat(xs[i0:i1], plane)
-            points[:, 1] = np.tile(ys, planes)
-            points[:, 2] = np.tile(zs, planes)
-            flat[i0 * plane : i1 * plane] = self.evaluate(points, t=t, attribute=name)
+            values[i0:i1] = self.formula(xs[i0:i1, None, None], ys, zs, tau, name)
         return TimestepField(grid=g, values=values, timestep=int(t), name=name)
 
     def fields(self, timesteps, grid: UniformGrid | None = None):

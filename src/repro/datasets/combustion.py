@@ -58,7 +58,7 @@ class CombustionDataset(AnalyticDataset):
         base = 0.35 + 0.18 * tau  # flame front propagates in +x
         # Wrinkle amplitude grows as the flame becomes more turbulent.
         amp = 0.05 + 0.09 * tau
-        wrinkle = np.zeros_like(y)
+        wrinkle = np.zeros(np.broadcast_shapes(y.shape, z.shape))
         for i in range(self.NUM_MODES):
             wrinkle += self._amp[i] * np.sin(
                 2 * np.pi * (self._ky[i] * y + self._kz[i] * z)
@@ -67,9 +67,8 @@ class CombustionDataset(AnalyticDataset):
             )
         return base + amp * wrinkle
 
-    def evaluate(self, points: np.ndarray, t: int = 0, attribute: str | None = None) -> np.ndarray:
-        attribute = self._check_attribute(attribute)
-        mix = self._mixfrac(points, t)
+    def formula(self, x, y, z, tau, attribute) -> np.ndarray:
+        mix = self._mixfrac(x, y, z, tau)
         if attribute == "mixfrac":
             return mix
         # Both derived attributes follow flamelet relationships in mixture
@@ -83,11 +82,7 @@ class CombustionDataset(AnalyticDataset):
         # oxidizer side of the reaction zone.
         return np.clip(reaction * (1.0 - mix) * 1.4, 0.0, 1.0)
 
-    def _mixfrac(self, points: np.ndarray, t: int) -> np.ndarray:
-        p = self.normalized(points)
-        x, y, z = p[:, 0], p[:, 1], p[:, 2]
-        tau = self.time_fraction(t)
-
+    def _mixfrac(self, x, y, z, tau) -> np.ndarray:
         xi = self._interface(y, z, tau)
         # Mixture fraction: ~1 on the fuel side (x < interface), ~0 beyond.
         mix = 0.5 * (1.0 - np.tanh((x - xi) / self.THICKNESS))

@@ -66,12 +66,8 @@ class HurricaneDataset(AnalyticDataset):
         """Eye depression amplitude: spins up, peaks near tau=0.55, decays."""
         return float(np.exp(-((tau - 0.55) ** 2) / (2 * 0.35**2)))
 
-    # ------------------------------------------------------------- evaluate
-    def evaluate(self, points: np.ndarray, t: int = 0, attribute: str | None = None) -> np.ndarray:
-        attribute = self._check_attribute(attribute)
-        p = self.normalized(points)
-        x, y, z = p[:, 0], p[:, 1], p[:, 2]
-        tau = self.time_fraction(t)
+    # -------------------------------------------------------------- formula
+    def formula(self, x, y, z, tau, attribute) -> np.ndarray:
         if attribute == "temperature":
             return self._temperature(x, y, z, tau)
         if attribute == "wind_speed":

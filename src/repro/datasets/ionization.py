@@ -59,19 +59,14 @@ class IonizationDataset(AnalyticDataset):
         base = 0.12 + 0.62 * tau
         # Instability amplitude grows with time (linear growth phase).
         amp = 0.015 + 0.075 * tau
-        corrugation = np.zeros_like(y)
+        corrugation = np.zeros(np.broadcast_shapes(y.shape, z.shape))
         for i in range(self.NUM_MODES):
             corrugation += self._weight[i] * np.cos(
                 2 * np.pi * (self._ky[i] * y + self._kz[i] * z) + self._phase[i]
             )
         return base + amp * corrugation
 
-    def evaluate(self, points: np.ndarray, t: int = 0, attribute: str | None = None) -> np.ndarray:
-        attribute = self._check_attribute(attribute)
-        p = self.normalized(points)
-        x, y, z = p[:, 0], p[:, 1], p[:, 2]
-        tau = self.time_fraction(t)
-
+    def formula(self, x, y, z, tau, attribute) -> np.ndarray:
         xf = self._front(y, z, tau)
         s = x - xf  # signed distance ahead of the front (positive = neutral gas)
 

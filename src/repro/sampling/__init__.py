@@ -11,7 +11,7 @@ reconstruction pipeline is sampler-agnostic (Sec III-D: "our approach is
 sampling method agnostic").
 """
 
-from repro.sampling.base import SampledField, Sampler
+from repro.sampling.base import NonFiniteFieldError, SampledField, Sampler
 from repro.sampling.random import RandomSampler
 from repro.sampling.stratified import StratifiedSampler
 from repro.sampling.importance import (
@@ -23,6 +23,7 @@ from repro.sampling.importance import (
 from repro.sampling.bluenoise import PoissonDiskSampler
 
 __all__ = [
+    "NonFiniteFieldError",
     "Sampler",
     "SampledField",
     "RandomSampler",

@@ -17,7 +17,11 @@ import numpy as np
 from repro.datasets.base import TimestepField
 from repro.grid import UniformGrid
 
-__all__ = ["SampledField", "Sampler"]
+__all__ = ["NonFiniteFieldError", "SampledField", "Sampler"]
+
+
+class NonFiniteFieldError(ValueError):
+    """A sampler was handed a field holding NaN or infinite values."""
 
 
 @dataclass(frozen=True)
@@ -37,12 +41,13 @@ class SampledField:
             raise ValueError("indices and values must be matching 1D arrays")
         if indices.size == 0:
             raise ValueError("a SampledField needs at least one sample")
-        if indices.size != np.unique(indices).size:
-            raise ValueError("sampled indices must be unique")
-        if indices.min() < 0 or indices.max() >= self.grid.num_points:
-            raise ValueError("sampled indices out of grid range")
         order = np.argsort(indices)
-        object.__setattr__(self, "indices", indices[order])
+        indices = indices[order]
+        if np.any(indices[1:] == indices[:-1]):
+            raise ValueError("sampled indices must be unique")
+        if indices[0] < 0 or indices[-1] >= self.grid.num_points:
+            raise ValueError("sampled indices out of grid range")
+        object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values[order])
 
     # ------------------------------------------------------------ geometry
@@ -57,8 +62,18 @@ class SampledField:
 
     @property
     def points(self) -> np.ndarray:
-        """Physical positions ``(M, 3)`` of the sampled points."""
-        return self.grid.index_to_position(self.grid.flat_to_multi(self.indices))
+        """Physical positions ``(M, 3)`` of the sampled points (cached, read-only).
+
+        Feature assembly reads them once per training block, so they are
+        computed on first use and the same non-writeable array is returned
+        after that.
+        """
+        cached = getattr(self, "_points", None)
+        if cached is None:
+            cached = self.grid.index_to_position(self.grid.flat_to_multi(self.indices))
+            cached.flags.writeable = False
+            object.__setattr__(self, "_points", cached)
+        return cached
 
     def void_indices(self) -> np.ndarray:
         """Flat indices of the rejected grid points (the "void locations").
@@ -148,6 +163,10 @@ class Sampler(abc.ABC):
         seed:
             Override the sampler's seed for this draw (the draw is otherwise
             deterministic per (sampler seed, timestep)).
+
+        Raises :class:`NonFiniteFieldError` if ``field`` holds NaN or
+        infinite values: no criterion ranks them, and a sample must not
+        carry them into reconstruction.
         """
         if not (0.0 < fraction <= 1.0):
             raise ValueError(f"sampling fraction must be in (0, 1], got {fraction}")
@@ -155,6 +174,13 @@ class Sampler(abc.ABC):
         if budget < 1:
             raise ValueError(
                 f"fraction {fraction} keeps zero of {field.grid.num_points} points"
+            )
+        flat = field.flat
+        bad = flat.size - np.count_nonzero(np.isfinite(flat))
+        if bad:
+            raise NonFiniteFieldError(
+                f"field {field.name!r} at timestep {field.timestep} has {bad} "
+                f"non-finite value(s) of {flat.size}; samplers need finite values"
             )
         base_seed = self.seed if seed is None else int(seed)
         rng = np.random.default_rng((base_seed, field.timestep, budget))

@@ -103,15 +103,15 @@ def _select_from_probabilities(
         # Weighted without-replacement draw of exactly `budget` points via
         # Gumbel top-k on log-probabilities; zero-probability points are
         # only used if fewer than `budget` have positive probability.
-        eps = 1e-300
-        gumbel = rng.gumbel(size=p.size)
-        keys = np.log(p + eps) + gumbel
-        positive = np.count_nonzero(p > 0)
-        if positive < budget:
+        keys = rng.gumbel(size=p.size)
+        if np.count_nonzero(p > 0) < budget:
             # Not enough positive-probability points: take them all and fill
             # the remainder uniformly at random.
-            keys = np.where(p > 0, np.inf, gumbel)
-        return np.argpartition(-keys, budget - 1)[:budget]
+            keys[p > 0] = np.inf
+        else:
+            logp = np.add(p, 1e-300)
+            keys += np.log(logp, out=logp)
+        return np.argpartition(np.negative(keys, out=keys), budget - 1)[:budget]
     accept = rng.random(p.size) < p
     idx = np.flatnonzero(accept)
     if idx.size == 0:
@@ -119,19 +119,31 @@ def _select_from_probabilities(
     return idx
 
 
-def _rarity_importance(values: np.ndarray, bins: int) -> np.ndarray:
-    """Per-point weight ~ 1 / occupancy of the point's histogram bin."""
-    counts, edges = np.histogram(values, bins=bins)
-    which = np.clip(np.digitize(values, edges[1:-1]), 0, bins - 1)
-    occ = counts[which].astype(np.float64)
-    occ[occ == 0] = 1.0
-    imp = 1.0 / occ
-    return imp / imp.max()
+def _rarity_importance(values: np.ndarray, bins: int, weight: float = 1.0) -> np.ndarray:
+    """Per-point weight ~ 1 / occupancy of the point's histogram bin.
+
+    Bins each value once: on uniform edges, ``np.bincount`` of the
+    ``np.digitize`` bin numbers equals ``np.histogram``'s counts (bins are
+    half-open, the last one closed).  Every value's own bin holds at least
+    that value, so the weights are formed per occupied bin, normalized by
+    their maximum, scaled by ``weight`` and gathered once.
+    """
+    edges = np.histogram_bin_edges(values, bins=bins)
+    which = np.digitize(values, edges[1:-1])
+    counts = np.bincount(which, minlength=bins)
+    per_bin = np.divide(1.0, counts, out=np.zeros(bins), where=counts > 0)
+    per_bin /= per_bin.max()
+    per_bin *= weight
+    return per_bin[which]
 
 
 def _normalized(x: np.ndarray) -> np.ndarray:
+    """``x / x.max()`` in place, or zeros when the maximum is not positive."""
     m = x.max()
-    return x / m if m > 0 else np.zeros_like(x)
+    if m > 0:
+        return np.divide(x, m, out=x)
+    x[...] = 0.0
+    return x
 
 
 class _ImportanceSampler(Sampler):
@@ -210,12 +222,19 @@ class MultiCriteriaSampler(_ImportanceSampler):
         self.bins = int(bins)
 
     def importance(self, field: TimestepField) -> np.ndarray:
+        # The blend is built in the gradient-magnitude buffer: IEEE addition
+        # is commutative, so adding the rarity term second keeps the bits of
+        # ``w_hist * rarity + w_grad * gradient + w_uni``.
         w_hist, w_grad, w_uni = self._weights
-        imp = np.zeros(field.grid.num_points, dtype=np.float64)
-        if w_hist > 0:
-            imp += w_hist * _rarity_importance(field.flat, self.bins)
         if w_grad > 0:
-            imp += w_grad * _normalized(gradient_magnitude(field.grid, field.values))
+            imp = _normalized(gradient_magnitude(field.grid, field.values))
+            imp *= w_grad
+            if w_hist > 0:
+                imp += _rarity_importance(field.flat, self.bins, w_hist)
+        elif w_hist > 0:
+            imp = _rarity_importance(field.flat, self.bins, w_hist)
+        else:
+            imp = np.zeros(field.grid.num_points, dtype=np.float64)
         if w_uni > 0:
             imp += w_uni
         return imp

@@ -152,10 +152,14 @@ class TestRunners:
     def test_fig14_training_subset(self):
         from repro.experiments import exp_training_subset
 
-        res = exp_training_subset.run(TINY, fractions=(1.0, 0.5))
+        # Five interleaved trainings per fraction; the fastest of each
+        # decides, so one stalled run cannot invert the comparison.
+        res = exp_training_subset.run(TINY, fractions=(1.0, 0.5) * 5)
         assert {r["train_data"] for r in res.rows} == {"100%", "50%"}
-        times = dict(res.series["train_seconds"])
-        assert times[0.5] < times[1.0]
+        fastest: dict[float, float] = {}
+        for fraction, seconds in res.series["train_seconds"]:
+            fastest[fraction] = min(seconds, fastest.get(fraction, float("inf")))
+        assert fastest[0.5] < fastest[1.0]
 
     def test_tab1_training_time(self):
         from repro.experiments import exp_training_time

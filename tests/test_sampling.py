@@ -50,6 +50,13 @@ class TestSampledField:
         idx = sample.grid.multi_to_flat(sample.grid.position_to_index(pts))
         np.testing.assert_array_equal(np.sort(idx), sample.indices)
 
+    def test_points_computed_once_read_only(self, sample):
+        first = sample.points
+        assert sample.points is first
+        want = sample.grid.index_to_position(sample.grid.flat_to_multi(sample.indices))
+        assert first.tobytes() == want.tobytes()
+        assert not first.flags.writeable
+
     def test_rejects_duplicates(self, grid):
         with pytest.raises(ValueError):
             SampledField(grid, np.array([1, 1]), np.array([0.0, 0.0]), 0.1)
