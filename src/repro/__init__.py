@@ -56,6 +56,5 @@ __all__ = [
     "resilience",
     "sampling",
     "serve",
-    "shard",
     "vis",
 ]

@@ -97,6 +97,10 @@ class LockOrderSanitizer:
     def __init__(self) -> None:
         self._graph: dict[int, set[int]] = {}     # id(proxy) -> successors
         self._labels: dict[int, str] = {}
+        # The graph is keyed by id(proxy); holding every proxy until exit
+        # keeps a collected lock's id from passing to a new one, whose
+        # acquisitions would otherwise extend the dead lock's edges.
+        self._proxies: list[_LockProxy] = []
         self._edge_sites: dict[tuple[int, int], str] = {}
         self._held = threading.local()
         self._mutex = threading.Lock()            # guards graph mutation
@@ -114,6 +118,7 @@ class LockOrderSanitizer:
         for name, original in self._originals.items():
             setattr(threading, name, original)
         self._originals.clear()
+        self._proxies.clear()
         if exc_type is None and self.violations:
             raise LockOrderViolation(
                 "cyclic lock-acquisition order detected:\n  "
@@ -132,6 +137,7 @@ class LockOrderSanitizer:
             proxy = _LockProxy(inner, label, self)
             with self._mutex:
                 self._labels[id(proxy)] = label
+                self._proxies.append(proxy)
             return proxy
 
         return make

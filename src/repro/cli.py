@@ -173,15 +173,6 @@ def _tool_main(argv: list[str]) -> int:
                    help="fine-tune every timestep from the pretrained base "
                         "instead of rolling the weights forward "
                         "(see docs/TRAINING.md)")
-    p.add_argument("--shards", default=None, metavar="AxBxC",
-                   help="spatial domain decomposition for in situ training "
-                        "(e.g. 2x2x1, or a shard count like 4): one model "
-                        "per (timestep, shard), stitched by the reader "
-                        "(requires --train; see docs/PERFORMANCE.md)")
-    p.add_argument("--halo", type=int, default=None, metavar="N",
-                   help="halo/ghost-zone width in grid cells around each "
-                        "shard (default: sized to the kNN stencil via "
-                        "repro.shard.suggest_halo; requires --shards)")
     p.add_argument("--pipeline", default="on", choices=["on", "off"],
                    help="overlap simulate/train/write across timesteps "
                         "(bit-identical output either way; default on)")
@@ -249,7 +240,6 @@ def _tool_dispatch(args) -> str:
                                   finetune_epochs=args.finetune_epochs, seed=args.seed,
                                   pipeline=args.pipeline == "on",
                                   batched_finetune=args.batched_finetune,
-                                  shards=args.shards, halo=args.halo,
                                   journal=args.journal, resume=args.resume)
     return tools.cmd_render(args.input, args.output, mode=args.mode,
                             axis=args.axis, array=args.array)

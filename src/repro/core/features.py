@@ -47,11 +47,8 @@ def canonical_neighbors(dist: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray
     candidate makes the ``k`` cut.  Re-sorting each query's padded
     candidate row by ``(distance, sample index)`` (one row-wise lexsort,
     no global sort over all queries) and keeping the first ``k`` makes the
-    selection a pure function of the point set itself, so any spatial
-    partition of the samples (for example a shard's halo-extended subset,
-    whose local→global index map is strictly increasing) reproduces the
-    global selection bit-for-bit whenever all ``k + TIE_BREAK_PAD``
-    candidates lie inside the subset.
+    selection a pure function of the point set itself: any kd-tree over
+    the same samples picks the same neighbors, in the same order.
     """
     if idx.shape[1] <= 1:
         return idx[:, :k]
@@ -185,15 +182,12 @@ class FeatureExtractor:
 
         Ties are broken canonically by sample index over a padded candidate
         list (:func:`canonical_neighbors`), so the selection depends only on
-        the sampled point set — not on kd-tree construction order — and
-        shard-local queries over a halo-extended subset reproduce it
-        exactly.
+        the sampled point set — not on kd-tree construction order.
 
         ``canonical=False`` queries exactly ``k`` candidates and keeps the
         kd-tree's own tie order.  Training uses it: a training set is
-        built once from the global sample (no spatial subset ever has to
-        reproduce the selection), so it can skip the padded query and the
-        re-rank — and keep the exact neighbor sets the pre-canonical
+        built once from the whole sample, so it can skip the padded query
+        and the re-rank — and keep the exact neighbor sets the pre-canonical
         training path produced.  The non-canonical path never touches the
         memo below, so interleaving training and prediction over the same
         ``(sample, query_points)`` objects cannot leak one selection into

@@ -77,10 +77,6 @@ class CampaignResult:
     quarantined: tuple[QuarantineRecord, ...] = ()
     #: timesteps skipped because the journal proved them already emitted
     resumed: int = 0
-    #: spatial decomposition used (None = unsharded)
-    shards: tuple[int, int, int] | None = None
-    #: halo width (cells) of the decomposition (None = unsharded)
-    halo: int | None = None
 
     @property
     def finetune_seconds(self) -> float:
@@ -203,10 +199,6 @@ class ReconstructionPipeline:
         warm_pool: bool = True,
         max_workers: int | None = None,
         num_chunks: int | None = None,
-        depth: int = 1,
-        shards=None,
-        halo: int | None = None,
-        shard_scope: str = "global",
         journal=None,
         resume: bool = False,
         supervision: SupervisionPolicy | WorkerSupervisor | None = None,
@@ -244,21 +236,6 @@ class ReconstructionPipeline:
         reconstruction of ``t-1`` overlaps the fine-tune of ``t``.
         Journal/resume keeps one weight sidecar per timestep.
 
-        ``shards`` (an ``"AxBxC"`` spec or 3-tuple) decomposes the grid
-        spatially (:mod:`repro.shard`): reconstruction fans out one task
-        per shard chunk over the shm transport, each shard seeing only the
-        samples in its halo-extended box (``halo`` cells; default
-        :func:`~repro.shard.suggest_halo` for the kNN stencil).  With
-        ``shard_scope="global"`` (default) fine-tuning is unchanged — one
-        model per timestep — and output is **bit-identical** to the
-        unsharded campaign whenever the halo holds the padded kNN stencil
-        (verify with :meth:`~repro.shard.ShardedCampaignGeometry.seam_check`).
-        ``shard_scope="local"`` additionally trains one model per
-        (timestep, shard) on shard-local data (requires
-        ``batched_finetune=True``; SNR parity, not bit-identity).  The
-        shard geometry joins the journal config, so a sharded journal
-        refuses an unsharded resume and vice versa.
-
         Crash safety (see :mod:`repro.resilience` and docs/RESILIENCE.md):
 
         * ``journal`` — a path (or open
@@ -290,25 +267,6 @@ class ReconstructionPipeline:
             raise RuntimeError(
                 "run_campaign needs a (pre)trained reconstructor; call train_fcnn() first"
             )
-        shard_counts = None
-        if shards is not None:
-            from repro.shard import SHARD_SCOPES, parse_shards, suggest_halo
-
-            shard_counts = parse_shards(shards)
-            if shard_scope not in SHARD_SCOPES:
-                raise ValueError(
-                    f"shard_scope must be one of {SHARD_SCOPES}, got {shard_scope!r}"
-                )
-            if shard_scope == "local" and not batched_finetune:
-                raise ValueError(
-                    "shard_scope='local' trains one model per (timestep, shard) "
-                    "through the batched engine; pass batched_finetune=True"
-                )
-            if halo is None:
-                halo = suggest_halo(reconstructor.extractor.num_neighbors, fraction)
-            halo = int(halo)
-        elif halo is not None:
-            raise ValueError("halo requires shards")
         steps = [int(t) for t in timesteps]
         if not steps:
             return CampaignResult(rows=[], stats=CampaignStats(0, pipeline, 0.0, 0.0, 0.0, 0.0))
@@ -333,14 +291,6 @@ class ReconstructionPipeline:
                     # of a serial journal (different trajectories) is
                     # rejected as a config mismatch.
                     config["batched_finetune"] = True
-                if shard_counts is not None:
-                    # Same conditional-key pattern: shard geometry in the
-                    # header makes a sharded<->unsharded (or differently
-                    # sharded) resume a config mismatch, refused up front.
-                    config["shards"] = list(shard_counts)
-                    config["halo"] = halo
-                    if shard_scope != "global":
-                        config["shard_scope"] = shard_scope
                 wal = CampaignJournal(journal, config=config, resume=resume)
                 own_wal = True
 
@@ -374,34 +324,14 @@ class ReconstructionPipeline:
         geometry = self.geometry_cache.get(
             self.sample(field0, fraction), dtype=reconstructor.dtype_policy.compute
         )
-        shard_plan = None
-        if shard_counts is not None:
-            from repro.shard import ShardPlan, ShardedCampaignGeometry, make_shard_sink
-
-            shard_plan = ShardPlan.create(geometry.grid, shard_counts, halo)
-            sharded = ShardedCampaignGeometry(shard_plan, geometry)
-            sink = make_shard_sink(
-                sharded,
-                {"fcnn": reconstructor},
-                max_workers=max_workers,
-                num_chunks=num_chunks,
-                slots=depth + 1,
-                scope=shard_scope,
-                warm_pool=warm_pool,
-            )
-        else:
-            sink = make_reconstruction_sink(
-                geometry,
-                {"fcnn": reconstructor},
-                max_workers=max_workers,
-                num_chunks=num_chunks,
-                slots=depth + 1,
-                warm_pool=warm_pool,
-            )
+        sink = make_reconstruction_sink(
+            geometry,
+            {"fcnn": reconstructor},
+            max_workers=max_workers,
+            num_chunks=num_chunks,
+            warm_pool=warm_pool,
+        )
         train_shell = geometry.shell()
-        # Sharded runs stamp the shard coordinate system onto per-timestep
-        # journal records (the header already pins counts + halo).
-        shard_coords = {"shards": shard_plan.num_shards} if shard_plan is not None else {}
 
         sup: WorkerSupervisor | None = None
         if supervision is not None:
@@ -420,15 +350,11 @@ class ReconstructionPipeline:
                     sup.on_stall = lambda stage, t, elapsed: pool_executor.recycle("stall")
             sup.start()
 
-        local_shards = shard_plan is not None and shard_scope == "local"
         base_flat = None
         if batched_finetune and sup is not None:
             # From-base fine-tunes never mutate the base, so a quarantined
-            # one reconstructs with its weights (one row per shard in local
-            # scope).
+            # one reconstructs with its weights.
             base_flat = snapshot_weights(reconstructor.model).data
-            if local_shards:
-                base_flat = np.tile(base_flat, (shard_plan.num_shards, 1))
         fallback = (
             "the pretrained base weights" if batched_finetune
             else "the previous timestep's weights"
@@ -447,26 +373,13 @@ class ReconstructionPipeline:
             """This timestep's published weights and its epoch seconds.
 
             Rolling fine-tunes advance ``reconstructor`` in place.  From-base
-            ones leave it untouched and return one flat ``(W,)`` model, or
-            an ``(S, W)`` stack with one model per shard in local scope.
+            ones leave it untouched and return one flat ``(W,)`` model.
             """
             if not batched_finetune:
                 seconds = reconstructor.fine_tune(
                     fld, train, epochs=finetune_epochs, strategy=finetune_strategy
                 ).total_seconds
                 return snapshot_weights(reconstructor.model).data, seconds
-            if local_shards:
-                from repro.shard import fine_tune_shards
-
-                stacks, grouped = fine_tune_shards(
-                    reconstructor,
-                    [fld],
-                    [train],
-                    shard_plan,
-                    epochs=finetune_epochs,
-                    strategy=finetune_strategy,
-                )
-                return stacks[0], sum(h.total_seconds for h in grouped[0])
             flats, histories = reconstructor.fine_tune_batch(
                 [fld], [train], epochs=finetune_epochs, strategy=finetune_strategy
             )
@@ -501,7 +414,7 @@ class ReconstructionPipeline:
                         flat, finetune_seconds = before, 0.0
             if wal is not None:
                 wal.save_state(t, flat)
-                wal.record(t, "fine-tuned", weights_sha=content_hash(flat), **shard_coords)
+                wal.record(t, "fine-tuned", weights_sha=content_hash(flat))
             geometry.refresh(train_shell, fld)
             slot = sink.publish(t, train_shell.values, {"fcnn": flat})
             return slot, fld, finetune_seconds, stale
@@ -539,12 +452,12 @@ class ReconstructionPipeline:
             }
             row.update(score_reconstruction(fld.values, volume).as_dict())
             if wal is not None:
-                wal.record(t, "reconstructed", volume_sha=content_hash(volume), **shard_coords)
+                wal.record(t, "reconstructed", volume_sha=content_hash(volume))
                 wal.record(t, "emitted", row=_jsonable(row))
             return row, (volume if self.keep_reconstructions else None)
 
         scheduler = CampaignScheduler(
-            materialize, process, emit, pipeline=pipeline, depth=depth, interrupt=interrupt
+            materialize, process, emit, pipeline=pipeline, interrupt=interrupt
         )
         try:
             emitted = scheduler.run(steps_to_run)
@@ -573,8 +486,6 @@ class ReconstructionPipeline:
             reconstructions=volumes,
             quarantined=tuple(sup.quarantined) if sup is not None else (),
             resumed=len(skipped_rows),
-            shards=shard_counts,
-            halo=halo if shard_counts is not None else None,
         )
 
 

@@ -523,7 +523,7 @@ class FCNNReconstructor:
         """Predict (denormalized) scalar values at arbitrary positions.
 
         The one FCNN inference kernel: offline reconstruction, the warm
-        campaign and shard pools and the serving evaluator all predict
+        campaign pool and the serving evaluator all predict
         through it.  With ``fast_path`` the coordinate feature columns come
         from the extractor's per-geometry memo
         (:meth:`FeatureExtractor.prediction_block`), so a call refills only

@@ -83,17 +83,6 @@ class ExperimentConfig:
     #: of rolling weights forward (changes the trajectory by design — see
     #: docs/TRAINING.md)
     batched_finetune: bool = False
-    #: spatial domain decomposition for campaigns: an ``AxBxC`` spec, a
-    #: plain shard count, or None (unsharded) — see repro.shard and
-    #: docs/PERFORMANCE.md ("Shard-parallel campaigns")
-    shards: str | tuple[int, int, int] | None = None
-    #: halo/ghost-zone width in grid cells around each shard (None sizes
-    #: it to the kNN stencil via repro.shard.suggest_halo)
-    halo: int | None = None
-    #: "global" reconstructs every shard with the timestep's one model
-    #: (bit-identical to unsharded); "local" fine-tunes one model per
-    #: (timestep, shard) on its halo-extended box (SNR parity)
-    shard_scope: str = "global"
     seed: int = 7
 
     def scaled(self, **overrides) -> "ExperimentConfig":

@@ -7,16 +7,10 @@ A *campaign* is the on-disk artifact of a reduced simulation run::
       t0000.vtp  t0008.vtp ... # sampled point clouds, one per stored step
       model_t0000.npz          # (optional) in-situ-trained FCNN
       model_t0008.npz ...      # (optional) Case-2 partial checkpoints
-      model_t0008_s00.npz ...  # (optional) per-shard Case-2 checkpoints
 
 The writer owns the in situ side (time loop, sampling, optional training);
 the reader owns the post hoc side (load a timestep's cloud, reconstruct it
 with any method, restore the matching model).
-
-Sharded campaigns (``shards=``/``halo=``) split the grid into axis-aligned
-subdomains (:mod:`repro.shard`) and fine-tune one model per (timestep,
-shard) on its halo-extended box; the reader stitches the per-shard
-reconstructions back into the global field.
 """
 
 from __future__ import annotations
@@ -63,10 +57,6 @@ class CampaignManifest:
     cloud_files: dict[str, str] = dataclass_field(default_factory=dict)  # str(t) -> filename
     model_files: dict[str, str] = dataclass_field(default_factory=dict)
     base_model_file: str | None = None
-    shards: tuple[int, int, int] | None = None
-    halo: int | None = None
-    # str(t) -> per-shard checkpoint filenames, in plan shard order
-    shard_model_files: dict[str, list[str]] = dataclass_field(default_factory=dict)
 
     @property
     def grid(self) -> UniformGrid:
@@ -85,16 +75,12 @@ class CampaignManifest:
             "model_files": self.model_files,
             "base_model_file": self.base_model_file,
         }
-        if self.shards is not None:
-            payload["shards"] = list(self.shards)
-            payload["halo"] = self.halo
-            payload["shard_model_files"] = self.shard_model_files
         return json.dumps(payload, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignManifest":
+        """Parse a manifest; keys this version does not know are ignored."""
         d = json.loads(text)
-        shards = d.get("shards")
         return cls(
             dataset=d["dataset"],
             attribute=d["attribute"],
@@ -106,11 +92,6 @@ class CampaignManifest:
             cloud_files=dict(d["cloud_files"]),
             model_files=dict(d["model_files"]),
             base_model_file=d.get("base_model_file"),
-            shards=tuple(shards) if shards is not None else None,
-            halo=d.get("halo"),
-            shard_model_files={
-                k: list(v) for k, v in d.get("shard_model_files", {}).items()
-            },
         )
 
 
@@ -137,14 +118,6 @@ class InSituWriter:
         :meth:`~repro.core.FCNNReconstructor.fine_tune_batch` call instead
         of rolling the weights forward; the on-disk campaign differs from
         the rolling one by design.
-    shards / halo:
-        Spatial domain decomposition (requires ``train_model``).  The
-        first stored timestep still trains the global base model, but
-        every later timestep is fine-tuned from it per shard on its
-        halo-extended box (one batched submission per timestep) and emits
-        one Case-2 partial checkpoint per (timestep, shard) —
-        ``model_tXXXX_sXX.npz``.  ``halo`` defaults to
-        :func:`repro.shard.suggest_halo` for the model's kNN stencil.
     """
 
     def __init__(
@@ -158,8 +131,6 @@ class InSituWriter:
         finetune_epochs: int = 10,
         model_kwargs: dict | None = None,
         batched_finetune: bool = False,
-        shards=None,
-        halo: int | None = None,
     ) -> None:
         if not (0.0 < fraction <= 1.0):
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
@@ -172,28 +143,6 @@ class InSituWriter:
         self.finetune_epochs = int(finetune_epochs)
         self.model_kwargs = dict(model_kwargs or {})
         self.batched_finetune = bool(batched_finetune)
-        if shards is not None:
-            from repro.shard import parse_shards, suggest_halo
-
-            if not self.train_model:
-                raise ValueError(
-                    "shards only affect in situ training; pass train_model=True"
-                )
-            self.shard_counts = parse_shards(shards)
-            self.halo = (
-                int(halo)
-                if halo is not None
-                else suggest_halo(
-                    self.model_kwargs.get("num_neighbors", 5), self.fraction
-                )
-            )
-            if self.halo < 0:
-                raise ValueError(f"halo must be >= 0, got {self.halo}")
-        else:
-            if halo is not None:
-                raise ValueError("halo requires shards")
-            self.shard_counts = None
-            self.halo = None
 
     def run(
         self,
@@ -241,12 +190,6 @@ class InSituWriter:
         journal = journal or resume
 
         grid = self.dataset.grid
-        plan = None
-        if self.shard_counts is not None:
-            from repro.shard import ShardPlan
-
-            plan = ShardPlan.create(grid, self.shard_counts, self.halo)
-        shard_coords = {"shards": plan.num_shards} if plan is not None else {}
         manifest = CampaignManifest(
             dataset=self.dataset.name,
             attribute=self.dataset.attribute,
@@ -254,8 +197,6 @@ class InSituWriter:
             spacing=grid.spacing,
             origin=grid.origin,
             fraction=self.fraction,
-            shards=plan.counts if plan is not None else None,
-            halo=self.halo,
         )
 
         wal: CampaignJournal | None = None
@@ -275,11 +216,6 @@ class InSituWriter:
                 # journals stay valid; a serial<->batched resume (different
                 # trajectories) is rejected as a config mismatch.
                 config["batched_finetune"] = True
-            if plan is not None:
-                # Same conditional-key pattern: a sharded<->unsharded
-                # resume (different models, different files) is refused.
-                config["shards"] = list(plan.counts)
-                config["halo"] = self.halo
             wal = CampaignJournal(
                 directory / WAL_DIRNAME / "journal.jsonl",
                 config=config,
@@ -321,11 +257,8 @@ class InSituWriter:
                 for t, payload in zip(skipped, resume_plan.payloads):
                     manifest.timesteps.append(t)
                     manifest.cloud_files[str(t)] = payload["cloud"]
-                    emitted_model = payload.get("model")
-                    if isinstance(emitted_model, list):
-                        manifest.shard_model_files[str(t)] = list(emitted_model)
-                    elif emitted_model is not None:
-                        manifest.model_files[str(t)] = emitted_model
+                    if payload.get("model") is not None:
+                        manifest.model_files[str(t)] = payload["model"]
                     if payload.get("base") is not None:
                         manifest.base_model_file = payload["base"]
                 if self.train_model and manifest.base_model_file is not None:
@@ -333,11 +266,10 @@ class InSituWriter:
                     # exact weights from the last completed timestep's WAL
                     # state — fine-tuning re-enters bit-identically.
                     model = FCNNReconstructor.load(directory / manifest.base_model_file)
-                    if not self.batched_finetune and plan is None:
-                        # Serial fine-tunes roll forward; batched and
-                        # sharded ones derive every timestep from the
-                        # unchanged base, which *is* the checkpoint just
-                        # loaded.
+                    if not self.batched_finetune:
+                        # Serial fine-tunes roll forward; batched ones
+                        # derive every timestep from the unchanged base,
+                        # which *is* the checkpoint just loaded.
                         restore_weights(model.model, wal.load_state(skipped[-1]))
                     emit_model = model.clone()
 
@@ -368,16 +300,6 @@ class InSituWriter:
                 model.train(field, train, epochs=self.epochs)
                 emit_model = model.clone()
                 flat = snapshot_weights(model.model).data
-            elif plan is not None:
-                # One (num_shards, W) weight stack for this timestep; the
-                # base model is never mutated (fine_tune_batch semantics).
-                from repro.shard import fine_tune_shards
-
-                stacks, _ = fine_tune_shards(
-                    model, [field], [train], plan,
-                    epochs=self.finetune_epochs, strategy="last",
-                )
-                flat = stacks[0]
             elif self.batched_finetune:
                 (flat,), _ = model.fine_tune_batch(
                     [field], [train], epochs=self.finetune_epochs, strategy="last"
@@ -387,9 +309,7 @@ class InSituWriter:
                 flat = snapshot_weights(model.model).data
             if wal is not None:
                 wal.save_state(t, flat)
-                wal.record(
-                    t, "fine-tuned", weights_sha=content_hash(flat), **shard_coords
-                )
+                wal.record(t, "fine-tuned", weights_sha=content_hash(flat))
             return sample, flat, first
 
         def emit(t: int, payload):
@@ -402,18 +322,7 @@ class InSituWriter:
             manifest.cloud_files[str(t)] = cloud_name
             model_name = None
             base_name = None
-            shard_names: list[str] | None = None
-            if flat is not None and np.ndim(flat) == 2:
-                # Sharded timestep: one Case-2 partial checkpoint per
-                # shard, grafted onto the (global) base by the reader.
-                shard_names = []
-                for s in range(flat.shape[0]):
-                    restore_weights(emit_model.model, flat[s])
-                    name = f"model_t{t:04d}_s{s:02d}.npz"
-                    emit_model.save_partial(directory / name, num_layers=2)
-                    shard_names.append(name)
-                manifest.shard_model_files[str(t)] = shard_names
-            elif flat is not None:
+            if flat is not None:
                 restore_weights(emit_model.model, flat)
                 if first:
                     base_name = manifest.base_model_file = "model_base.npz"
@@ -424,12 +333,11 @@ class InSituWriter:
                 manifest.model_files[str(t)] = model_name
             if wal is not None:
                 written = [cloud_name] + [n for n in (base_name, model_name) if n]
-                written += shard_names or []
                 wal.record(
                     t,
                     "emitted",
                     cloud=cloud_name,
-                    model=shard_names if shard_names is not None else model_name,
+                    model=model_name,
                     base=base_name,
                     files={n: _file_sha(directory / n) for n in written},
                 )
@@ -485,17 +393,6 @@ class CampaignReader:
     def timesteps(self) -> list[int]:
         return list(self.manifest.timesteps)
 
-    @property
-    def shard_plan(self):
-        """The campaign's :class:`~repro.shard.ShardPlan` (None if unsharded)."""
-        if self.manifest.shards is None:
-            return None
-        from repro.shard import ShardPlan
-
-        return ShardPlan.create(
-            self.manifest.grid, self.manifest.shards, self.manifest.halo
-        )
-
     def load_sample(self, timestep: int) -> SampledField:
         """The stored point cloud for one timestep."""
         key = str(int(timestep))
@@ -506,42 +403,20 @@ class CampaignReader:
             path, self.manifest.grid, fraction=self.manifest.fraction, timestep=int(timestep)
         )
 
-    def load_model(
-        self, timestep: int | None = None, shard: int | None = None
-    ) -> FCNNReconstructor:
+    def load_model(self, timestep: int | None = None) -> FCNNReconstructor:
         """The in-situ-trained FCNN, optionally specialized to a timestep.
 
         Loads the base model and, when ``timestep`` has a Case-2 partial
-        checkpoint, grafts it on.  Sharded campaigns keep one checkpoint
-        per (timestep, shard); pass ``shard`` (the plan's shard index) to
-        pick one.
+        checkpoint, grafts it on.
         """
         if self.manifest.base_model_file is None:
             raise ValueError("campaign was written without in situ training")
         model = FCNNReconstructor.load(self.directory / self.manifest.base_model_file)
         if timestep is not None:
             key = str(int(timestep))
-            if shard is not None:
-                names = self.manifest.shard_model_files.get(key)
-                if names is None:
-                    raise KeyError(
-                        f"no per-shard checkpoints for timestep {timestep}"
-                    )
-                if not 0 <= int(shard) < len(names):
-                    raise IndexError(
-                        f"shard {shard} out of range for timestep {timestep} "
-                        f"({len(names)} shards)"
-                    )
-                model.load_partial(self.directory / names[int(shard)])
-            elif key in self.manifest.model_files:
-                model.load_partial(self.directory / self.manifest.model_files[key])
-            elif key in self.manifest.shard_model_files:
-                raise KeyError(
-                    f"timestep {timestep} has per-shard checkpoints only; "
-                    "pass shard=<index> (or use reconstruct() to stitch)"
-                )
-            else:
+            if key not in self.manifest.model_files:
                 raise KeyError(f"no model checkpoint for timestep {timestep}")
+            model.load_partial(self.directory / self.manifest.model_files[key])
         return model
 
     def reconstruct(self, timestep: int, method=None) -> np.ndarray:
@@ -549,35 +424,9 @@ class CampaignReader:
 
         ``method`` defaults to the campaign's own FCNN (specialized to the
         timestep); pass any :class:`GridInterpolator` to use a rule-based
-        method instead.  For sharded timesteps the default method
-        reconstructs every shard with its own model over its halo-extended
-        box and stitches the interiors back into the global field.
+        method instead.
         """
         sample = self.load_sample(timestep)
-        key = str(int(timestep))
-        if method is None and key in self.manifest.shard_model_files:
-            return self._reconstruct_sharded(sample, key)
         if method is None:
             method = self.load_model(timestep)
         return method.reconstruct(sample)
-
-    def _reconstruct_sharded(self, sample: SampledField, key: str) -> np.ndarray:
-        """Stitch one sharded timestep through the local shard sink."""
-        from repro.perf.campaign import CampaignGeometry
-        from repro.shard import LocalShardSink, ShardedCampaignGeometry
-
-        plan = self.shard_plan
-        model = FCNNReconstructor.load(self.directory / self.manifest.base_model_file)
-        flats = []
-        for name in self.manifest.shard_model_files[key]:
-            model.load_partial(self.directory / name)
-            flats.append(np.array(snapshot_weights(model.model).data, copy=True))
-        geometry = CampaignGeometry(
-            self.manifest.grid, sample.indices, self.manifest.fraction
-        )
-        sharded = ShardedCampaignGeometry(plan, geometry)
-        with LocalShardSink(slots=1, scope="local") as sink:
-            sink.bind(sharded, {"fcnn": model})
-            slot = sink.publish(int(key), sample.values, {"fcnn": np.stack(flats)})
-            volume, _report = sink.reconstruct(slot, "fcnn")
-        return volume

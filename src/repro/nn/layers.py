@@ -32,12 +32,15 @@ __all__ = ["Layer", "Dense", "ReLU", "Tanh", "Sigmoid", "Identity", "LayerNorm"]
 #: inference.  BLAS dispatches skinny-N gemms (N <= 4 observed with
 #: OpenBLAS) to kernels whose k-accumulation order depends on the row
 #: count M, so the same input row can round to different last bits in a
-#: 16384-row predict block than in a shard chunk.  ``np.einsum`` (without
+#: 16384-row predict block than in a shorter one.  ``np.einsum`` (without
 #: ``optimize``) sums k sequentially per output element regardless of M,
-#: making predictions a pure per-row function — the property the
-#: shard-parallel campaign's bit-identity rests on.  Hidden-width gemms
-#: (>= 8 columns) go through the standard blocked kernels, whose
-#: M-partitioning does not reorder the per-row k loop.
+#: making predictions a pure per-row function.  The campaign pool and the
+#: serving evaluator predict in the same aligned blocks as offline
+#: reconstruction, so neither needs that property for bit-identity; the
+#: einsum stays because its rounding is the one every recorded digest was
+#: made with.  Hidden-width gemms (>= 8 columns) go through the standard
+#: blocked kernels, whose M-partitioning does not reorder the per-row k
+#: loop.
 _DETERMINISTIC_N = 8
 
 

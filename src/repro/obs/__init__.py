@@ -37,10 +37,13 @@ single function call.  Enable it per run::
     # runs/demo/events.jsonl + runs/demo/run.json now exist
     # render with: repro obs report runs/demo
 
-The package imports nothing from the rest of ``repro``, so every layer
-(nn, core, parallel, interpolation, experiments) can depend on it without
-cycles.  See ``docs/OBSERVABILITY.md`` for the event schema, manifest
-fields and CLI usage.
+The package imports nothing from the rest of ``repro`` at import time
+(the recorder commits ``run.json`` through
+:func:`repro.resilience.checkpoint.atomic_write`, imported when it
+finalizes), so every layer (nn, core, parallel, interpolation,
+experiments) can depend on it without cycles.  See
+``docs/OBSERVABILITY.md`` for the event schema, manifest fields and CLI
+usage.
 """
 
 from repro.obs.metrics import (

@@ -26,14 +26,12 @@ files, no activation, near-zero cost.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
 import platform
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -310,21 +308,12 @@ class RunRecorder:
 
     def _write_manifest(self, manifest: dict) -> None:
         """Commit ``run.json`` via temp file + ``os.replace`` (atomic)."""
-        target = self.run_dir / MANIFEST_FILENAME
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.run_dir), prefix=".run.json.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=2, default=str)
-                fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, target)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
+        # Imported here: repro.obs loads before repro.resilience, whose
+        # modules record through repro.obs.
+        from repro.resilience.checkpoint import atomic_write
+
+        text = json.dumps(manifest, indent=2, default=str) + "\n"
+        atomic_write(self.run_dir / MANIFEST_FILENAME, lambda fh: fh.write(text.encode("utf-8")))
 
 
 class NullRecorder:

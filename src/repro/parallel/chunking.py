@@ -29,9 +29,8 @@ def aligned_chunks(total: int, num_chunks: int, align: int) -> list[tuple[int, i
     (the FCNN predict block, ``max(batch_size, 16384)``); aligned chunk
     boundaries keep the union of per-chunk blocks identical to the serial
     block sequence, which keeps the matmul shapes — and the floats —
-    bit-identical.  Shared by the warm campaign pool
-    (:mod:`repro.perf.campaign`) and the shard decomposer
-    (:mod:`repro.shard`).
+    bit-identical.  The warm campaign pool (:mod:`repro.perf.campaign`)
+    splits its reconstruct tasks this way.
     """
     if align < 1:
         raise ValueError(f"align must be >= 1, got {align}")

@@ -84,6 +84,14 @@ _POLL_SECONDS = 0.05
 #: need a memory bound that scales with the field size.
 _PREFETCH_WINDOW = 2
 
+#: Emit backpressure: at most this many payloads sit between the end of
+#: their ``process`` call and the end of their ``emit``.
+_EMIT_DEPTH = 1
+
+#: Slots in a reconstruction sink's ring: the next timestep may publish
+#: while ``_EMIT_DEPTH`` earlier ones wait for or run their reconstruct.
+_SINK_SLOTS = _EMIT_DEPTH + 1
+
 #: Per-process cap on cached worker states (bundle attachments + models).
 _WORKER_STATE_MAX = 4
 
@@ -313,12 +321,10 @@ class CampaignScheduler:
         references into state ``process`` keeps mutating.
     pipeline:
         ``False`` runs the three stages inline in one loop — the serial
-        reference schedule.  Results are bit-identical either way.
-    depth:
-        Emit backpressure: at most ``depth`` payloads may be completed-by-
-        process-but-not-yet-emitted at once.  Sinks with a slot ring need
-        ``slots >= depth + 1`` (one slot may still be publishing while
-        ``depth`` wait/emit).
+        reference schedule.  Results are bit-identical either way.  The
+        pipelined schedule holds at most ``_EMIT_DEPTH`` processed
+        payloads that are not yet emitted, which is what sizes the
+        sinks' slot rings (``_SINK_SLOTS``).
     interrupt:
         Optional :class:`repro.resilience.supervise.GracefulInterrupt`
         (or any object with a boolean ``triggered`` attribute).  Checked
@@ -350,17 +356,13 @@ class CampaignScheduler:
         emit=None,
         *,
         pipeline: bool = True,
-        depth: int = 1,
         name: str = "campaign",
         interrupt=None,
     ) -> None:
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
         self.materialize = materialize
         self.process = process
         self.emit = emit
         self.pipeline = bool(pipeline)
-        self.depth = int(depth)
         self.name = str(name)
         self.interrupt = interrupt
         self.stats: CampaignStats | None = None
@@ -434,7 +436,7 @@ class CampaignScheduler:
         n = len(steps)
         results: list = [None] * n
         emit_q: Queue = Queue()
-        slots = threading.Semaphore(self.depth)
+        slots = threading.Semaphore(_EMIT_DEPTH)
         stop = threading.Event()
         errors: list[tuple[str, int, BaseException]] = []
         err_lock = threading.Lock()
@@ -567,12 +569,6 @@ def _predict_block(reconstructor) -> int:
     return max(reconstructor.batch_size, 16384)
 
 
-# The aligned chunking contract lives in repro.parallel.chunking now (the
-# shard decomposer shares it); the private name stays importable for its
-# long-standing users.
-_aligned_chunks = aligned_chunks
-
-
 def _nonfinite_fallback(
     pred: np.ndarray,
     sample_points: np.ndarray,
@@ -620,10 +616,7 @@ class LocalReconstructionSink:
     when shared memory is unavailable.
     """
 
-    def __init__(self, slots: int = 2) -> None:
-        if slots < 1:
-            raise ValueError(f"slots must be >= 1, got {slots}")
-        self.slots = int(slots)
+    def __init__(self) -> None:
         self.geometry: CampaignGeometry | None = None
         self._models: dict = {}
         self._values: np.ndarray | None = None
@@ -640,9 +633,9 @@ class LocalReconstructionSink:
         """Install the campaign geometry and clone each tagged model once."""
         self.geometry = geometry
         self._models = {tag: model.clone() for tag, model in models.items()}
-        self._values = np.zeros((self.slots, geometry.num_samples), dtype=np.float64)
-        self._flats = [{} for _ in range(self.slots)]
-        self._timesteps = [None] * self.slots
+        self._values = np.zeros((_SINK_SLOTS, geometry.num_samples), dtype=np.float64)
+        self._flats = [{} for _ in range(_SINK_SLOTS)]
+        self._timesteps = [None] * _SINK_SLOTS
         self._shells = {tag: geometry.shell() for tag in self._models}
         self._seq = 0
 
@@ -655,7 +648,7 @@ class LocalReconstructionSink:
                 f"publish needs weights for every bound tag {sorted(self._models)}, "
                 f"got {sorted(weights)}"
             )
-        slot = self._seq % self.slots
+        slot = self._seq % _SINK_SLOTS
         self._seq += 1
         self._values[slot][...] = values
         self._flats[slot] = {
@@ -713,9 +706,9 @@ class WarmReconstructionPool:
     re-run of the unresolved chunks, then pool recycle), so a killed
     worker degrades a timestep gracefully instead of dropping it.
 
-    Slot discipline: :meth:`publish` assigns slots round-robin; a slot's
-    contents stay valid until ``slots`` further publishes.  Drive the pool
-    from a :class:`CampaignScheduler` with ``depth <= slots - 1``.
+    Slot discipline: :meth:`publish` assigns ``_SINK_SLOTS`` slots
+    round-robin; a slot's contents stay valid until that many further
+    publishes, which a :class:`CampaignScheduler` never outruns.
     """
 
     def __init__(
@@ -723,12 +716,8 @@ class WarmReconstructionPool:
         executor: ParallelExecutor | None = None,
         max_workers: int | None = None,
         num_chunks: int | None = None,
-        slots: int = 2,
         worker_fn=None,
     ) -> None:
-        if slots < 1:
-            raise ValueError(f"slots must be >= 1, got {slots}")
-        self.slots = int(slots)
         self._owns_executor = executor is None
         self.executor = executor if executor is not None else ParallelExecutor(
             max_workers=max_workers, retries=1, persistent=True
@@ -786,7 +775,7 @@ class WarmReconstructionPool:
                 "normalizer": normalizer.as_dict(),
                 "num_weights": int(flat.size),
             }
-            self._chunks[tag] = _aligned_chunks(
+            self._chunks[tag] = aligned_chunks(
                 geometry.num_voids, self._target_chunks(), _predict_block(model)
             )
         width = max(meta["num_weights"] for meta in metas.values())
@@ -796,10 +785,10 @@ class WarmReconstructionPool:
         self._bundle = SharedArrayBundle.create(
             {
                 "indices": geometry.indices,
-                "values": np.zeros((self.slots, geometry.num_samples), dtype=np.float64),
+                "values": np.zeros((_SINK_SLOTS, geometry.num_samples), dtype=np.float64),
                 "weights_base": base_matrix,
-                "weights_delta": np.zeros((self.slots, len(tags), width), dtype=np.uint64),
-                "out": np.zeros((self.slots, len(tags), geometry.num_voids), dtype=np.float64),
+                "weights_delta": np.zeros((_SINK_SLOTS, len(tags), width), dtype=np.uint64),
+                "out": np.zeros((_SINK_SLOTS, len(tags), geometry.num_voids), dtype=np.float64),
             }
         )
         obs_counter("campaign.shm_bundles_created").inc()
@@ -807,7 +796,7 @@ class WarmReconstructionPool:
         self.geometry = geometry
         self._tags = tags
         self._base = base
-        self._timesteps = [None] * self.slots
+        self._timesteps = [None] * _SINK_SLOTS
         self._seq = 0
         self._init = {
             "specs": self._bundle.specs,
@@ -837,7 +826,7 @@ class WarmReconstructionPool:
                 f"publish needs weights for every bound tag {sorted(self._tags)}, "
                 f"got {sorted(weights)}"
             )
-        slot = self._seq % self.slots
+        slot = self._seq % _SINK_SLOTS
         self._seq += 1
         self._bundle.view("values")[slot][...] = values
         delta_view = self._bundle.view("weights_delta")
@@ -962,7 +951,6 @@ def make_reconstruction_sink(
     executor: ParallelExecutor | None = None,
     max_workers: int | None = None,
     num_chunks: int | None = None,
-    slots: int = 2,
     warm_pool: bool = True,
 ):
     """Bind the best available reconstruction sink for this environment.
@@ -975,7 +963,7 @@ def make_reconstruction_sink(
     """
     if warm_pool:
         pool = WarmReconstructionPool(
-            executor=executor, max_workers=max_workers, num_chunks=num_chunks, slots=slots
+            executor=executor, max_workers=max_workers, num_chunks=num_chunks
         )
         try:
             pool.bind(geometry, models)
@@ -989,7 +977,7 @@ def make_reconstruction_sink(
             # them before propagating or they outlive the test/run.
             pool.close()
             raise
-    sink = LocalReconstructionSink(slots=slots)
+    sink = LocalReconstructionSink()
     sink.bind(geometry, models)
     return sink
 

@@ -5,9 +5,9 @@ reconstruction sweeps; at production scale those workloads must survive
 killed processes, truncated checkpoints and numerical blow-ups.  This
 package provides the recovery building blocks:
 
-* :mod:`repro.resilience.checkpoint` — atomic, checksummed ``.npz``
-  checkpoints and full training-state capture/restore (model, optimizer,
-  RNG, loss history) for bit-exact resume;
+* :mod:`repro.resilience.checkpoint` — atomic file commits, checksummed
+  ``.npz`` checkpoints and full training-state capture/restore (model,
+  optimizer, RNG, loss history) for bit-exact resume;
 * :mod:`repro.resilience.health`     — NaN/Inf detection on loss,
   gradients and parameters with ``raise`` / ``skip_batch`` / ``rollback``
   policies;
@@ -28,14 +28,15 @@ package provides the recovery building blocks:
   ``repro.resilience.chaos``; it reaches into the campaign stack, so the
   package root does not pull it in).
 
-Nothing here imports from ``repro`` beyond :mod:`repro.obs` (which itself
-imports nothing else), so any layer may depend on this package.
+Nothing here imports from ``repro`` beyond :mod:`repro.obs` (which imports
+nothing else at import time), so any layer may depend on this package.
 """
 
 from repro.resilience.checkpoint import (
     CheckpointConfig,
     CheckpointCorruptionError,
     TrainingCheckpoint,
+    atomic_write,
     atomic_write_npz,
     load_training_checkpoint,
     normalize_npz_path,
@@ -62,6 +63,7 @@ __all__ = [
     "CheckpointConfig",
     "CheckpointCorruptionError",
     "TrainingCheckpoint",
+    "atomic_write",
     "atomic_write_npz",
     "read_verified_npz",
     "normalize_npz_path",

@@ -2,10 +2,11 @@
 
 Two layers live here:
 
-* **Archive primitives** — :func:`atomic_write_npz` commits an ``.npz`` via
-  write-to-temp + ``os.replace`` so a crash mid-save can never leave a
-  truncated file under the final name, and embeds a SHA-256 content
-  checksum; :func:`read_verified_npz` re-derives and compares it, turning
+* **Archive primitives** — :func:`atomic_write` commits any file via
+  write-to-temp + ``fsync`` + ``os.replace`` so a crash mid-save can never
+  leave a truncated file under the final name; :func:`atomic_write_npz`
+  writes an ``.npz`` through it and embeds a SHA-256 content checksum;
+  :func:`read_verified_npz` re-derives and compares it, turning
   truncation, bit-flips and partial writes into a
   :class:`CheckpointCorruptionError` instead of an opaque numpy/zipfile
   error.
@@ -30,6 +31,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "CheckpointCorruptionError",
     "CheckpointConfig",
     "TrainingCheckpoint",
+    "atomic_write",
     "atomic_write_npz",
     "read_verified_npz",
     "normalize_npz_path",
@@ -95,31 +98,22 @@ def _json_load(array: np.ndarray):
     return json.loads(bytes(np.asarray(array, dtype=np.uint8)).decode())
 
 
-def atomic_write_npz(
-    path: str | Path,
-    arrays: dict[str, np.ndarray],
-    compressed: bool = True,
-) -> Path:
-    """Write ``arrays`` as a checksummed ``.npz``, atomically.
+def atomic_write(path: str | Path, write: Callable[[BinaryIO], object]) -> Path:
+    """Commit the file at ``path`` that ``write(fh)`` serializes, atomically.
 
-    The archive is assembled in a temp file in the target directory and
-    promoted with ``os.replace``, so readers either see the previous
-    complete checkpoint or the new complete one — never a partial write.
-    Returns the final path (with ``.npz`` appended when missing, matching
-    ``np.savez`` semantics).
+    ``write`` fills a binary temp file opened in ``path``'s directory; the
+    file is then flushed, synced with ``os.fsync`` and promoted with
+    ``os.replace``, so readers see either the previous complete file or
+    the new one.  If anything raises, the temp file is removed and
+    ``path`` is left as it was.
     """
-    path = normalize_npz_path(path)
-    arrays = dict(arrays)
-    if CHECKSUM_KEY in arrays:
-        raise ValueError(f"array name {CHECKSUM_KEY!r} is reserved")
-    arrays[CHECKSUM_KEY] = np.frombuffer(_digest(arrays).encode(), dtype=np.uint8)
+    path = Path(path)
     fd, tmp = tempfile.mkstemp(
         dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "wb") as fh:
-            writer = np.savez_compressed if compressed else np.savez
-            writer(fh, **arrays)
+            write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -128,6 +122,27 @@ def atomic_write_npz(
             os.unlink(tmp)
         raise
     return path
+
+
+def atomic_write_npz(
+    path: str | Path,
+    arrays: dict[str, np.ndarray],
+    compressed: bool = True,
+) -> Path:
+    """Write ``arrays`` as a checksummed ``.npz``, atomically.
+
+    The archive goes through :func:`atomic_write`, so readers either see
+    the previous complete checkpoint or the new complete one — never a
+    partial write.  Returns the final path (with ``.npz`` appended when
+    missing, matching ``np.savez`` semantics).
+    """
+    path = normalize_npz_path(path)
+    arrays = dict(arrays)
+    if CHECKSUM_KEY in arrays:
+        raise ValueError(f"array name {CHECKSUM_KEY!r} is reserved")
+    arrays[CHECKSUM_KEY] = np.frombuffer(_digest(arrays).encode(), dtype=np.uint8)
+    writer = np.savez_compressed if compressed else np.savez
+    return atomic_write(path, lambda fh: writer(fh, **arrays))
 
 
 def read_verified_npz(path: str | Path) -> dict[str, np.ndarray]:

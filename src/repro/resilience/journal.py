@@ -44,7 +44,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.obs import counter, record_event
-from repro.resilience.checkpoint import atomic_write_npz, read_verified_npz
+from repro.resilience.checkpoint import atomic_write, atomic_write_npz, read_verified_npz
 
 __all__ = [
     "STAGES",
@@ -358,14 +358,8 @@ class CampaignJournal:
             "resume": "re-run the same campaign with resume enabled "
             "(repro campaign --resume) to continue from the journal",
         }
-        path = self.manifest_path()
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        path = atomic_write(self.manifest_path(), lambda fh: fh.write(text.encode("utf-8")))
         record_event(
             "journal.manifest",
             path=str(path),

@@ -127,8 +127,18 @@ def _rarity_importance(values: np.ndarray, bins: int, weight: float = 1.0) -> np
     half-open, the last one closed).  Every value's own bin holds at least
     that value, so the weights are formed per occupied bin, normalized by
     their maximum, scaled by ``weight`` and gathered once.
+
+    Finite values too close together for ``bins`` finite-width bins (a
+    few ulps apart) share one occupied bin, as a constant field's values
+    do, so every point gets ``weight``.  Non-finite values keep numpy's
+    error.
     """
-    edges = np.histogram_bin_edges(values, bins=bins)
+    try:
+        edges = np.histogram_bin_edges(values, bins=bins)
+    except ValueError:
+        if not np.isfinite(values).all():
+            raise
+        return np.full(values.shape, float(weight))
     which = np.digitize(values, edges[1:-1])
     counts = np.bincount(which, minlength=bins)
     per_bin = np.divide(1.0, counts, out=np.zeros(bins), where=counts > 0)

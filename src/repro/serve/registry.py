@@ -27,8 +27,6 @@ crash mid-``put`` never leaves a dangling entry.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +37,7 @@ from repro.grid import UniformGrid
 from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
 from repro.perf.campaign import CampaignGeometry, GeometryCache
+from repro.resilience.checkpoint import atomic_write
 from repro.sampling.base import SampledField
 
 __all__ = ["ModelKey", "ModelRegistry", "RegistryNamespace"]
@@ -68,36 +67,8 @@ def namespace_id(dataset: str, fraction: float) -> str:
 
 
 def _atomic_save_npy(path: Path, array: np.ndarray) -> None:
-    """``np.save`` with the write-to-temp + ``os.replace`` promotion."""
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.save(fh, np.ascontiguousarray(array))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _atomic_save_json(path: Path, payload: dict) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """``np.save`` committed through :func:`~repro.resilience.checkpoint.atomic_write`."""
+    atomic_write(path, lambda fh: np.save(fh, np.ascontiguousarray(array)))
 
 
 class RegistryNamespace:
@@ -193,9 +164,9 @@ class ModelRegistry:
 
     # ------------------------------------------------------------- manifest
     def _flush_manifest(self) -> None:
-        _atomic_save_json(
-            self._manifest_path, {"schema": _SCHEMA, "namespaces": self._records}
-        )
+        manifest = {"schema": _SCHEMA, "namespaces": self._records}
+        text = json.dumps(manifest, indent=2, sort_keys=True)
+        atomic_write(self._manifest_path, lambda fh: fh.write(text.encode("utf-8")))
 
     # ----------------------------------------------------------- namespaces
     def create_namespace(

@@ -238,8 +238,6 @@ def cmd_campaign(
     seed: int = 0,
     pipeline: bool = True,
     batched_finetune: bool = False,
-    shards=None,
-    halo: int | None = None,
     journal: bool = False,
     resume: bool = False,
 ) -> str:
@@ -250,11 +248,6 @@ def cmd_campaign(
     ``pipeline`` the simulate/sample, train and write stages overlap on
     the :class:`repro.perf.CampaignScheduler`; the on-disk campaign is
     identical either way.
-
-    ``shards`` (an ``AxBxC`` spec or a plain shard count, with ``train``)
-    decomposes the domain spatially: each timestep after the base is
-    fine-tuned per shard on its ``halo``-extended box and emits one
-    Case-2 checkpoint per (timestep, shard); the reader stitches them.
 
     ``journal`` keeps a durable write-ahead journal under
     ``output_dir/.wal/``; ``resume`` (implies ``journal``) skips the
@@ -278,8 +271,6 @@ def cmd_campaign(
         epochs=epochs,
         finetune_epochs=finetune_epochs,
         batched_finetune=batched_finetune,
-        shards=shards,
-        halo=halo,
     )
     t0 = time.perf_counter()
     journal = journal or resume
@@ -299,19 +290,11 @@ def cmd_campaign(
             f"re-run with --resume to continue from timestep {exc.next_timestep}"
         )
     seconds = time.perf_counter() - t0
-    checkpoints = len(manifest.model_files) + sum(
-        len(v) for v in manifest.shard_model_files.values()
-    )
-    trained = f", {checkpoints} model checkpoint(s)" if train else ""
+    trained = f", {len(manifest.model_files)} model checkpoint(s)" if train else ""
     batched = ", batched fine-tune" if batched_finetune else ""
-    sharded = (
-        f", shards {'x'.join(map(str, manifest.shards))} halo {manifest.halo}"
-        if manifest.shards is not None
-        else ""
-    )
     resumed = " (resumed)" if resume else ""
     return (
         f"wrote campaign {output_dir}: {len(manifest.timesteps)} timestep(s) "
         f"at {fraction:.2%}{trained} in {seconds:.2f}s "
-        f"(pipeline {'on' if pipeline else 'off'}{batched}{sharded}){resumed}"
+        f"(pipeline {'on' if pipeline else 'off'}{batched}){resumed}"
     )

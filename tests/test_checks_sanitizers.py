@@ -54,6 +54,19 @@ def test_lock_order_consistent_nesting_is_clean():
                     pass
 
 
+def test_lock_order_short_lived_locks_in_one_order_are_clean():
+    # Each pair is collected before the next one is made, so CPython hands
+    # the new locks the old ones' ids, often swapped between the two.
+    with LockOrderSanitizer():
+        for _ in range(200):
+            outer = threading.Semaphore(1)
+            inner = threading.Lock()
+            with outer:
+                with inner:
+                    pass
+            del outer, inner
+
+
 def test_lock_order_detects_inversion_across_threads():
     with pytest.raises(LockOrderViolation):
         with LockOrderSanitizer():

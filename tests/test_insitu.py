@@ -46,6 +46,34 @@ class TestManifest:
         m = CampaignManifest("d", "a", (3, 4, 5), (1, 2, 3), (0, 0, 0), 0.1)
         assert m.grid.dims == (3, 4, 5)
 
+    def test_sharded_campaign_directory_still_opens(self, dataset, tmp_path):
+        """A directory in the retired sharded layout: its manifest carries
+        ``shards``/``halo``/``shard_model_files`` and its later timesteps
+        have per-shard checkpoints instead of a ``model_files`` entry."""
+        camp = tmp_path / "camp"
+        InSituWriter(
+            dataset, MultiCriteriaSampler(seed=5), 0.05,
+            train_model=True, epochs=2, finetune_epochs=1,
+        ).run(camp, timesteps=[0, 10])
+        payload = json.loads((camp / "manifest.json").read_text())
+        shard_files = ["model_t0010_s00.npz", "model_t0010_s01.npz"]
+        for name in shard_files:
+            (camp / name).write_bytes((camp / "model_t0010.npz").read_bytes())
+        (camp / "model_t0010.npz").unlink()
+        del payload["model_files"]["10"]
+        payload.update(shards=[2, 1, 1], halo=4, shard_model_files={"10": shard_files})
+        (camp / "manifest.json").write_text(json.dumps(payload, indent=2))
+
+        reader = CampaignReader(camp)
+        assert reader.timesteps == [0, 10]
+        assert reader.manifest.model_files == {"0": "model_t0000.npz"}
+        volume = reader.reconstruct(10, method=NearestNeighborInterpolator())
+        assert volume.shape == dataset.grid.dims
+        assert snr(dataset.field(t=10).values, volume) > 0
+        assert reader.load_model(0).is_trained
+        with pytest.raises(KeyError, match="no model checkpoint for timestep 10"):
+            reader.load_model(10)
+
 
 class TestWriterReader:
     def test_writes_clouds_and_manifest(self, writer, tmp_path):

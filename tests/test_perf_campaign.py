@@ -20,13 +20,13 @@ import pytest
 from repro.core import FCNNReconstructor, ReconstructionPipeline
 from repro.datasets import make_dataset
 from repro.obs.metrics import MetricsRegistry, activate, deactivate
+from repro.parallel.chunking import aligned_chunks
 from repro.perf.campaign import (
     CampaignGeometry,
     CampaignScheduler,
     GeometryCache,
     LocalReconstructionSink,
     WarmReconstructionPool,
-    _aligned_chunks,
     geometry_key,
 )
 from repro.perf.weights import (
@@ -143,22 +143,22 @@ class TestWeights:
 
 class TestAlignedChunks:
     def test_covers_range_contiguously(self):
-        chunks = _aligned_chunks(100_000, 4, 16384)
+        chunks = aligned_chunks(100_000, 4, 16384)
         assert chunks[0][0] == 0 and chunks[-1][1] == 100_000
         for (_, stop), (start, _) in zip(chunks, chunks[1:]):
             assert stop == start
 
     def test_boundaries_are_block_multiples(self):
         for total, n, align in ((100_000, 4, 16384), (50_000, 3, 4096), (16385, 2, 16384)):
-            for start, stop in _aligned_chunks(total, n, align)[:-1]:
+            for start, stop in aligned_chunks(total, n, align)[:-1]:
                 assert start % align == 0
                 assert stop % align == 0
 
     def test_small_totals_collapse_to_one_chunk(self):
-        assert _aligned_chunks(820, 4, 16384) == [(0, 820)]
+        assert aligned_chunks(820, 4, 16384) == [(0, 820)]
 
     def test_empty_total(self):
-        assert _aligned_chunks(0, 4, 16384) == []
+        assert aligned_chunks(0, 4, 16384) == []
 
 
 # ---------------------------------------------------------------------------
@@ -964,7 +964,7 @@ class TestWarmPool:
         )
 
     def _local_reference(self, geometry, campaign_pipeline, base_model):
-        with LocalReconstructionSink(slots=2) as sink:
+        with LocalReconstructionSink() as sink:
             sink.bind(geometry, {"fcnn": base_model.clone()})
             return _drive_sink(
                 sink, geometry, campaign_pipeline, base_model.clone(), TIMESTEPS

@@ -95,7 +95,15 @@ def _ref_select_from_probabilities(p, budget, rng, exact):
 
 
 def _ref_rarity_importance(values, bins):
-    counts, edges = np.histogram(values, bins=bins)
+    try:
+        counts, edges = np.histogram(values, bins=bins)
+    except ValueError as exc:
+        # The one intended difference from the old code, which raised here:
+        # finite values too close together for finite bins share one bin,
+        # as a constant field's do.
+        if "Too many bins" not in str(exc) or not np.isfinite(values).all():
+            raise
+        return np.ones(values.size)
     which = np.clip(np.digitize(values, edges[1:-1]), 0, bins - 1)
     occ = counts[which].astype(np.float64)
     occ[occ == 0] = 1.0
@@ -233,6 +241,13 @@ _SAMPLERS = st.one_of(
     field=TimestepField(UniformGrid((6, 1, 5)), np.linspace(0.0, 1.0, 30).reshape(6, 1, 5), 2),
     sampler=MultiCriteriaSampler(bins=5, seed=3),
     budget="one",
+)
+@example(
+    field=TimestepField(
+        UniformGrid((12, 12, 6)), (1.0 + (np.arange(864) % 3) * 2.0**-52).reshape(12, 12, 6), 4
+    ),
+    sampler=MultiCriteriaSampler(seed=3),
+    budget=0.05,
 )
 # A real field, large enough that a changed key formula reorders the draw.
 @example(

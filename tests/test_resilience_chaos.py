@@ -342,65 +342,6 @@ class TestBatchedResume:
         writer().run(target, TIMESTEPS, resume=True)
         assert chaos.directory_digest(target) == reference
 
-    def test_sharded_insitu_sigterm_then_resume_byte_identical(self, tmp_path, two_cpus):
-        """Kill -> resume of a *sharded* campaign: per-(timestep, shard)
-        checkpoints and the shard-aware journal replay stay byte-identical
-        to an uninterrupted sharded run."""
-        data = make_dataset("combustion", dims=DIMS, seed=0)
-
-        def writer(**kw):
-            return InSituWriter(
-                dataset=data,
-                sampler=MultiCriteriaSampler(seed=5),
-                fraction=0.05,
-                train_model=True,
-                train_fractions=(0.02, 0.05),
-                epochs=3,
-                finetune_epochs=2,
-                shards="2x1x1",
-                halo=4,
-                **kw,
-            )
-
-        full_dir = tmp_path / "full"
-        writer().run(full_dir, TIMESTEPS, journal=True)
-        reference = chaos.directory_digest(full_dir)
-
-        target = tmp_path / "campaign"
-        schedule = FaultSchedule(
-            [Fault("process", timestep=TIMESTEPS[1], kind="sigterm")]
-        )
-        hook = _OverlappedPrefetch(schedule.fire, TIMESTEPS)
-        with GracefulInterrupt() as interrupt:
-            with pytest.raises(CampaignInterrupted) as excinfo:
-                writer().run(
-                    target,
-                    TIMESTEPS,
-                    journal=True,
-                    interrupt=interrupt,
-                    on_stage=hook,
-                )
-        hook.assert_two_prefetch_threads()
-        assert schedule.fired == [("process", TIMESTEPS[1], "sigterm")]
-        assert excinfo.value.next_timestep in TIMESTEPS
-        writer().run(target, TIMESTEPS, resume=True)
-        assert chaos.directory_digest(target) == reference
-        # The journal pins the shard geometry: an unsharded writer (or a
-        # different decomposition) must refuse to resume this campaign.
-        from repro.resilience.journal import JournalCorruptionError
-
-        plain = InSituWriter(
-            dataset=data,
-            sampler=MultiCriteriaSampler(seed=5),
-            fraction=0.05,
-            train_model=True,
-            train_fractions=(0.02, 0.05),
-            epochs=3,
-            finetune_epochs=2,
-        )
-        with pytest.raises(JournalCorruptionError, match="config"):
-            plain.run(target, TIMESTEPS, resume=True)
-
 
 # -------------------------------------------------- poison-timestep quarantine
 class TestQuarantine:
@@ -592,7 +533,7 @@ class TestProcessFaults:
                 volumes.append(volume)
             return volumes
 
-        with LocalReconstructionSink(slots=2) as local:
+        with LocalReconstructionSink() as local:
             local.bind(geometry, {"fcnn": base_model.clone()})
             ref = drive(local)
 

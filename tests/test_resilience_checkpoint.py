@@ -8,12 +8,36 @@ from repro.nn.serialization import load_model, save_model
 from repro.resilience import (
     CheckpointConfig,
     CheckpointCorruptionError,
+    atomic_write,
     atomic_write_npz,
     load_training_checkpoint,
     read_verified_npz,
     save_training_checkpoint,
 )
 from repro.resilience.faults import flip_bit, truncate_file
+
+
+class TestAtomicWrite:
+    def test_commits_what_the_callback_writes(self, tmp_path):
+        path = atomic_write(tmp_path / "out.bin", lambda fh: fh.write(b"\x00new"))
+        assert path == tmp_path / "out.bin"
+        assert path.read_bytes() == b"\x00new"
+        atomic_write(path, lambda fh: fh.write(b"second\n"))
+        assert path.read_bytes() == b"second\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_failing_callback_keeps_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("old")
+
+        def fail(fh):
+            fh.write(b"half a fi")
+            raise RuntimeError("serializer failed")
+
+        with pytest.raises(RuntimeError, match="serializer failed"):
+            atomic_write(path, fail)
+        assert path.read_text() == "old"
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestAtomicArchive:

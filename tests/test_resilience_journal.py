@@ -112,11 +112,39 @@ def test_interior_corruption_refuses_to_resume(tmp_path):
             raise JournalCorruptionError(path, "tail flip: treated as torn")
 
 
-def test_config_mismatch_refuses_to_resume(tmp_path):
-    with _journal(tmp_path, config={"fraction": 0.05}) as journal:
+#: The header a sharded ``run_campaign`` journal carried before that mode
+#: was removed; today's run of the same campaign records it without the
+#: shard keys, so the resume is refused rather than misread.
+_SHARDED_HEADER = {
+    "kind": "run_campaign",
+    "dataset": "combustion",
+    "fraction": 0.05,
+    "timesteps": [0, 4, 8],
+    "train_fractions": [0.01, 0.05],
+    "finetune_epochs": 5,
+    "finetune_strategy": "last",
+    "batched_finetune": True,
+    "shards": [2, 2, 1],
+    "halo": 6,
+}
+
+
+@pytest.mark.parametrize(
+    "stored, requested",
+    [
+        ({"fraction": 0.05}, {"fraction": 0.10}),
+        (
+            _SHARDED_HEADER,
+            {k: v for k, v in _SHARDED_HEADER.items() if k not in ("shards", "halo")},
+        ),
+    ],
+    ids=["fraction", "sharded-header"],
+)
+def test_config_mismatch_refuses_to_resume(tmp_path, stored, requested):
+    with _journal(tmp_path, config=stored) as journal:
         _complete(journal, 0)
     with pytest.raises(JournalCorruptionError, match="config"):
-        _journal(tmp_path, resume=True, config={"fraction": 0.10})
+        _journal(tmp_path, resume=True, config=requested)
 
 
 # ----------------------------------------------------------------- planning
@@ -185,7 +213,23 @@ def test_manifest_written_atomically_with_plan(tmp_path):
         assert manifest["remaining"] == [16]
         assert manifest["config"] == {"kind": "demo"}
         assert "resume" in manifest
-        assert not path.with_name(path.name + ".tmp").exists()
+        assert not list(path.parent.glob("*.tmp"))
+
+
+def test_failed_manifest_write_keeps_old_manifest_and_no_temp(tmp_path, monkeypatch):
+    with _journal(tmp_path, config={"kind": "demo"}) as journal:
+        path = journal.write_manifest(reason="first", completed=[0], remaining=[8])
+        before = path.read_bytes()
+
+        def full_disk(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("os.fsync", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            journal.write_manifest(reason="second", completed=[0, 8], remaining=[])
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert not list(path.parent.glob("*.tmp"))
 
 
 # ------------------------------------------------------------ thread safety

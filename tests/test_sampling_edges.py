@@ -4,8 +4,9 @@ Every sampler takes the same inputs, so each case runs against all of
 them: a field holding NaN or infinity must raise
 :class:`~repro.sampling.NonFiniteFieldError` (naming the timestep and the
 count) instead of failing inside numpy or returning a sample that carries
-the bad values; a constant field, a grid axis of length 1, ``fraction=1``
-and a budget of one point must give a valid sample of the budget.
+the bad values; a constant field, a field whose values lie a few ulps
+apart, a grid axis of length 1, ``fraction=1`` and a budget of one point
+must give a valid sample of the budget.
 """
 
 from __future__ import annotations
@@ -66,9 +67,15 @@ def _check(sample: SampledField, field: TimestepField, budget: int) -> None:
     assert np.isfinite(sample.values).all()
 
 
+def _narrow() -> TimestepField:
+    """Distinct values too close together for any number of finite bins."""
+    return _field(1.0 + (np.arange(864) % 3) * 2.0**-52, UniformGrid((12, 12, 6)))
+
+
 class TestWorkingEdges:
     FIELDS = {
         "constant": lambda: _field(np.full(864, 4.25), UniformGrid((12, 12, 6))),
+        "narrow-range": _narrow,
         "flat-axis": lambda: make_dataset("combustion", dims=(9, 1, 7)).field(2),
         "single-column": lambda: make_dataset("ionization", dims=(1, 1, 20)).field(4),
     }
@@ -84,3 +91,18 @@ class TestWorkingEdges:
         _check(sample, field, budget)
         if fraction == 1.0:
             assert sample.indices.tolist() == list(range(n))
+
+
+class TestNarrowRangeImportance:
+    def test_rarity_is_uniform_like_a_constant_field(self):
+        constant = _field(np.full(864, 4.25), UniformGrid((12, 12, 6)))
+        sampler = HistogramImportanceSampler(seed=5)
+        got = sampler.importance(_narrow())
+        assert got.tobytes() == sampler.importance(constant).tobytes()
+        assert np.all(got == 1.0)
+
+    def test_direct_importance_of_non_finite_field_still_raises(self):
+        values = np.full(864, 4.25)
+        values[7] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            HistogramImportanceSampler().importance(_field(values, UniformGrid((12, 12, 6))))
