@@ -9,7 +9,10 @@ the old or the complete new file.
 * ``ATM001`` — ``np.save`` / ``np.savez`` / ``np.savez_compressed`` called
   in a scope with no ``.replace(...)`` rename in sight.  Either write to a
   temporary path and ``os.replace`` it into place within the same
-  function, or call :func:`repro.resilience.atomic_write_npz`.
+  function, or call :func:`repro.resilience.atomic_write_npz`.  Every
+  function and every lambda is a scope of its own; a lambda handed
+  straight to :func:`repro.resilience.atomic_write` writes into the
+  helper's temp file and is committed by its rename.
 """
 
 from __future__ import annotations
@@ -48,12 +51,28 @@ def _is_replace_call(node: ast.AST) -> bool:
 
 
 def _scope_nodes(root: ast.AST) -> Iterator[ast.AST]:
-    """Nodes of ``root``'s scope, not descending into nested functions."""
+    """Nodes of ``root``'s scope, not descending into nested functions or lambdas."""
     for child in ast.iter_child_nodes(root):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         yield child
         yield from _scope_nodes(child)
+
+
+def _atomic_write_callbacks(tree: ast.AST) -> set[int]:
+    """``id``s of the lambdas passed directly to an ``atomic_write(...)`` call."""
+    found: set[int] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name != "atomic_write":
+            continue
+        for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+            if isinstance(arg, ast.Lambda):
+                found.add(id(arg))
+    return found
 
 
 class NonAtomicCheckpointWriteRule(Rule):
@@ -68,13 +87,19 @@ class NonAtomicCheckpointWriteRule(Rule):
     def check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
         if not ctx.in_scope(self.options["paths"]):
             return
-        # Scopes are the module itself plus every (async) function def;
-        # a save call is atomic only if its own scope performs the rename.
+        # Scopes are the module itself plus every (async) function def and
+        # lambda; a save call is atomic only if its own scope performs the
+        # rename, or if its lambda is atomic_write's callback.
         scopes: list[tuple[ast.AST, str]] = [(ctx.tree, "")]
         for node, symbol in walk_with_symbols(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scopes.append((node, f"{symbol}.{node.name}" if symbol else node.name))
+            elif isinstance(node, ast.Lambda):
+                scopes.append((node, symbol))
+        committed = _atomic_write_callbacks(ctx.tree)
         for root, symbol in scopes:
+            if id(root) in committed:
+                continue
             nodes = list(_scope_nodes(root))
             if any(_is_replace_call(n) for n in nodes):
                 continue

@@ -1,8 +1,12 @@
-"""Dtype discipline: float64 end to end through the numerics.
+"""Dtype discipline: float32 enters the numerics only through the dtype policy.
 
-The paper's SNR comparisons are run in float64; a silent float32 downcast
-anywhere between sampling and metric computation shifts SNR by several dB
-without failing a single test.  Two rules police the boundary:
+The network computes in the dtype of :class:`repro.perf.DtypePolicy`
+(float32 by default), and its float32 arrays are made by naming
+``policy.compute_dtype``, never float32 itself.  Everything around the
+network (sampling, normalization, feature arithmetic, losses, outputs,
+SNR) runs in float64; a float32 downcast anywhere else, say a metric
+reduced in float32, loses precision without failing a single test.  Two
+rules police the boundary:
 
 * ``DT001`` — inside :mod:`repro.nn`, every ``np.asarray``/``np.array``
   conversion must name its dtype explicitly (the convention is

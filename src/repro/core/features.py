@@ -22,44 +22,40 @@ from repro.sampling.base import SampledField
 __all__ = [
     "FeatureExtractor",
     "NeighborMemo",
-    "TIE_BREAK_PAD",
     "TRAINING_BLOCK",
-    "canonical_neighbors",
+    "nearest_samples",
 ]
 
-#: Extra kd-tree candidates fetched per query so rank-k distance ties
-#: resolve canonically (see :func:`canonical_neighbors`).
-TIE_BREAK_PAD = 15
-
-#: Rows per block of a training-set build (:meth:`FeatureExtractor.training_rows`):
-#: the block's temporaries stay near 1 MB while the per-block overhead is a
-#: few dozen NumPy calls.
+#: Rows per block of a training-set build (:meth:`FeatureExtractor.training_rows`)
+#: and of a prediction block's coordinate columns: the block's temporaries
+#: stay near 1 MB while the per-block overhead is a few dozen NumPy calls.
 TRAINING_BLOCK = 4096
 
 
-def canonical_neighbors(dist: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
-    """Pick ``k`` of ``(Q, kq)`` candidate neighbors by ``(distance, index)``.
+def nearest_samples(
+    tree: cKDTree, query_points: np.ndarray, num_neighbors: int, workers: int = -1
+) -> np.ndarray:
+    """``(Q, num_neighbors)`` indices of each query's nearest tree points, nearest first.
 
-    kd-tree queries return candidates sorted by distance, but *ties* —
-    ubiquitous between lattice points — are ordered by the tree's internal
-    construction: two trees over different subsets of the same points can
-    disagree both on the order of tied neighbors and on which tied
-    candidate makes the ``k`` cut.  Re-sorting each query's padded
-    candidate row by ``(distance, sample index)`` (one row-wise lexsort,
-    no global sort over all queries) and keeping the first ``k`` makes the
-    selection a pure function of the point set itself: any kd-tree over
-    the same samples picks the same neighbors, in the same order.
+    Distance ties (common between lattice points) keep the kd-tree's own
+    order, which depends only on the tree's points and on the query
+    point, so every tree built over the same point array answers alike.
+    A tree with fewer than ``num_neighbors`` points repeats the farthest.
     """
-    if idx.shape[1] <= 1:
-        return idx[:, :k]
-    perm = np.lexsort((idx, dist), axis=1)
-    return np.take_along_axis(idx, perm[:, :k], axis=1)
+    k = min(num_neighbors, tree.n)
+    _, idx = tree.query(query_points, k=k, workers=workers)
+    if k == 1:
+        idx = idx[:, None]
+    if k < num_neighbors:
+        pad = np.repeat(idx[:, -1:], num_neighbors - k, axis=1)
+        idx = np.concatenate([idx, pad], axis=1)
+    return idx
 
 
 class NeighborMemo:
     """What the prediction path derives from one ``(sample, query array)`` pair.
 
-    ``idx`` holds the ``(Q, num_neighbors)`` canonical neighbor indices.
+    ``idx`` holds the ``(Q, num_neighbors)`` nearest-sample indices.
     ``block`` is the ``(Q, feature_size)`` prediction input built over
     them by :meth:`FeatureExtractor.prediction_block`, or ``None`` until
     first use; ``block_key`` names the coordinate normalization and dtype
@@ -159,7 +155,7 @@ class FeatureExtractor:
     ) -> np.ndarray:
         """Assemble ``(Q, feature_size)`` inputs for arbitrary query points."""
         query_points = np.atleast_2d(np.asarray(query_points, dtype=np.float64))
-        idx = self._neighbor_indices(sample, query_points)
+        idx = self._memo_indices(sample, query_points)
 
         neighbor_xyz = normalizer.normalize_coords(sample.points[idx.ravel()]).reshape(
             len(query_points), self.num_neighbors, 3
@@ -171,45 +167,29 @@ class FeatureExtractor:
         query_feat = normalizer.normalize_coords(query_points)
         return np.concatenate([neighbor_feat, query_feat], axis=1)
 
-    def _neighbor_indices(
-        self,
-        sample: SampledField,
-        query_points: np.ndarray,
-        *,
-        canonical: bool = True,
-    ) -> np.ndarray:
+    def _neighbor_indices(self, sample: SampledField, query_points: np.ndarray) -> np.ndarray:
         """``(Q, num_neighbors)`` nearest-sample indices, nearest first.
 
-        Ties are broken canonically by sample index over a padded candidate
-        list (:func:`canonical_neighbors`), so the selection depends only on
-        the sampled point set — not on kd-tree construction order.
+        The one kd-tree query of the extractor (:func:`nearest_samples`
+        over the sample's cached tree).  Training calls it directly: a
+        training set is built once per sample, so its query is never
+        memoized and never displaces the prediction memo.
+        """
+        return nearest_samples(
+            self._tree(sample), query_points, self.num_neighbors, self.workers
+        )
 
-        ``canonical=False`` queries exactly ``k`` candidates and keeps the
-        kd-tree's own tie order.  Training uses it: a training set is
-        built once from the whole sample, so it can skip the padded query
-        and the re-rank — and keep the exact neighbor sets the pre-canonical
-        training path produced.  The non-canonical path never touches the
-        memo below, so interleaving training and prediction over the same
-        ``(sample, query_points)`` objects cannot leak one selection into
-        the other.
+    def _memo_indices(self, sample: SampledField, query_points: np.ndarray) -> np.ndarray:
+        """:meth:`_neighbor_indices`, memoized for the last ``(sample, query)`` pair.
 
-        With ``cache_geometry`` the canonical result is memoized (a
-        :class:`NeighborMemo`) for the last ``(sample, query_points)``
+        With ``cache_geometry`` the result is kept in a
+        :class:`NeighborMemo` for the last ``(sample, query_points)``
         *object* pair: reconstructing every timestep of a campaign
         re-queries the identical void positions
         (:meth:`SampledField.void_points` returns a cached array), so the
         kd-tree query — the dominant cost of warm reconstruction — runs
         once per geometry instead of once per call.
         """
-        if not canonical:
-            k = min(self.num_neighbors, sample.num_samples)
-            _, idx = self._tree(sample).query(query_points, k=k, workers=self.workers)
-            if k == 1:
-                idx = idx[:, None]
-            if k < self.num_neighbors:
-                pad = np.repeat(idx[:, -1:], self.num_neighbors - k, axis=1)
-                idx = np.concatenate([idx, pad], axis=1)
-            return idx
         memo = self._memo
         if (
             self.cache_geometry
@@ -219,16 +199,7 @@ class FeatureExtractor:
             and memo.idx.shape[1] == self.num_neighbors
         ):
             return memo.idx
-        k = min(self.num_neighbors, sample.num_samples)
-        kq = min(k + TIE_BREAK_PAD, sample.num_samples)
-        dist, idx = self._tree(sample).query(query_points, k=kq, workers=self.workers)
-        if kq == 1:
-            dist, idx = dist[:, None], idx[:, None]
-        idx = canonical_neighbors(dist, idx, k)
-        if k < self.num_neighbors:
-            # Degenerate sample smaller than k: repeat the farthest neighbor.
-            pad = np.repeat(idx[:, -1:], self.num_neighbors - k, axis=1)
-            idx = np.concatenate([idx, pad], axis=1)
+        idx = self._neighbor_indices(sample, query_points)
         if self.cache_geometry:
             self._memo = NeighborMemo(sample, query_points, idx)
         return idx
@@ -252,7 +223,10 @@ class FeatureExtractor:
         kd-tree query.  The arithmetic sequence (gather, subtract origin,
         divide by span; subtract mean, divide by std) matches
         :meth:`features`, so the block is bit-identical to the
-        corresponding slice of the allocating result.
+        corresponding slice of the allocating result.  Every element is
+        computed in float64 and rounded once as it is written, so a
+        float32 ``out`` equals the float64 block cast to float32, bit for
+        bit.
         """
         query_points = np.atleast_2d(np.asarray(query_points, dtype=np.float64))
         nq = len(query_points)
@@ -264,7 +238,7 @@ class FeatureExtractor:
         idx = (
             neighbor_idx
             if neighbor_idx is not None
-            else self._neighbor_indices(sample, query_points)
+            else self._memo_indices(sample, query_points)
         )
 
         if workspace is not None:
@@ -276,16 +250,15 @@ class FeatureExtractor:
         else:
             pbuf = np.asarray(sample.points, dtype=np.float64)[idx.ravel()]
 
-        # Neighbor coordinates: (pts - origin) / span per neighbor column.
+        # Neighbor coordinates: (pts - origin) / span per neighbor column,
+        # the difference held in float64 and the quotient rounded into out.
         pts3 = pbuf.reshape(nq, kk, 3)
         for j in range(kk):  # k is 5: a handful of strided block writes
-            cols = out[:, 4 * j : 4 * j + 3]
-            np.subtract(pts3[:, j, :], normalizer.origin, out=cols)
-            cols /= normalizer.span
+            diff = np.subtract(pts3[:, j, :], normalizer.origin)
+            np.divide(diff, normalizer.span, out=out[:, 4 * j : 4 * j + 3])
         # The query's own normalized coordinates fill the last three columns.
-        tail = out[:, 4 * kk :]
-        np.subtract(query_points, normalizer.origin, out=tail)
-        tail /= normalizer.span
+        diff = np.subtract(query_points, normalizer.origin)
+        np.divide(diff, normalizer.span, out=out[:, 4 * kk :])
         return self.values_into(sample, normalizer, out, idx, workspace=workspace)
 
     def values_into(
@@ -330,16 +303,16 @@ class FeatureExtractor:
         value columns — each neighbor's normalized (x, y, z) and the
         query's own — depend only on where the samples and queries are
         and on the coordinate normalization, never on sample values.
-        They are built once per geometry by :meth:`features_into` into a
-        ``(Q, feature_size)`` block of the compute ``dtype`` (so float32
-        rounds exactly as a fresh block would) and kept in the
-        :class:`NeighborMemo` beside the neighbor indices.  Callers refill
-        the value columns with :meth:`values_into` before each use; the
-        block is the memo's, shared with every later caller of the same
-        geometry.  A new sample, query array, normalization origin/span or
-        dtype rebuilds it.
+        They are built once per geometry by :meth:`features_into`,
+        ``TRAINING_BLOCK`` rows at a time, into a ``(Q, feature_size)``
+        block of the compute ``dtype`` (each element rounded once) and
+        kept in the :class:`NeighborMemo` beside the neighbor indices.
+        Callers refill the value columns with :meth:`values_into` before
+        each use; the block is the memo's, shared with every later caller
+        of the same geometry.  A new sample, query array, normalization
+        origin/span or dtype rebuilds it.
         """
-        idx = self._neighbor_indices(sample, query_points)
+        idx = self._memo_indices(sample, query_points)
         memo = self._memo
         if memo is None or memo.idx is not idx:
             # Geometry memo off: the block lives for this call only.
@@ -347,7 +320,11 @@ class FeatureExtractor:
         key = (normalizer.origin.tobytes(), normalizer.span.tobytes(), np.dtype(dtype).str)
         if memo.block is None or memo.block_key != key:
             block = np.empty((len(idx), self.feature_size), dtype=dtype)
-            self.features_into(sample, query_points, normalizer, block, neighbor_idx=idx)
+            for start in range(0, len(idx), TRAINING_BLOCK):
+                rows = slice(start, start + TRAINING_BLOCK)
+                self.features_into(
+                    sample, query_points[rows], normalizer, block[rows], neighbor_idx=idx[rows]
+                )
             memo.block, memo.block_key = block, key
         return memo.block, idx
 
@@ -388,6 +365,7 @@ class FeatureExtractor:
         gradients: np.ndarray | None,
         rows: np.ndarray | None = None,
         out: tuple[np.ndarray, np.ndarray] | None = None,
+        dtype=np.float64,
     ):
         """Write the training rows over ``sample``'s voids, ``block`` rows at a time.
 
@@ -397,16 +375,14 @@ class FeatureExtractor:
         gets its inputs from :meth:`features_into` and its targets from
         :meth:`targets` over ``gradients`` (:meth:`training_gradients`).
         With ``out=(x, y)`` the blocks land in place in consecutive rows of
-        ``x`` and ``y``; otherwise each block is a new pair.  Yields each
-        ``(x, y)`` block once written, so peak memory is the caller's
-        arrays plus one block and the query's neighbor indices.
+        ``x`` and ``y``; otherwise each block is a new ``dtype`` pair.
+        Yields each ``(x, y)`` block once written, so peak memory is the
+        caller's arrays plus one block and the query's neighbor indices.
 
         The rows equal the allocating :meth:`features` and :meth:`targets`
-        over the same points, bit for bit, with one difference: training
-        keeps the kd-tree's raw neighbor order.  No spatial subset ever
-        has to reproduce a training selection, so the padded canonical
-        query (see :meth:`_neighbor_indices`) would only add cost.  Every
-        row is computed independently, so the block height changes no bit.
+        over the same points, bit for bit; float32 rows equal them cast to
+        float32 (each element is rounded once).  Every row is computed
+        independently, so the block height changes no bit.
         """
         if field.grid != sample.grid:
             raise ValueError("field and sample must live on the same grid")
@@ -414,12 +390,12 @@ class FeatureExtractor:
         if rows is not None:
             void = void[rows]
         points = field.grid.index_to_position(field.grid.flat_to_multi(void))
-        idx = self._neighbor_indices(sample, points, canonical=False)
+        idx = self._neighbor_indices(sample, points)
         for start in range(0, len(void), block):
             stop = min(start + block, len(void))
             if out is None:
-                x = np.empty((stop - start, self.feature_size))
-                y = np.empty((stop - start, self.target_size))
+                x = np.empty((stop - start, self.feature_size), dtype=dtype)
+                y = np.empty((stop - start, self.target_size), dtype=dtype)
             else:
                 x, y = out[0][start:stop], out[1][start:stop]
             self.features_into(

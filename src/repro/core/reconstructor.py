@@ -76,9 +76,10 @@ class FCNNReconstructor:
         ``dtype_policy`` is ``"float64"``; set ``False`` to force the
         allocating seed path.
     dtype_policy:
-        Compute dtype for the network (``"float64"`` or ``"float32"``); see
-        :class:`repro.perf.DtypePolicy`.  Losses, SNR and reconstruction
-        outputs accumulate in float64 regardless.
+        Compute dtype for the network and its training rows: ``"float32"``
+        (the default, as the paper's PyTorch computes) or ``"float64"``;
+        see :class:`repro.perf.DtypePolicy`.  Losses, SNR and
+        reconstruction outputs accumulate in float64 regardless.
     """
 
     name = "fcnn"
@@ -93,7 +94,7 @@ class FCNNReconstructor:
         gradient_loss_weight: float = 0.1,
         seed: int = 0,
         fast_path: bool = True,
-        dtype_policy: str = "float64",
+        dtype_policy: str = "float32",
     ) -> None:
         if not hidden_layers:
             raise ValueError("need at least one hidden layer")
@@ -110,7 +111,8 @@ class FCNNReconstructor:
         self.fast_path = bool(fast_path)
         self.dtype_policy = DtypePolicy(dtype_policy)
         self._workspace: Workspace | None = None
-        # Single-writer guard for the shared Workspace arena: concurrent
+        self._batch_workspace: Workspace | None = None
+        # Single-writer guard for the fine_tune_batch arena: concurrent
         # fine_tune_batch calls on one instance serialize here (ALS002 —
         # arena buffers are keyed by tag, not by caller).
         self._ft_lock = threading.Lock()
@@ -146,6 +148,18 @@ class FCNNReconstructor:
         if self._workspace is None:
             self._workspace = Workspace(dtype=self.dtype_policy.compute_dtype)
         return self._workspace
+
+    def _get_batch_workspace(self) -> Workspace | None:
+        """The float64 arena of :meth:`fine_tune_batch`, or ``None`` when slow.
+
+        The batched engine computes in float64 whatever the policy, so a
+        float32 reconstructor keeps a second, float64 arena for it.
+        """
+        if not self.fast_path or not self.dtype_policy.enabled:
+            return self._get_workspace()
+        if self._batch_workspace is None:
+            self._batch_workspace = Workspace(dtype=np.float64)
+        return self._batch_workspace
 
     def _loss(self):
         if self.extractor.include_gradients:
@@ -193,6 +207,7 @@ class FCNNReconstructor:
         rng: np.random.Generator,
         gradients: np.ndarray | None = None,
         out: tuple[np.ndarray, np.ndarray] | None = None,
+        dtype=None,
     ):
         """Build one step's training rows as consecutive ``(x, y)`` blocks.
 
@@ -201,12 +216,15 @@ class FCNNReconstructor:
         ``rng.choice(N, size=kept, replace=False)`` subset in drawn order:
         the draw comes first and only the kept rows are built.  Blocks are
         at most ``TRAINING_BLOCK`` rows (:meth:`FeatureExtractor.training_rows`);
-        with ``out=(x, y)`` they are written in place into ``x`` and ``y``.
+        with ``out=(x, y)`` they are written in place into ``x`` and ``y``,
+        otherwise they are ``dtype`` blocks (the compute dtype by default).
         One ``fcnn.features`` span covers the build, and ``gradients``
         (:meth:`FeatureExtractor.training_gradients`) are computed once
         when the caller has none.
         """
         ext = self.extractor
+        if dtype is None:
+            dtype = self.dtype_policy.compute_dtype
         counts = [len(sample.void_indices()) for sample in samples]
         total = sum(counts)
         keep = self._kept_rows(total, train_fraction)
@@ -220,6 +238,7 @@ class FCNNReconstructor:
                     yield from ext.training_rows(
                         field, sample, normalizer, TRAINING_BLOCK, gradients,
                         out=None if out is None else (out[0][part], out[1][part]),
+                        dtype=dtype,
                     )
                     start += n
                 return
@@ -229,8 +248,8 @@ class FCNNReconstructor:
             if out is None:  # one spare pair, refilled for every block
                 height = min(keep, TRAINING_BLOCK)
                 spare = (
-                    np.empty((height, ext.feature_size)),
-                    np.empty((height, ext.target_size)),
+                    np.empty((height, ext.feature_size), dtype=dtype),
+                    np.empty((height, ext.target_size), dtype=dtype),
                 )
             for start in range(0, keep, TRAINING_BLOCK):
                 stop = min(start + TRAINING_BLOCK, keep)
@@ -244,7 +263,8 @@ class FCNNReconstructor:
                     mine = owner[start:stop] == s
                     rows = kept[start:stop][mine] - offsets[s]
                     for xs, ys in ext.training_rows(
-                        field, samples[s], normalizer, len(rows), gradients, rows=rows
+                        field, samples[s], normalizer, len(rows), gradients, rows=rows,
+                        dtype=dtype,
                     ):
                         x[mine], y[mine] = xs, ys
                 yield x, y
@@ -258,10 +278,15 @@ class FCNNReconstructor:
         rng: np.random.Generator,
         gradients: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One step's ``(N, features)`` / ``(N, targets)`` training pair, built in place."""
+        """One step's ``(N, features)`` / ``(N, targets)`` training pair, built in place.
+
+        Both are in the compute dtype, so the trainer gathers its batches
+        straight from them.
+        """
         rows = self._step_rows(samples, train_fraction)
-        x = np.empty((rows, self.extractor.feature_size))
-        y = np.empty((rows, self.extractor.target_size))
+        dtype = self.dtype_policy.compute_dtype
+        x = np.empty((rows, self.extractor.feature_size), dtype=dtype)
+        y = np.empty((rows, self.extractor.target_size), dtype=dtype)
         blocks = self._training_blocks(
             field, samples, normalizer, train_fraction, rng, gradients, out=(x, y)
         )
@@ -428,7 +453,12 @@ class FCNNReconstructor:
         memory is the ``(K, N, ·)`` training slabs plus one block.  Each
         member's result is the same for any K.
 
-        **Single-writer:** the call shares the instance's one
+        The engine computes in float64 under either dtype policy: a
+        float32 base is widened exactly, its rows are built in float64,
+        and the returned weights are float64 (a float32 model rounds them
+        when they are restored into it).
+
+        **Single-writer:** the call shares the instance's one float64
         :class:`~repro.perf.Workspace` arena, whose buffers are keyed by
         tag rather than by caller, so concurrent submissions on the same
         instance are serialized on an internal lock (results are
@@ -474,14 +504,12 @@ class FCNNReconstructor:
                 span=_grid_span(field.grid),
             )
             rng = np.random.default_rng(self.seed + 1)
-            blocks = self._training_blocks(field, sample_lists[i], tuned, train_fraction, rng)
+            blocks = self._training_blocks(
+                field, sample_lists[i], tuned, train_fraction, rng, dtype=np.float64
+            )
             return rows, blocks
 
-        # The batched engine is float64-only; a float32 arena would change
-        # the gather dtype, so fall back to the allocating float64 path.
-        workspace = self._get_workspace()
-        if workspace is not None and workspace.dtype != np.float64:
-            workspace = None
+        workspace = self._get_batch_workspace()
 
         # Group by row count (known without building a row) so every
         # member of a stack trains on an equal number of rows.
@@ -750,6 +778,7 @@ class FCNNReconstructor:
             batch_size=int(meta["batch_size"]),
             seed=int(meta["seed"]),
             fast_path=bool(meta.get("fast_path", True)),
+            # Files from before the float32 default carry no key: float64.
             dtype_policy=str(meta.get("dtype_policy", "float64")),
         )
         recon.model = model

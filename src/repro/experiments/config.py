@@ -71,9 +71,10 @@ class ExperimentConfig:
     #: route training/inference through the repro.perf workspace fast path
     #: (bit-identical to the slow path while ``dtype_policy`` is float64)
     fast_path: bool = True
-    #: network compute dtype ("float64" keeps seed numerics; "float32"
-    #: halves bandwidth at ~1e-7 relative error — see repro.perf.DtypePolicy)
-    dtype_policy: str = "float64"
+    #: network compute dtype: "float32" (the default, as the paper's
+    #: PyTorch computes; half the bandwidth at ~1e-7 relative error) or
+    #: "float64" — see repro.perf.DtypePolicy
+    dtype_policy: str = "float32"
     #: overlap materialize/fine-tune/reconstruct across timesteps on the
     #: streaming CampaignScheduler (bit-identical to the serial schedule;
     #: False forces the serial loop — see docs/PERFORMANCE.md)

@@ -28,22 +28,6 @@ from repro.nn.parameter import Parameter
 
 __all__ = ["Layer", "Dense", "ReLU", "Tanh", "Sigmoid", "Identity", "LayerNorm"]
 
-#: Output widths below this use a fixed-accumulation-order matmul at
-#: inference.  BLAS dispatches skinny-N gemms (N <= 4 observed with
-#: OpenBLAS) to kernels whose k-accumulation order depends on the row
-#: count M, so the same input row can round to different last bits in a
-#: 16384-row predict block than in a shorter one.  ``np.einsum`` (without
-#: ``optimize``) sums k sequentially per output element regardless of M,
-#: making predictions a pure per-row function.  The campaign pool and the
-#: serving evaluator predict in the same aligned blocks as offline
-#: reconstruction, so neither needs that property for bit-identity; the
-#: einsum stays because its rounding is the one every recorded digest was
-#: made with.  Hidden-width gemms (>= 8 columns) go through the standard
-#: blocked kernels, whose M-partitioning does not reorder the per-row k
-#: loop.
-_DETERMINISTIC_N = 8
-
-
 class Layer:
     """Base class: a differentiable map with (possibly zero) parameters."""
 
@@ -126,23 +110,11 @@ class Dense(Layer):
                 f"Dense({self.in_features}->{self.out_features}) got input shape {x.shape}"
             )
         self._input = x
-        # Inference through a skinny output (the scalar/gradient head) must
-        # be row-count independent — see _DETERMINISTIC_N.  Training keeps
-        # the BLAS path: batch shapes are fixed there, and the batched
-        # multi-model engine mirrors its exact numerics.
-        skinny = not self.training and self.out_features < _DETERMINISTIC_N
         if ws is None:
-            if skinny:
-                out = np.einsum("mk,kn->mn", x, self.weight.value)
-                out += self.bias.value
-                return out
             return x @ self.weight.value + self.bias.value
         # Fast lane: same ops (matmul, then the bias add), arena-owned output.
         out = ws.buffer((self._ws_tag, "fwd"), (x.shape[0], self.out_features))
-        if skinny:
-            np.einsum("mk,kn->mn", x, self.weight.value, out=out)
-        else:
-            np.matmul(x, self.weight.value, out=out)
+        np.matmul(x, self.weight.value, out=out)
         out += self.bias.value
         return out
 

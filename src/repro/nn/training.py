@@ -71,6 +71,13 @@ class TrainingHistory:
         self.epoch_seconds.extend(other.epoch_seconds)
 
 
+def _floating(a) -> np.ndarray:
+    """``a`` as a float array; float32 rows stay float32, not a float64 copy of the set."""
+    if isinstance(a, np.ndarray) and a.dtype in (np.float32, np.float64):
+        return a
+    return np.asarray(a, dtype=np.float64)
+
+
 class _RollbackSignal(Exception):
     """Internal: a health problem under the rollback policy."""
 
@@ -150,8 +157,7 @@ class Trainer:
         bit-exactly.  ``health`` enables NaN/Inf detection with the guard's
         recovery policy.
         """
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+        x, y = _floating(x), _floating(y)
         if x.ndim != 2 or y.ndim != 2:
             raise ValueError(f"expected matching 2D x/y, got {x.shape} and {y.shape}")
         if len(x) != len(y):
@@ -192,8 +198,8 @@ class Trainer:
         epoch = start_epoch
         ws = self.workspace
         if ws is not None:
-            # One up-front cast to the compute dtype (a no-op for float64)
-            # keeps the per-batch gathers cast-free.
+            # One up-front cast to the compute dtype (a no-op for rows
+            # already built in it) keeps the per-batch gathers cast-free.
             x = np.ascontiguousarray(x, dtype=ws.dtype)
             y = np.ascontiguousarray(y, dtype=ws.dtype)
             self.model.attach_workspace(ws)

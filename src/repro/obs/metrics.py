@@ -22,6 +22,8 @@ paths cost a dict-free function call when disabled.
 
 from __future__ import annotations
 
+import threading
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -37,21 +39,28 @@ __all__ = [
 
 
 class Counter:
-    """A monotonically increasing total."""
+    """A monotonically increasing total, safe to bump from several threads.
 
-    __slots__ = ("name", "value")
+    ``+=`` is a read, an add and a write; the lock keeps two threads from
+    reading the same total and losing an increment.
+    """
+
+    __slots__ = ("name", "value", "_lock")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0
+        self._lock = threading.Lock()
 
     def inc(self, amount: int | float = 1) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r}: negative increment {amount}")
-        self.value += amount
+        with self._lock:
+            self.value += amount
 
     def reset(self) -> None:
-        self.value = 0
+        with self._lock:
+            self.value = 0
 
 
 class Gauge:
@@ -119,7 +128,8 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         inst = self.counters.get(name)
         if inst is None:
-            inst = self.counters[name] = Counter(name)
+            # setdefault: threads racing to create one name share a counter.
+            inst = self.counters.setdefault(name, Counter(name))
         return inst
 
     def gauge(self, name: str) -> Gauge:

@@ -1,7 +1,7 @@
 """repro.perf — the performance subsystem: fast paths that change nothing else.
 
-Independent pieces, all opt-in and all preserving the engine's numerics
-(see ``docs/PERFORMANCE.md`` for design and measurements):
+Independent pieces (see ``docs/PERFORMANCE.md`` for design and
+measurements):
 
 * :class:`Workspace` — a preallocated buffer arena that makes the
   ``Dense``/``ReLU`` forward-backward loop, the optimizer step and chunked
@@ -10,9 +10,10 @@ Independent pieces, all opt-in and all preserving the engine's numerics
   :meth:`repro.nn.Sequential.attach_workspace` or pass ``workspace=`` to
   :class:`repro.nn.Trainer`.
 * :class:`DtypePolicy` — explicit float32-compute/float64-accumulate
-  selection (default ``float64`` = off).  The only sanctioned float32 in
-  the numerics; everything downstream of the network still accumulates in
-  float64.
+  selection (the reconstructor computes in float32 by default;
+  ``DtypePolicy()`` is the float64 identity).  The only sanctioned
+  float32 in the numerics; everything downstream of the network still
+  accumulates in float64.
 * :class:`SharedArrayBundle` / :func:`attached_arrays` — POSIX
   shared-memory transport that ships sampled points, queries and results
   to ``parallel_reconstruct`` workers as segment names instead of pickled

@@ -1038,27 +1038,20 @@ class _WorkerState:
     def slab(self, start: int, stop: int, num_neighbors: int, workers: int):
         """One chunk's cached neighbor memo: query positions, indices, columns.
 
-        Neighbor indices replicate :meth:`FeatureExtractor._neighbor_indices`
-        exactly (same tree data, same query, same padding) so priming the
-        extractor memo with them is bit-identical to letting it query; the
-        chunk's coordinate columns are built into the memo on first use.
+        Neighbor indices come from the same query as
+        :meth:`FeatureExtractor._neighbor_indices` over a kd-tree of the
+        same points, so priming the extractor memo with them is
+        bit-identical to letting it query; the chunk's coordinate columns
+        are built into the memo on first use.
         """
         key = (start, stop, num_neighbors)
         cached = self._slabs.get(key)
         if cached is not None:
             return cached
-        from repro.core.features import TIE_BREAK_PAD, NeighborMemo, canonical_neighbors
+        from repro.core.features import NeighborMemo, nearest_samples
 
         points = self.geometry.void_points[start:stop]
-        k = min(num_neighbors, self.geometry.num_samples)
-        kq = min(k + TIE_BREAK_PAD, self.geometry.num_samples)
-        dist, idx = self.tree.query(points, k=kq, workers=workers)
-        if kq == 1:
-            dist, idx = dist[:, None], idx[:, None]
-        idx = canonical_neighbors(dist, idx, k)
-        if k < num_neighbors:
-            pad = np.repeat(idx[:, -1:], num_neighbors - k, axis=1)
-            idx = np.concatenate([idx, pad], axis=1)
+        idx = nearest_samples(self.tree, points, num_neighbors, workers)
         memo = self._slabs[key] = NeighborMemo(self.sample, points, idx)
         return memo
 

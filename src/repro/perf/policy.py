@@ -1,27 +1,31 @@
-"""Dtype policy: float32 compute with float64 accumulation, opt-in.
+"""Dtype policy: float32 compute with float64 accumulation, the default.
 
-The engine's default discipline is float64 end to end (``repro.checks``
-rule DT002 polices accidental downcasts).  On CPU, though, the FCNN's
-matmuls are bandwidth/SIMD bound and run roughly twice as fast in float32,
-and the paper's reconstruction quality target (~30-40 dB SNR) sits far
-above float32's ~7 decimal digits.  A :class:`DtypePolicy` makes the
-trade-off explicit and *opt-in*:
+The paper trained its FCNN with PyTorch, whose default compute is float32,
+and on CPU the FCNN's matmuls are bandwidth/SIMD bound and run roughly
+twice as fast in float32; the paper's reconstruction quality (~25-40 dB
+SNR) sits far above float32's ~7 decimal digits.  A :class:`DtypePolicy`
+names the compute dtype; :class:`repro.core.FCNNReconstructor` and
+:class:`repro.experiments.config.ExperimentConfig` default to
+``"float32"``:
 
-* ``compute`` — dtype of activations, weights and gradients inside the
-  network (``float32`` or ``float64``).
+* ``compute`` — dtype of training rows, activations, weights, gradients
+  and Adam moments inside the network (``float32`` or ``float64``).
 * accumulation stays float64 regardless: losses upcast predictions before
   reduction (:meth:`repro.nn.Loss._check`), and reconstruction outputs are
   denormalized into float64 fields, so epoch losses, SNR and every
   downstream metric are accumulated at full precision.
 
-The default policy is ``float64`` — a no-op that keeps the fast path
-bit-identical to the allocating path.  Select per run via
-``ExperimentConfig(dtype_policy="float32")`` or
-``FCNNReconstructor(dtype_policy="float32")``.
+``DtypePolicy()`` itself is ``float64``, the identity: it casts nothing,
+and the fast path is then bit-identical to the allocating path.  Select
+float64 per run via ``ExperimentConfig(dtype_policy="float64")`` or
+``FCNNReconstructor(dtype_policy="float64")`` (the gradient checks and the
+oracle's tight tolerance use it).  This is the one place float32 enters
+the numerics (``repro.checks`` rule DT002 polices any other).
 
-Checkpoint interplay: ``resume_from=`` restores float64 state; resuming
-under a float32 policy casts the restored weights down, so bit-exact
-resume is only guaranteed with the policy off (see docs/PERFORMANCE.md).
+Checkpoint interplay: training checkpoints and journal sidecars store
+float32 weights and Adam moments as they are (or widened to float64,
+which every float32 value survives exactly), so a float32 run resumes
+bit for bit, as a float64 one does.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ _ALLOWED = ("float64", "float32")
 
 @dataclass(frozen=True)
 class DtypePolicy:
-    """Compute-dtype selection for the fast path; ``float64`` is the identity."""
+    """Compute-dtype selection; ``float64`` is the identity, ``float32`` the engine default."""
 
     compute: str = "float64"
 

@@ -40,11 +40,6 @@ class StackEvaluator:
 
     def __init__(self, base, geometry: CampaignGeometry) -> None:
         base._require_trained()
-        if base.dtype_policy.compute != "float64":
-            raise ValueError(
-                "StackEvaluator serves float64 models only (registry weights and "
-                f"served rows are float64); base has dtype_policy={base.dtype_policy.compute!r}"
-            )
         self.base = base
         self.geometry = geometry
         self.block = max(base.batch_size, 16384)

@@ -651,3 +651,30 @@ def test_thr001_cond_heuristic_anchors_to_name_segment(tmp_path):
     fixture = RuleFixture("repro_fixture/serve.py", src, src, src)
     findings = _run_fixture(tmp_path, fixture, src, "THR001").findings
     assert findings and all(f.rule == "THR001" for f in findings)
+
+
+def test_atm001_checks_a_lambda_as_its_own_scope(tmp_path):
+    """A bare ``np.save`` in a lambda is flagged, even beside a rename."""
+    src = (
+        "import os\n"
+        "import numpy as np\n"
+        "def save_state(path, arr, tmp):\n"
+        "    write = lambda: np.save(path, arr)\n"
+        "    write()\n"
+        "    os.replace(tmp, path)\n"
+    )
+    fixture = RuleFixture("repro_fixture/store.py", src, src, src)
+    findings = _run_fixture(tmp_path, fixture, src, "ATM001").findings
+    assert [(f.rule, f.line) for f in findings] == [("ATM001", 4)]
+
+
+def test_atm001_passes_the_atomic_write_callback_lambda(tmp_path):
+    """The serve registry's form: the lambda writes into atomic_write's temp file."""
+    src = (
+        "import numpy as np\n"
+        "from repro.resilience.checkpoint import atomic_write\n"
+        "def _atomic_save_npy(path, array):\n"
+        "    atomic_write(path, lambda fh: np.save(fh, np.ascontiguousarray(array)))\n"
+    )
+    fixture = RuleFixture("repro_fixture/store.py", src, src, src)
+    assert not _run_fixture(tmp_path, fixture, src, "ATM001").findings

@@ -167,6 +167,18 @@ class TestFloat32:
         got = model.predict_values(shell, points)
         assert got.tobytes() == _reference(model, shell, points).tobytes()
 
+    def test_float32_block_is_the_float64_block_rounded_once(self, trained32):
+        _, sample, model = trained32
+        points = sample.void_points()
+        blocks = {}
+        for dtype in (np.float64, np.float32):
+            extractor = FeatureExtractor(num_neighbors=model.extractor.num_neighbors)
+            block, idx = extractor.prediction_block(sample, points, model.normalizer, dtype)
+            extractor.values_into(sample, model.normalizer, block, idx)
+            blocks[dtype] = block
+        assert blocks[np.float32].dtype == np.float32
+        assert blocks[np.float32].tobytes() == blocks[np.float64].astype(np.float32).tobytes()
+
 
 class TestZeroVoids:
     def test_predict_values_without_query_rows(self, trained):

@@ -44,7 +44,10 @@ RECORDED_SHA256 = "f131e10da76c94d8ff0b56430f9150e32bb20410e3daad1f97eff6374dbde
 def case():
     data = make_dataset("combustion", dims=DIMS, seed=0)
     pipe = ReconstructionPipeline(data, train_fractions=FRACTIONS)
-    base = FCNNReconstructor(hidden_layers=(16, 8), batch_size=1024, seed=7)
+    # float64 end to end: the recorded digest was made with a float64 base.
+    base = FCNNReconstructor(
+        hidden_layers=(16, 8), batch_size=1024, seed=7, dtype_policy="float64"
+    )
     pipe.train_fcnn(base, timestep=0, epochs=2)
     fields = [pipe.field(t) for t in STEPS]
     trains = [[pipe.sample(f, fr) for fr in FRACTIONS] for f in fields]

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -36,6 +39,54 @@ class TestInstruments:
         assert c.value == 5
         with pytest.raises(ValueError, match="negative"):
             c.inc(-1)
+
+    def test_counter_keeps_every_increment_from_many_threads(self):
+        # The amount's addition yields the GIL between the counter's read
+        # and its write, the interleaving a free-threaded build allows at
+        # any instruction: an unlocked ``+=`` loses most increments here.
+        class Yielding(int):
+            def __radd__(self, other):
+                time.sleep(0)
+                return int(other) + int(self)
+
+        c = Counter("n")
+        threads, per_thread = 8, 200
+        start = threading.Barrier(threads)
+
+        def bump():
+            start.wait(timeout=10)
+            for _ in range(per_thread):
+                c.inc(Yielding(1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=bump) for _ in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert c.value == threads * per_thread
+
+    def test_registry_threads_share_one_counter_per_name(self):
+        reg = MetricsRegistry()
+        threads = 8
+        start = threading.Barrier(threads)
+
+        def bump():
+            start.wait(timeout=10)
+            reg.counter("shared").inc()
+
+        workers = [threading.Thread(target=bump) for _ in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+        assert not any(w.is_alive() for w in workers)
+        assert reg.snapshot()["counters"]["shared"] == threads
 
     def test_gauge_last_value_wins(self):
         g = Gauge("loss")

@@ -123,7 +123,8 @@ class TestInferenceBitExact:
     def test_reconstruction_identical(self, hurricane_field, sample):
         def build(fast):
             r = FCNNReconstructor(
-                hidden_layers=(16, 8), batch_size=256, seed=0, fast_path=fast
+                hidden_layers=(16, 8), batch_size=256, seed=0, fast_path=fast,
+                dtype_policy="float64",
             )
             r.train(hurricane_field, sample, epochs=2)
             return r

@@ -65,6 +65,17 @@ def base_model(campaign_pipeline):
     return model
 
 
+@pytest.fixture(scope="module")
+def base_model64(campaign_pipeline):
+    """``base_model`` in float64, the batched engine's dtype: the ladders that
+    compare it with the single-model trainer bit for bit start here."""
+    model = FCNNReconstructor(
+        hidden_layers=(16, 8), batch_size=1024, seed=7, dtype_policy="float64"
+    )
+    campaign_pipeline.train_fcnn(model, timestep=TIMESTEPS[0], epochs=3)
+    return model
+
+
 # ---------------------------------------------------------------------------
 # weight snapshots and bit-exact deltas
 
@@ -647,15 +658,15 @@ class TestFineTuneBatch:
         ids=["case1-full", "case2-no-cache"],
     )
     def test_bit_identical_to_serial_fine_tune_from_base(
-        self, campaign_pipeline, base_model, step_data, strategy, kwargs
+        self, campaign_pipeline, base_model64, step_data, strategy, kwargs
     ):
         fields, trains = step_data
-        flats, histories = base_model.clone().fine_tune_batch(
+        flats, histories = base_model64.clone().fine_tune_batch(
             fields, trains, epochs=2, strategy=strategy, **kwargs
         )
         assert len(flats) == len(histories) == len(TIMESTEPS)
         for field, train, flat in zip(fields, trains, flats):
-            ref = base_model.clone()
+            ref = base_model64.clone()
             ref.fine_tune(field, train, epochs=2, strategy=strategy)
             assert flat.tobytes() == snapshot_weights(ref.model).data.tobytes()
 
@@ -754,10 +765,17 @@ class TestBatchedCampaign:
                 assert got.reconstructions[i].tobytes() == want.tobytes()
 
     def test_from_base_semantics_differ_from_rolling(
-        self, batched_results, campaign_results
+        self, campaign_pipeline, base_model64
     ):
-        rolling = campaign_results[(False, False)]
-        batched = batched_results["serial"]
+        # float64: the batched engine and the rolling trainer then run the
+        # same arithmetic on the first timestep.
+        rolling, batched = (
+            campaign_pipeline.run_campaign(
+                base_model64.clone(), TIMESTEPS, 0.05, finetune_epochs=2,
+                batched_finetune=from_base, warm_pool=False, pipeline=False,
+            )
+            for from_base in (False, True)
+        )
         # The first timestep fine-tunes from the base either way...
         assert self._scores(batched)[0] == self._scores(rolling)[0]
         # ...but later ones roll forward serially vs. derive from the base.
@@ -1126,7 +1144,11 @@ class TestInSituPipelined:
         from repro.sampling import MultiCriteriaSampler
 
         data = make_dataset("combustion", dims=DIMS, seed=0)
-        model_kwargs = {"hidden_layers": (8,), "batch_size": 1024, "seed": 7}
+        # float64, the batched engine's dtype: a float32 model would store
+        # the fused weights rounded.
+        model_kwargs = {
+            "hidden_layers": (8,), "batch_size": 1024, "seed": 7, "dtype_policy": "float64",
+        }
         dirs = {}
         for name in ("serial", "pipelined"):
             writer = InSituWriter(

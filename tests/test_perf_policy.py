@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import FCNNReconstructor
+from repro.experiments.config import ExperimentConfig
 from repro.nn import MSELoss, mlp
+from repro.nn.serialization import load_model, save_model
 from repro.perf import DtypePolicy, Workspace
 
 
@@ -87,3 +89,22 @@ class TestFloat32Compute:
         assert loaded.dtype_policy.compute == "float32"
         assert loaded.fast_path is True
         assert all(p.value.dtype == np.float32 for p in loaded.model.parameters())
+
+
+class TestDefaults:
+    def test_reconstructor_and_config_compute_in_float32(self):
+        assert FCNNReconstructor().dtype_policy.compute == "float32"
+        assert ExperimentConfig().dtype_policy == "float32"
+
+    def test_save_file_without_a_policy_loads_as_float64(self, hurricane_field, sample, tmp_path):
+        """Files written before the float32 default carry no ``dtype_policy`` key."""
+        r = FCNNReconstructor(hidden_layers=(8,), batch_size=256, seed=0, dtype_policy="float64")
+        r.train(hurricane_field, sample, epochs=1)
+        r.save(tmp_path / "new.npz")
+        _, meta = load_model(tmp_path / "new.npz")
+        del meta["dtype_policy"]
+        save_model(tmp_path / "old.npz", r.model, meta=meta)
+        loaded = FCNNReconstructor.load(tmp_path / "old.npz")
+        assert loaded.dtype_policy.compute == "float64"
+        assert all(p.value.dtype == np.float64 for p in loaded.model.parameters())
+        np.testing.assert_array_equal(loaded.reconstruct(sample), r.reconstruct(sample))

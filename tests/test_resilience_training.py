@@ -96,6 +96,47 @@ class TestResume:
             make_trainer().fit(x, y, epochs=2, resume_from=ckpt.path)
 
 
+class TestFloat32Resume:
+    """The default float32 compute resumes bit for bit.
+
+    A float32 value survives the checkpoint's array round trip exactly, so
+    the weights and Adam moments come back with every bit; a run stopped
+    after two epochs and resumed to four equals an uninterrupted one.
+    """
+
+    @staticmethod
+    def _recon():
+        from repro.core import FCNNReconstructor
+
+        return FCNNReconstructor(hidden_layers=(16, 8), batch_size=256, seed=0)
+
+    def test_reconstructor_checkpoint_resumes_bit_exactly(
+        self, tmp_path, hurricane_field, sample
+    ):
+        from repro.resilience import load_training_checkpoint
+
+        ckpt = CheckpointConfig(tmp_path / "run.npz", every=1)
+        stopped = self._recon()
+        assert stopped.dtype_policy.compute == "float32"
+        stopped.train(hurricane_field, sample, epochs=2, checkpoint=ckpt)
+
+        state = load_training_checkpoint(ckpt.path)
+        assert all(a.dtype == np.float32 for a in state.parameters.values())
+        assert all(
+            m.dtype == np.float32 for key in ("m", "v") for m in state.optimizer_state[key]
+        )
+
+        reference = self._recon()
+        ref_history = reference.train(hurricane_field, sample, epochs=4)
+        resumed = self._recon()
+        history = resumed.train(hurricane_field, sample, epochs=4, resume_from=ckpt.path)
+
+        assert history.train_loss == ref_history.train_loss
+        for a, b in zip(resumed.model.parameters(), reference.model.parameters()):
+            assert a.value.dtype == np.float32
+            assert a.value.tobytes() == b.value.tobytes()
+
+
 class TestHealthPolicies:
     def test_raise_policy_aborts(self):
         x, y = make_data()

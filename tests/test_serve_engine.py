@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.perf import DtypePolicy
+from repro.perf.campaign import LocalReconstructionSink
 from repro.perf.weights import restore_weights
 from repro.resilience.health import NumericalHealthError
 from repro.serve import StackEvaluator
@@ -68,6 +68,20 @@ class TestBitIdentity:
         volume = evaluator.assemble(values, pred[0])
         assert volume.tobytes() == serial_rows[key][1].tobytes()
 
+    def test_float32_served_bytes_equal_offline(self, serve_registry, namespace):
+        """A float32 base, the default, serves what an offline campaign writes."""
+        assert namespace.base.dtype_policy.compute == "float32"
+        evaluator = StackEvaluator(namespace.base, namespace.geometry)
+        for key in serve_registry.keys():
+            weights, values = serve_registry.hot(key)
+            pred, _ = evaluator.evaluate([weights], [values])
+            served = evaluator.assemble(values, pred[0])
+            with LocalReconstructionSink() as sink:
+                sink.bind(namespace.geometry, {"fcnn": namespace.base})
+                slot = sink.publish(0, np.array(values), {"fcnn": np.array(weights)})
+                offline, _ = sink.reconstruct(slot, "fcnn")
+            assert served.tobytes() == offline.tobytes()
+
 
 class TestStacks:
     def test_mismatched_rows_rejected(self, serve_registry, namespace):
@@ -97,12 +111,6 @@ class TestChunks:
 
 
 class TestGuards:
-    def test_float32_base_rejected(self, namespace):
-        impostor = namespace.base.clone()
-        impostor.dtype_policy = DtypePolicy("float32")
-        with pytest.raises(ValueError, match="float64"):
-            StackEvaluator(impostor, namespace.geometry)
-
     def test_nonfinite_fallback_and_raise(self, serve_registry, namespace):
         evaluator = StackEvaluator(namespace.base, namespace.geometry)
         weights, values = serve_registry.hot(serve_registry.keys()[0])

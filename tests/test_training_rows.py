@@ -5,8 +5,9 @@
 streams the same blocks through the frozen prefix without building the
 matrix at all.  The identity property compares both, and
 ``FeatureExtractor.training_data``, with a reference written from the
-allocating pieces: ``features()`` over the kd-tree's own tie order,
-``targets()``, ``np.concatenate`` and ``rng.choice``.  The memory tests
+allocating pieces: ``features()``, ``targets()``, ``np.concatenate`` and
+``rng.choice``.  Under ``dtype_policy="float64"`` the rows equal the
+reference; under float32 they equal it cast to float32.  The memory tests
 bound what the builds hold at their peak.
 """
 
@@ -26,23 +27,17 @@ import repro.core.reconstructor as reconstructor_mod
 from repro.core import FCNNReconstructor, FeatureExtractor, Normalizer, ReconstructionPipeline
 from repro.datasets import make_dataset
 from repro.nn.batched import ModelStack
+from repro.perf import DtypePolicy
 from repro.sampling import RandomSampler
 
 
-class _RawOrder(FeatureExtractor):
-    """``features()`` over the kd-tree's own tie order, as training builds use."""
-
-    def _neighbor_indices(self, sample, query_points, *, canonical=True):
-        return super()._neighbor_indices(sample, query_points, canonical=False)
-
-
 def _reference(extractor, field, samples, normalizer, train_fraction, rng):
-    raw = _RawOrder(extractor.num_neighbors, extractor.include_gradients)
+    fresh = FeatureExtractor(extractor.num_neighbors, extractor.include_gradients)
     xs, ys = [], []
     for sample in samples:
         void = sample.void_indices()
         points = field.grid.index_to_position(field.grid.flat_to_multi(void))
-        xs.append(raw.features(sample, points, normalizer))
+        xs.append(fresh.features(sample, points, normalizer))
         ys.append(extractor.targets(field, void, normalizer))
     x, y = np.concatenate(xs), np.concatenate(ys)
     if train_fraction < 1.0:
@@ -90,7 +85,12 @@ def test_training_rows_equal_the_allocating_reference(case):
     if train_fraction < 1.0 and not sum(len(s.void_indices()) for s in samples):
         return  # nothing to draw from: both paths raise in rng.choice
     recon = FCNNReconstructor(
-        hidden_layers=(8,), num_neighbors=num_neighbors, include_gradients=gradients
+        hidden_layers=(8,), num_neighbors=num_neighbors, include_gradients=gradients,
+        dtype_policy="float64",
+    )
+    recon32 = FCNNReconstructor(
+        hidden_layers=(8,), num_neighbors=num_neighbors, include_gradients=gradients,
+        dtype_policy="float32",
     )
     extractor = recon.extractor
     normalizer = Normalizer.fit(
@@ -107,11 +107,20 @@ def test_training_rows_equal_the_allocating_reference(case):
         x, y = recon._training_matrix(
             field, samples, normalizer, train_fraction, np.random.default_rng(seed)
         )
+        x32, y32 = recon32._training_matrix(
+            field, samples, normalizer, train_fraction, np.random.default_rng(seed)
+        )
         # The streamed build yields the same rows; a block is only valid
         # until the next one is requested, as the trainer consumes it.
         streamed = [
             (xb.copy(), yb.copy())
             for xb, yb in recon._training_blocks(
+                field, samples, normalizer, train_fraction, np.random.default_rng(seed)
+            )
+        ]
+        streamed32 = [
+            (xb.copy(), yb.copy())
+            for xb, yb in recon32._training_blocks(
                 field, samples, normalizer, train_fraction, np.random.default_rng(seed)
             )
         ]
@@ -129,6 +138,14 @@ def test_training_rows_equal_the_allocating_reference(case):
     stream_y = np.concatenate([yb for _, yb in streamed] or [y[:0]])
     assert stream_x.tobytes() == want_x.tobytes()
     assert stream_y.tobytes() == want_y.tobytes()
+    # float32 rows: each element rounded once from the float64 row
+    assert x32.dtype == y32.dtype == np.float32
+    assert x32.tobytes() == want_x.astype(np.float32).tobytes()
+    assert y32.tobytes() == want_y.astype(np.float32).tobytes()
+    stream_x32 = np.concatenate([xb for xb, _ in streamed32] or [x32[:0]])
+    stream_y32 = np.concatenate([yb for _, yb in streamed32] or [y32[:0]])
+    assert stream_x32.tobytes() == x32.tobytes()
+    assert stream_y32.tobytes() == y32.tobytes()
 
 
 # --------------------------------------------------------------------- memory
@@ -142,7 +159,9 @@ BATCH = 512
 def case():
     data = make_dataset("combustion", dims=DIMS, seed=0)
     pipe = ReconstructionPipeline(data, train_fractions=FRACTIONS)
-    base = FCNNReconstructor(hidden_layers=HIDDEN, batch_size=BATCH, seed=7)
+    base = FCNNReconstructor(
+        hidden_layers=HIDDEN, batch_size=BATCH, seed=7, dtype_policy="float64"
+    )
     pipe.train_fcnn(base, timestep=0, epochs=1)
     field = pipe.field(4)
     train = [pipe.sample(field, fr) for fr in FRACTIONS]
@@ -170,6 +189,27 @@ def test_training_matrix_peak_is_its_result_plus_a_block(case):
     )
     result = x.nbytes + y.nbytes
     assert peak <= 1.5 * result, f"peak {peak / 1e6:.1f} MB for a {result / 1e6:.1f} MB result"
+
+
+def test_float32_training_matrix_peak_is_its_result_plus_a_block(case):
+    """Float32 rows: half the result, and the same block allowance on top.
+
+    The float64 bound above allows its result plus half of it; half the
+    float64 result is the float32 result, so the float32 build may hold
+    twice its own result.  A float64 copy of the rows beside them would
+    alone break it.
+    """
+    base, field, train = case
+    base32 = base.clone()
+    base32.dtype_policy = DtypePolicy("float32")
+    (x, y), peak = _traced_peak(
+        lambda: base32._training_matrix(
+            field, train, base.normalizer, 1.0, np.random.default_rng(0)
+        )
+    )
+    assert x.dtype == y.dtype == np.float32
+    result = x.nbytes + y.nbytes
+    assert peak <= 2 * result, f"peak {peak / 1e6:.1f} MB for a {result / 1e6:.1f} MB result"
 
 
 @pytest.mark.parametrize("strategy", ["last", "full"])
