@@ -15,17 +15,16 @@ timesteps:
 * ``pipelined`` — ``pipeline=True, warm_pool=True``: the full streaming
   scheduler (prefetch / fine-tune / reconstruct overlapped) on the
   persistent shared-memory worker pool.
-* ``batched-serial`` / ``batched`` — ``batched_finetune=True``: the
-  fine-tune stage runs on the fused :mod:`repro.nn.batched` engine with
-  the documented Case-2 fast path (``finetune_strategy="last"``; every
-  timestep derives from the pretrained base — see docs/TRAINING.md).
+* ``batched-serial`` / ``batched`` — ``batched_finetune=True``: every
+  timestep fine-tunes from the pretrained base with the Case-2 fast path
+  (``finetune_strategy="last"``: the frozen prefix runs once per fit —
+  see docs/TRAINING.md).
   The ``-serial`` variant pins ``pipeline=False, warm_pool=False``; the
   headline config adds the streaming scheduler + warm pool on top.
 
 Bit-identity is asserted strictly on every profile along two seams:
 
-* ``legacy`` == ``serial`` == ``pipelined`` (the rolling trajectory —
-  the batched engine must not perturb the serial single-model path);
+* ``legacy`` == ``serial`` == ``pipelined`` (the rolling trajectory);
 * ``batched-serial`` == ``batched`` (the from-base trajectory is
   invariant to pipelining, the warm pool and fine-tune block size).
 
@@ -33,8 +32,8 @@ Measured quantities:
 
 * ``end_to_end_speedup``   — legacy wall / batched wall (the ISSUE's
   headline: >= 2x on the bench profile, **single core included** — the
-  win comes from fused stacked matmuls + the Case-2 frozen-prefix cache,
-  not from overlap);
+  win comes from the from-base Case-2 schedule and its frozen-prefix
+  cache, not from overlap);
 * ``pipelined_speedup``    — legacy wall / pipelined wall (the PR 5
   headline, still gated >= 2x on multi-core hosts);
 * ``overhead_speedup``     — legacy/pipelined after subtracting
@@ -50,14 +49,14 @@ can gate with::
     repro obs report benchmarks/results/obs_campaign/batched-serial \
         --diff benchmarks/results/obs_campaign/batched --fail-on-regression
 
-(pipelining the batched engine must never be a >20% span regression over
-its serial schedule; same contract as the serial/pipelined pair).
+(pipelining the from-base fine-tunes must never be a >20% span regression
+over their serial schedule; same contract as the serial/pipelined pair).
 
 Speed assertions are hardware-honest where they must be: the pipelined
 >= 2x gate still needs >= 2 effective cores (a single core cannot
 overlap anything), but the batched >= 2x gate holds on any host off the
-``quick`` profile — fusing K models and skipping frozen-prefix backprop
-is cheaper arithmetic, not parallelism.
+``quick`` profile — running the frozen prefix once per fit and skipping
+its backprop is cheaper arithmetic, not parallelism.
 """
 
 import copy
@@ -272,9 +271,9 @@ def test_campaign_pipeline(benchmark, bench_profile):
 
     # --- speed (hardware-honest gates) ------------------------------------
     # quick-profile sizes measure harness noise, so gates apply off-quick
-    # only.  The batched gate has no core-count condition: fused stacks and
-    # the Case-2 prefix cache are cheaper arithmetic, not parallelism.  The
-    # pipelined overlap gate still needs real cores.
+    # only.  The batched gate has no core-count condition: the from-base
+    # Case-2 schedule and its prefix cache are cheaper arithmetic, not
+    # parallelism.  The pipelined overlap gate still needs real cores.
     if profile != "quick":
         assert end_to_end >= 2.0, (
             f"end-to-end campaign speedup {end_to_end:.2f}x < 2x "

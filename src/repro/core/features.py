@@ -375,7 +375,8 @@ class FeatureExtractor:
         gets its inputs from :meth:`features_into` and its targets from
         :meth:`targets` over ``gradients`` (:meth:`training_gradients`).
         With ``out=(x, y)`` the blocks land in place in consecutive rows of
-        ``x`` and ``y``; otherwise each block is a new ``dtype`` pair.
+        ``x`` and ``y``; otherwise one ``dtype`` pair is refilled for every
+        block, so a block is valid until the next one is requested.
         Yields each ``(x, y)`` block once written, so peak memory is the
         caller's arrays plus one block and the query's neighbor indices.
 
@@ -391,11 +392,16 @@ class FeatureExtractor:
             void = void[rows]
         points = field.grid.index_to_position(field.grid.flat_to_multi(void))
         idx = self._neighbor_indices(sample, points)
+        if out is None:
+            height = min(block, len(void))
+            spare = (
+                np.empty((height, self.feature_size), dtype=dtype),
+                np.empty((height, self.target_size), dtype=dtype),
+            )
         for start in range(0, len(void), block):
             stop = min(start + block, len(void))
             if out is None:
-                x = np.empty((stop - start, self.feature_size), dtype=dtype)
-                y = np.empty((stop - start, self.target_size), dtype=dtype)
+                x, y = spare[0][: stop - start], spare[1][: stop - start]
             else:
                 x, y = out[0][start:stop], out[1][start:stop]
             self.features_into(

@@ -230,10 +230,11 @@ class ReconstructionPipeline:
         partial checkpoints) instead of rolling the weights forward
         timestep to timestep, so its rows differ from rolling rows by
         design.  Each timestep is one
-        :meth:`FCNNReconstructor.fine_tune_batch` call that leaves
-        ``reconstructor`` untouched, so only one timestep's training data
-        is alive at a time and, as in rolling campaigns, the
-        reconstruction of ``t-1`` overlaps the fine-tune of ``t``.
+        :meth:`FCNNReconstructor.fine_tune_batch` call, a single-model
+        fine-tune from the base in the compute dtype that puts the base
+        back afterwards, so only one timestep's training data is alive at
+        a time and, as in rolling campaigns, the reconstruction of
+        ``t-1`` overlaps the fine-tune of ``t``.
         Journal/resume keeps one weight sidecar per timestep.
 
         Crash safety (see :mod:`repro.resilience` and docs/RESILIENCE.md):
@@ -306,8 +307,8 @@ class ReconstructionPipeline:
             completed = list(plan.completed) if resume else []
             if completed:
                 if not batched_finetune:
-                    # Serial fine-tunes roll forward; the batched engine
-                    # derives every timestep from the unchanged base, so
+                    # Serial fine-tunes roll forward; from-base ones
+                    # derive every timestep from the unchanged base, so
                     # there is nothing to restore.
                     restore_weights(reconstructor.model, wal.load_state(completed[-1]))
                 skipped_rows = [dict(p["row"]) for p in plan.payloads]
@@ -373,7 +374,7 @@ class ReconstructionPipeline:
             """This timestep's published weights and its epoch seconds.
 
             Rolling fine-tunes advance ``reconstructor`` in place.  From-base
-            ones leave it untouched and return one flat ``(W,)`` model.
+            ones leave it as they found it and return one flat ``(W,)`` model.
             """
             if not batched_finetune:
                 seconds = reconstructor.fine_tune(

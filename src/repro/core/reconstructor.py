@@ -18,7 +18,6 @@ training fit.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import threading
 from pathlib import Path
 
@@ -29,11 +28,10 @@ from repro.core.normalization import Normalizer
 from repro.datasets.base import TimestepField
 from repro.grid import UniformGrid
 from repro.nn import Adam, MSELoss, Sequential, Trainer, TrainingHistory, WeightedMSELoss, mlp
-from repro.nn.batched import BatchedAdam, BatchedTrainer, ModelStack
 from repro.nn.serialization import load_model, save_model, save_partial
 from repro.obs import counter as obs_counter
 from repro.obs import record_event, span
-from repro.perf import DtypePolicy, Workspace
+from repro.perf import DtypePolicy, Workspace, snapshot_weights
 from repro.resilience.checkpoint import CheckpointConfig, TrainingCheckpoint
 from repro.resilience.health import HealthGuard, NumericalHealthError
 from repro.resilience.report import ReconstructionReport
@@ -111,10 +109,9 @@ class FCNNReconstructor:
         self.fast_path = bool(fast_path)
         self.dtype_policy = DtypePolicy(dtype_policy)
         self._workspace: Workspace | None = None
-        self._batch_workspace: Workspace | None = None
-        # Single-writer guard for the fine_tune_batch arena: concurrent
-        # fine_tune_batch calls on one instance serialize here (ALS002 —
-        # arena buffers are keyed by tag, not by caller).
+        # Single-writer guard: fine_tune_batch trains self.model in place
+        # and puts the base back, so concurrent calls on one instance
+        # serialize here.
         self._ft_lock = threading.Lock()
         self.model: Sequential | None = None
         self.normalizer: Normalizer | None = None
@@ -148,18 +145,6 @@ class FCNNReconstructor:
         if self._workspace is None:
             self._workspace = Workspace(dtype=self.dtype_policy.compute_dtype)
         return self._workspace
-
-    def _get_batch_workspace(self) -> Workspace | None:
-        """The float64 arena of :meth:`fine_tune_batch`, or ``None`` when slow.
-
-        The batched engine computes in float64 whatever the policy, so a
-        float32 reconstructor keeps a second, float64 arena for it.
-        """
-        if not self.fast_path or not self.dtype_policy.enabled:
-            return self._get_workspace()
-        if self._batch_workspace is None:
-            self._batch_workspace = Workspace(dtype=np.float64)
-        return self._batch_workspace
 
     def _loss(self):
         if self.extractor.include_gradients:
@@ -376,15 +361,15 @@ class FCNNReconstructor:
         ``num_trainable`` Dense layers trainable, 300–500 epochs, enabling
         partial checkpoints).  Value normalization stays fixed at the
         pretraining fit so checkpoints remain interchangeable.
+
+        Case 2 runs the frozen layers once per fit
+        (:meth:`_prefix_activations`) and trains only the suffix, so a
+        ``checkpoint`` holds the suffix and its Adam state.  Every layer is
+        trainable again afterwards, also when the fit raises.
         """
         model, normalizer = self._require_trained()
-        if strategy == "full":
-            model.set_all_trainable(True)
-        elif strategy == "last":
-            model.freeze_all_but_last(num_trainable)
-        else:
+        if strategy not in ("full", "last"):
             raise ValueError(f"strategy must be 'full' or 'last', got {strategy!r}")
-
         sample_list = self._as_sample_list(samples)
         # Coordinates renormalize to the new field's grid; value scaling is
         # retained from pretraining.
@@ -394,20 +379,79 @@ class FCNNReconstructor:
             span=_grid_span(field.grid),
         )
         rng = np.random.default_rng(self.seed + 1)
-        x, y = self._training_matrix(field, sample_list, tuned, train_fraction, rng)
-
-        trainer = Trainer(
-            model,
-            loss=self._loss(),
-            optimizer=Adam(model.parameters(), lr=self.learning_rate),
-            batch_size=self.batch_size,
-            seed=self.seed + 1,
-            workspace=self._get_workspace(),
-        )
-        run = trainer.fit(x, y, epochs=epochs, checkpoint=checkpoint, health=health)
+        cut = 0
+        if strategy == "full":
+            model.set_all_trainable(True)
+        else:
+            model.freeze_all_but_last(num_trainable)
+            cut = model.layers.index(model.dense_layers()[-num_trainable])
+        try:
+            trained = Sequential(model.layers[cut:])
+            if cut:
+                x, y = self._prefix_activations(
+                    Sequential(model.layers[:cut]), field, sample_list, tuned,
+                    train_fraction, rng,
+                )
+            else:
+                x, y = self._training_matrix(field, sample_list, tuned, train_fraction, rng)
+            trainer = Trainer(
+                trained,
+                loss=self._loss(),
+                optimizer=Adam(trained.parameters(), lr=self.learning_rate),
+                batch_size=self.batch_size,
+                seed=self.seed + 1,
+                workspace=self._get_workspace(),
+            )
+            run = trainer.fit(x, y, epochs=epochs, checkpoint=checkpoint, health=health)
+        finally:
+            model.set_all_trainable(True)
         self.history.extend(run)
-        model.set_all_trainable(True)
         return run
+
+    def _prefix_activations(
+        self,
+        prefix: Sequential,
+        field: TimestepField,
+        samples: list[SampledField],
+        normalizer: Normalizer,
+        train_fraction: float,
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One step's rows through the frozen ``prefix``: ``(N, width)`` / ``(N, targets)``.
+
+        Blocks stream from :meth:`_training_blocks` (no ``(N, features)``
+        matrix) through the prefix in eval mode on the workspace,
+        ``batch_size`` rows at a time; rows round the same at any height, so
+        the activations equal an uncached fit's per-batch prefix output.
+        """
+        rows = self._step_rows(samples, train_fraction)
+        width = prefix.dense_layers()[-1].out_features
+        dtype = self.dtype_policy.compute_dtype
+        z = np.empty((rows, width), dtype=dtype)
+        y = np.empty((rows, self.extractor.target_size), dtype=dtype)
+        prefix.attach_workspace(self._get_workspace())
+        prefix.set_training(False)
+        try:
+            with span("train.prefix", rows=rows, width=width):
+                blocks = self._training_blocks(field, samples, normalizer, train_fraction, rng)
+                try:
+                    start = 0
+                    for xb, yb in blocks:
+                        y[start : start + len(yb)] = yb
+                        for a in range(0, len(xb), self.batch_size):
+                            b = min(a + self.batch_size, len(xb))
+                            z[start + a : start + b] = prefix.forward(xb[a:b])
+                        start += len(xb)
+                        del xb, yb  # not held while the next block is built
+                finally:
+                    # A failed block leaves the build's fcnn.features span
+                    # open in its generator: close it inside this span.
+                    blocks.close()
+            obs_counter("train.prefix_rows").inc(rows)
+        finally:
+            prefix.set_training(True)
+            prefix.detach_workspace()
+        return z, y
 
     def fine_tune_batch(
         self,
@@ -417,129 +461,51 @@ class FCNNReconstructor:
         strategy: str = "last",
         num_trainable: int = 2,
         train_fraction: float = 1.0,
-        prefix_cache: bool = True,
     ) -> tuple[list[np.ndarray], list[TrainingHistory]]:
-        """Fine-tune one model per field from the current base, fused.
+        """Fine-tune one model per field from the current base.
 
-        The batched counterpart of calling :meth:`fine_tune` once per
-        timestep from the same pretrained base: every step gets its own
-        weight set, all K advance together through the
-        :mod:`repro.nn.batched` engine (one fused matmul per layer per
-        batch instead of K serial ones).  Unlike :meth:`fine_tune` this
-        does **not** mutate ``self.model`` — the base stays pristine and
-        each step's result comes back as a flat weight vector
-        (:func:`repro.perf.restore_weights` layout, journal-sidecar
-        ready) plus its :class:`~repro.nn.TrainingHistory`.
+        Each step restores the base and runs :meth:`fine_tune` in the
+        policy's compute dtype; the base comes back afterwards, values and
+        freeze flags, also when a step raises, and ``self.history`` is left
+        as it was.  Each step's result is a flat float64 weight vector
+        (:func:`repro.perf.restore_weights` layout, journal-sidecar ready)
+        plus its :class:`~repro.nn.TrainingHistory`.  The campaign drivers
+        and :func:`repro.serve.build_registry` pass one timestep per call.
 
-        Fusing saves no time: on a 2-vCPU Xeon one K=4 Case-2 call and
-        four K=1 calls take the same time, while peak memory grows with
-        K.  The campaign drivers and :func:`repro.serve.build_registry`
-        therefore pass one timestep per call; the Case-2 speed comes from
-        the frozen-prefix cache below.
-
-        ``strategy="last"`` (paper Case 2) additionally enables the
-        frozen-prefix activation cache: the frozen layers run once per
-        step over the full training slab instead of every batch of every
-        epoch.  Pass ``prefix_cache=False`` for the exact serial Case-2
-        op sequence (bit-identical to per-step :meth:`fine_tune`).
-
-        Steps whose training sets disagree in row count are grouped into
-        separate stacks (fused batching needs a rectangular slab); each
-        member's bits never depend on its group's size.  No step's
-        ``(N, features)`` matrix is ever built: the trainer stages each
-        step's rows as they are built, one block at a time — through the
-        frozen prefix into the ``(K, N, width)`` slab for a cached Case 2,
-        straight into the ``(K, N, features)`` slab otherwise — so peak
-        memory is the ``(K, N, ·)`` training slabs plus one block.  Each
-        member's result is the same for any K.
-
-        The engine computes in float64 under either dtype policy: a
-        float32 base is widened exactly, its rows are built in float64,
-        and the returned weights are float64 (a float32 model rounds them
-        when they are restored into it).
-
-        **Single-writer:** the call shares the instance's one float64
-        :class:`~repro.perf.Workspace` arena, whose buffers are keyed by
-        tag rather than by caller, so concurrent submissions on the same
-        instance are serialized on an internal lock (results are
-        identical to running them back to back).  For true parallelism
-        give each thread its own :meth:`clone`.
+        **Single-writer:** the steps train ``self.model`` in place, so
+        concurrent calls on one instance serialize on an internal lock
+        (results are identical to running them back to back).  For true
+        parallelism give each thread its own :meth:`clone`.
         """
         with self._ft_lock:
-            return self._fine_tune_batch_locked(
-                fields, samples_per_step, epochs, strategy, num_trainable,
-                train_fraction, prefix_cache,
-            )
-
-    def _fine_tune_batch_locked(
-        self,
-        fields: list[TimestepField],
-        samples_per_step: list,
-        epochs: int,
-        strategy: str,
-        num_trainable: int,
-        train_fraction: float,
-        prefix_cache: bool,
-    ) -> tuple[list[np.ndarray], list[TrainingHistory]]:
-        model, normalizer = self._require_trained()
-        if strategy not in ("full", "last"):
-            raise ValueError(f"strategy must be 'full' or 'last', got {strategy!r}")
-        fields = list(fields)
-        samples_per_step = list(samples_per_step)
-        if len(fields) != len(samples_per_step):
-            raise ValueError(
-                f"{len(fields)} fields but {len(samples_per_step)} sample groups"
-            )
-        if not fields:
-            raise ValueError("need at least one timestep to fine-tune")
-
-        sample_lists = [self._as_sample_list(samples) for samples in samples_per_step]
-
-        def load(i: int, rows: int):
-            """Step ``i``'s ``rows`` training rows, built in blocks as the trainer stages them."""
-            field = fields[i]
-            tuned = dataclasses.replace(
-                normalizer,
-                origin=np.asarray(field.grid.origin, dtype=np.float64),
-                span=_grid_span(field.grid),
-            )
-            rng = np.random.default_rng(self.seed + 1)
-            blocks = self._training_blocks(
-                field, sample_lists[i], tuned, train_fraction, rng, dtype=np.float64
-            )
-            return rows, blocks
-
-        workspace = self._get_batch_workspace()
-
-        # Group by row count (known without building a row) so every
-        # member of a stack trains on an equal number of rows.
-        groups: dict[int, list[int]] = {}
-        for i, sample_list in enumerate(sample_lists):
-            groups.setdefault(self._step_rows(sample_list, train_fraction), []).append(i)
-        flats: list[np.ndarray | None] = [None] * len(fields)
-        histories: list[TrainingHistory | None] = [None] * len(fields)
-        for rows, steps in groups.items():
-            stack = ModelStack.from_network(model, k=len(steps))
-            if strategy == "last":
-                stack.freeze_all_but_last(num_trainable)
-            trainer = BatchedTrainer(
-                stack,
-                loss=self._loss(),
-                optimizer=BatchedAdam(stack.parameters(), lr=self.learning_rate),
-                batch_size=self.batch_size,
-                seed=self.seed + 1,
-                workspace=workspace,
-                case2_prefix_cache=prefix_cache,
-            )
-            # The trainer stages one member at a time, block by block: no
-            # step's (N, features) matrix is ever built.
-            runs = trainer.fit(
-                [functools.partial(load, i, rows) for i in steps], None, epochs=epochs
-            )
-            for member, i in enumerate(steps):
-                flats[i] = stack.member_weights(member)
-                histories[i] = runs[member]
-        return flats, histories
+            model, _ = self._require_trained()
+            if strategy not in ("full", "last"):
+                raise ValueError(f"strategy must be 'full' or 'last', got {strategy!r}")
+            fields = list(fields)
+            samples_per_step = list(samples_per_step)
+            if len(fields) != len(samples_per_step):
+                raise ValueError(
+                    f"{len(fields)} fields but {len(samples_per_step)} sample groups"
+                )
+            if not fields:
+                raise ValueError("need at least one timestep to fine-tune")
+            base = model.snapshot()
+            history, self.history = self.history, TrainingHistory()
+            flats: list[np.ndarray] = []
+            runs: list[TrainingHistory] = []
+            try:
+                for field, samples in zip(fields, samples_per_step):
+                    model.restore(base)
+                    runs.append(
+                        self.fine_tune(
+                            field, samples, epochs, strategy, num_trainable, train_fraction
+                        )
+                    )
+                    flats.append(snapshot_weights(model).data)
+            finally:
+                model.restore(base)
+                self.history = history
+            return flats, runs
 
     # --------------------------------------------------------- reconstruction
     def predict_values(

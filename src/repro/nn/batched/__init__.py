@@ -5,9 +5,12 @@ K models sharing one architecture stack their per-layer weights into
 calls — forward, backward and the in-place Adam step all fuse across
 members, reusing :class:`repro.perf.Workspace` arenas so steady-state
 epochs stay allocation-free.  Fusion saves no time over K=1 and its
-memory grows with K, so from-base campaigns and registry builds train one
-timestep per stack; the engine's Case-2 frozen-prefix cache is what
-they use it for.
+memory grows with K, and its Case-2 frozen-prefix cache now lives in
+:meth:`repro.core.FCNNReconstructor.fine_tune`, so no module outside this
+package calls it.  It stays only because the end-to-end benchmark's
+tracer (``benchmarks/e2e/layers.py``) imports its classes by name, and a
+missing name breaks every traced run; it goes once the tracer records a
+missing target instead (ROADMAP item 1).
 
 Entry points:
 

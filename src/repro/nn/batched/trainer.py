@@ -27,9 +27,9 @@ sequence.
 Fusing members saves no time on its own: on a 2-vCPU Xeon one K=4 Case-2
 fit and four K=1 fits take the same time (6.9–8.2 s vs 7.6–7.9 s for
 4 × 5 epochs at 72×72×36), and the prefix slabs make peak memory grow
-with K.  The Case-2 speed-up over the single-model trainer is the prefix
-cache, which works at K=1, so every library caller fits one member per
-call.
+with K.  The Case-2 speed-up is the prefix cache, which works at K=1;
+:meth:`repro.core.FCNNReconstructor.fine_tune` has it too, so no library
+module calls this trainer.
 
 Telemetry mirrors the serial trainer under a ``train.batched.*`` prefix:
 ``train.batched.fit``/``train.batched.epoch`` spans, batch/epoch counters,

@@ -109,7 +109,9 @@ class Dense(Layer):
             raise ValueError(
                 f"Dense({self.in_features}->{self.out_features}) got input shape {x.shape}"
             )
-        self._input = x
+        # Inference keeps no input, as ReLU keeps no mask: a backward after
+        # it raises, and the caller's rows are not held past the call.
+        self._input = x if self.training else None
         if ws is None:
             return x @ self.weight.value + self.bias.value
         # Fast lane: same ops (matmul, then the bias add), arena-owned output.

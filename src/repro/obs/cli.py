@@ -13,9 +13,12 @@ e.g. comparing a pipelined campaign against its serial twin, where the
 overlapped stage spans legitimately dilate in wall time and only the
 strictly-sequential ``train.*`` spans are required not to regress.
 
+Every ``--only`` glob must match a span of either run: a gate whose spans
+were renamed away would otherwise pass on an empty diff.
+
 Exit codes: ``0`` report rendered (even when the diff finds regressions —
-pass ``--fail-on-regression`` to turn those into exit ``1``), ``2`` usage
-or unreadable run directory.
+pass ``--fail-on-regression`` to turn those into exit ``1``), ``2`` usage,
+unreadable run directory, or an ``--only`` glob that matches no span.
 """
 
 from __future__ import annotations
@@ -67,6 +70,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     entries = diff_runs(record, other, threshold=args.threshold)
     if args.only:
+        spans = [e.name for e in entries if e.kind == "span"]
+        dead = [
+            p for p in args.only if not any(fnmatch.fnmatchcase(n, p) for n in spans)
+        ]
+        if dead:
+            print(f"error: --only {', '.join(dead)} matches no span in either run",
+                  file=sys.stderr)
+            return 2
         entries = [
             e for e in entries
             if any(fnmatch.fnmatchcase(e.name, pattern) for pattern in args.only)

@@ -137,6 +137,25 @@ class TestFineTuning:
         model.fine_tune(field2, [sampler.sample(field2, 0.05)], epochs=1, strategy="last")
         assert all(l.trainable for l in model.model.dense_layers())
 
+    def test_layers_unfrozen_after_a_raising_case2_finetune(self, setup):
+        """A health failure mid-fit still leaves every layer trainable, so the
+        next snapshot() or clone() carries no Case-2 freeze flags."""
+        from repro.resilience import HealthGuard, NumericalHealthError
+        from repro.resilience.faults import poison_parameters
+
+        data, _, sampler, _, _ = setup
+        model = self._fresh_model(setup)
+        poison_parameters(model.model, target="head")
+        field2 = data.field(t=30)
+        with pytest.raises(NumericalHealthError):
+            model.fine_tune(
+                field2, [sampler.sample(field2, 0.05)], epochs=1, strategy="last",
+                health=HealthGuard(policy="raise"),
+            )
+        assert all(l.trainable for l in model.model.dense_layers())
+        assert all(trainable for _, trainable in model.snapshot()[0])
+        assert all(l._ws is None for l in model.model.layers)
+
     def test_invalid_strategy(self, setup):
         data, field, sampler, train, _ = setup
         model = self._fresh_model(setup)

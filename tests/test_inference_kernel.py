@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from repro.core import FCNNReconstructor, FeatureExtractor
 from repro.core.reconstructor import _grid_span
 from repro.datasets import HurricaneDataset
 from repro.grid import UniformGrid
-from repro.nn import mlp
-from repro.nn.layers import ReLU
+from repro.nn import Sequential, mlp
+from repro.nn.layers import Dense, ReLU
 from repro.perf import Workspace
 from repro.perf.campaign import CampaignGeometry
 from repro.perf.weights import snapshot_weights
@@ -196,6 +197,23 @@ class TestZeroVoids:
         pred, reports = evaluator.evaluate([weights], [data.field(t=0).flat.copy()])
         assert pred.shape == (1, 0)
         assert reports[0].degraded_points == 0
+
+
+class TestInferenceDense:
+    @pytest.mark.parametrize("workspace", [False, True])
+    def test_inference_forward_keeps_no_input(self, workspace):
+        """A frozen prefix run in eval mode must not pin the caller's block."""
+        layer = Dense(4, 2, rng=np.random.default_rng(0))
+        if workspace:
+            Sequential([layer]).attach_workspace(Workspace())
+        layer.training = False
+        x = np.ones((3, 4))
+        alive = weakref.ref(x)
+        layer.forward(x)
+        del x
+        assert alive() is None
+        with pytest.raises(RuntimeError, match="before forward"):
+            layer.backward(np.ones((3, 2)))
 
 
 class TestInferenceReLU:

@@ -288,15 +288,48 @@ class TestFeatureSpans:
                 batched_finetune=from_base,
                 warm_pool=False,
             )
-        spans = list(_walk(load_run(run_dir).roots))
+        record = load_run(run_dir)
+        spans = list(_walk(record.roots))
         builds = [s for s in spans if s.name == "fcnn.features"]
         assert len(builds) == 1 + len(steps)
         assert "fcnn.features.batched" not in {s.name for s in spans}
         by_id = {s.id: s for s in spans}
         parents = [by_id[s.parent_id].name for s in builds[1:]]
-        # A streamed Case-2 member's build nests under its prefix pass.
-        want = "train.batched.prefix" if from_base else "campaign.finetune"
+        # A streamed Case-2 build nests under its prefix pass.
+        want = "train.prefix" if from_base else "campaign.finetune"
         assert parents == [want] * len(steps)
+        prefixes = [s for s in spans if s.name == "train.prefix"]
+        rows = [s.attrs["rows"] for s in builds[1:]]
+        if from_base:
+            assert [s.attrs["rows"] for s in prefixes] == rows
+            assert {s.attrs["width"] for s in prefixes} == {16}
+            assert record.metrics["counters"]["train.prefix_rows"] == sum(rows)
+        else:
+            assert prefixes == []
+            assert "train.prefix_rows" not in record.metrics["counters"]
+
+    def test_a_failed_prefix_block_closes_the_build_span_first(self, tmp_path, monkeypatch):
+        from repro.core import FCNNReconstructor
+        from repro.datasets import make_dataset
+        from repro.sampling import RandomSampler
+
+        field = make_dataset("combustion", dims=(8, 8, 4), seed=0).field(0)
+        sample = RandomSampler(seed=1).sample(field, 0.2)
+        recon = FCNNReconstructor(hidden_layers=(8, 4), batch_size=16, seed=0)
+        recon.train(field, sample, epochs=1)
+        assert len(sample.void_indices()) > 8  # room for both blocks below
+
+        def blocks(*args, **kwargs):
+            with span("fcnn.features"):
+                yield np.ones((4, 23), np.float32), np.ones((4, 4), np.float32)
+                yield np.ones((4, 2), np.float32), np.ones((4, 4), np.float32)  # wrong width
+
+        monkeypatch.setattr(recon, "_training_blocks", blocks)
+        with RunRecorder(tmp_path / "run"):
+            with pytest.raises(ValueError, match="input shape"):
+                recon.fine_tune(field, sample, epochs=1, strategy="last")
+            assert timing_mod.active_tracker().depth == 0
+        assert all(layer.trainable for layer in recon.model.dense_layers())
 
     def test_a_failed_block_closes_the_build_span_first(self, tmp_path):
         from repro.nn.batched import BatchedTrainer, ModelStack

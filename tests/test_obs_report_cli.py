@@ -162,6 +162,20 @@ class TestCli:
         assert obs_main(["report", str(a), "--diff", str(b), "--only", "train.*",
                          "--only", "campaign.*", "--fail-on-regression"]) == 1
 
+    def test_only_glob_matching_no_span_fails(self, tmp_path, capsys):
+        # A gate whose spans were renamed away must not pass on an empty
+        # diff; a counter of that name does not keep it alive.
+        a = write_run(tmp_path / "a", [("train.fit", 1.0)], counters={"no.such.n": 1})
+        b = write_run(tmp_path / "b", [("train.fit", 1.0)], counters={"no.such.n": 1})
+        for globs in (["no.such.*"], ["train.*", "no.such.*"]):
+            args = [arg for glob in globs for arg in ("--only", glob)]
+            assert obs_main(["report", str(a), "--diff", str(b), *args,
+                             "--fail-on-regression"]) == 2
+            err = capsys.readouterr().err
+            assert "no.such.*" in err and "train.*" not in err
+        assert obs_main(["report", str(a), "--diff", str(b), "--only", "train.*",
+                         "--fail-on-regression"]) == 0
+
     def test_missing_run_dir_exit_two(self, tmp_path, capsys):
         assert obs_main(["report", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().err

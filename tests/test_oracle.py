@@ -18,8 +18,9 @@ stays in float64.  The stated float32 tolerance is about 100 times the
 largest gap seen on these cases: weights after one epoch agree to
 ``FLOAT32_WEIGHTS`` (gap 8e-8), predictions to ``FLOAT32_VALUES`` times
 the sample's standard deviation (gap 3.3e-7) and the epoch loss to
-``FLOAT32_LOSS`` relative (gap 1.1e-7).  ``fine_tune_batch`` computes in
-float64 under either policy and is held to ``FLOAT64``.
+``FLOAT32_LOSS`` relative (gap 1.1e-7).  ``fine_tune_batch`` runs
+``fine_tune`` from the base in the policy's dtype and is held to the same
+tolerances.
 """
 
 from __future__ import annotations
@@ -227,13 +228,15 @@ def test_fine_tune_one_epoch(case, base, strategy):
 
 @pytest.mark.parametrize("strategy", ["full", "last"])
 def test_fine_tune_batch(case, base, strategy):
-    """The batched engine computes in float64 under either policy."""
-    recon, _ = base
+    """From-base fine-tunes compute in the policy's dtype, as fine_tune does."""
+    recon, policy = base
     (flat,), _ = recon.clone().fine_tune_batch(
         [case.field2], [[case.sample2]], epochs=1, strategy=strategy
     )
     want = _fine_tune_oracle(case, recon, strategy)
-    _assert_layers(_unflatten(flat, want), want, FLOAT64)
+    _assert_layers(
+        _unflatten(flat, want), want, FLOAT64 if policy == "float64" else FLOAT32_WEIGHTS
+    )
 
 
 def test_predict_values_and_reconstruct(case, base):

@@ -9,6 +9,7 @@ timestep.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 import threading
@@ -18,9 +19,12 @@ import numpy as np
 import pytest
 
 from repro.core import FCNNReconstructor, ReconstructionPipeline
+from repro.core.reconstructor import _grid_span
 from repro.datasets import make_dataset
+from repro.nn import Adam, Trainer
 from repro.obs.metrics import MetricsRegistry, activate, deactivate
 from repro.parallel.chunking import aligned_chunks
+from repro.perf import Workspace
 from repro.perf.campaign import (
     CampaignGeometry,
     CampaignScheduler,
@@ -67,8 +71,8 @@ def base_model(campaign_pipeline):
 
 @pytest.fixture(scope="module")
 def base_model64(campaign_pipeline):
-    """``base_model`` in float64, the batched engine's dtype: the ladders that
-    compare it with the single-model trainer bit for bit start here."""
+    """``base_model`` in float64: the ladders that compare the cached Case 2
+    with the uncached fit bit for bit start here."""
     model = FCNNReconstructor(
         hidden_layers=(16, 8), batch_size=1024, seed=7, dtype_policy="float64"
     )
@@ -638,11 +642,36 @@ class TestRunCampaign:
 
 
 # ---------------------------------------------------------------------------
-# batched fine-tune: fused multi-model training inside the campaign
+# from-base fine-tunes: FCNNReconstructor.fine_tune_batch
+
+
+def _uncached_case2(base, field, train, epochs):
+    """Case 2 without the prefix cache: a Trainer over the whole frozen model
+    on ``_training_matrix`` rows, so every batch goes through the frozen
+    layers."""
+    ref = base.clone()
+    model = ref.model
+    model.freeze_all_but_last(2)
+    tuned = dataclasses.replace(
+        ref.normalizer,
+        origin=np.asarray(field.grid.origin, dtype=np.float64),
+        span=_grid_span(field.grid),
+    )
+    x, y = ref._training_matrix(field, train, tuned, 1.0, np.random.default_rng(ref.seed + 1))
+    Trainer(
+        model,
+        loss=ref._loss(),
+        optimizer=Adam(model.parameters(), lr=ref.learning_rate),
+        batch_size=ref.batch_size,
+        seed=ref.seed + 1,
+        workspace=Workspace(dtype=ref.dtype_policy.compute_dtype),
+    ).fit(x, y, epochs=epochs)
+    model.set_all_trainable(True)
+    return snapshot_weights(model).data
 
 
 class TestFineTuneBatch:
-    """repro.nn.batched plumbed through FCNNReconstructor.fine_tune_batch."""
+    """FCNNReconstructor.fine_tune_batch: single-model fits from a restored base."""
 
     @pytest.fixture(scope="class")
     def step_data(self, campaign_pipeline):
@@ -653,33 +682,51 @@ class TestFineTuneBatch:
         return fields, trains
 
     @pytest.mark.parametrize(
-        "strategy,kwargs",
-        [("full", {}), ("last", {"prefix_cache": False})],
-        ids=["case1-full", "case2-no-cache"],
+        "strategy", ["full", "last"], ids=["case1-full", "case2-no-cache"]
     )
     def test_bit_identical_to_serial_fine_tune_from_base(
-        self, campaign_pipeline, base_model64, step_data, strategy, kwargs
+        self, campaign_pipeline, base_model64, step_data, strategy
     ):
+        """Under float64 each step equals a serial fine_tune from the base,
+        and Case 2 also equals the uncached fit."""
         fields, trains = step_data
         flats, histories = base_model64.clone().fine_tune_batch(
-            fields, trains, epochs=2, strategy=strategy, **kwargs
+            fields, trains, epochs=2, strategy=strategy
         )
         assert len(flats) == len(histories) == len(TIMESTEPS)
         for field, train, flat in zip(fields, trains, flats):
             ref = base_model64.clone()
             ref.fine_tune(field, train, epochs=2, strategy=strategy)
             assert flat.tobytes() == snapshot_weights(ref.model).data.tobytes()
+            if strategy == "last":
+                uncached = _uncached_case2(base_model64, field, train, epochs=2)
+                assert flat.tobytes() == uncached.tobytes()
 
     def test_case2_prefix_cache_close_to_exact(self, base_model, step_data):
+        """Under float32 the cached Case 2 stays within float64-level
+        tolerance of the uncached fit."""
         fields, trains = step_data
-        exact, _ = base_model.clone().fine_tune_batch(
-            fields, trains, epochs=2, strategy="last", prefix_cache=False
-        )
         fast, _ = base_model.clone().fine_tune_batch(
-            fields, trains, epochs=2, strategy="last", prefix_cache=True
+            fields, trains, epochs=2, strategy="last"
         )
-        for a, b in zip(exact, fast):
+        for field, train, b in zip(fields, trains, fast):
+            a = _uncached_case2(base_model, field, train, epochs=2)
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("strategy", ["full", "last"])
+    def test_float32_step_equals_fine_tune_from_restored_base(
+        self, base_model, step_data, strategy
+    ):
+        fields, trains = step_data
+        model = base_model.clone()
+        base = model.snapshot()
+        (flat,), _ = model.fine_tune_batch(
+            [fields[1]], [trains[1]], epochs=2, strategy=strategy
+        )
+        model.restore(base)
+        model.fine_tune(fields[1], trains[1], epochs=2, strategy=strategy)
+        assert flat.dtype == np.float64
+        assert flat.tobytes() == snapshot_weights(model.model).data.tobytes()
 
     def test_base_model_stays_pristine(self, base_model, step_data):
         fields, trains = step_data
@@ -687,6 +734,31 @@ class TestFineTuneBatch:
         before = snapshot_weights(model.model).data.copy()
         model.fine_tune_batch(fields[:2], trains[:2], epochs=1)
         assert snapshot_weights(model.model).data.tobytes() == before.tobytes()
+
+    def test_a_raising_step_leaves_the_base_as_it_was(
+        self, base_model, step_data, monkeypatch
+    ):
+        fields, trains = step_data
+        model = base_model.clone()
+        before = model.model.snapshot()
+        history = model.history.epochs
+        run_epoch = Trainer._run_epoch
+        calls = []
+
+        def second_epoch_raises(trainer, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:  # the suffix has taken a step by now
+                raise RuntimeError("injected")
+            return run_epoch(trainer, *args, **kwargs)
+
+        monkeypatch.setattr(Trainer, "_run_epoch", second_epoch_raises)
+        with pytest.raises(RuntimeError, match="injected"):
+            model.fine_tune_batch(fields, trains, epochs=2, strategy="last")
+        after = model.model.snapshot()
+        assert [v.tobytes() for v, _ in after] == [v.tobytes() for v, _ in before]
+        assert [t for _, t in after] == [t for _, t in before]
+        assert all(t for _, t in after)
+        assert model.history.epochs == history
 
     def test_validation(self, base_model, step_data):
         fields, trains = step_data
@@ -696,6 +768,34 @@ class TestFineTuneBatch:
             base_model.clone().fine_tune_batch(fields, trains[:1])
         with pytest.raises(ValueError, match="at least one"):
             base_model.clone().fine_tune_batch([], [])
+        with pytest.raises(TypeError, match="prefix_cache"):
+            base_model.clone().fine_tune_batch(fields, trains, prefix_cache=False)
+
+    def test_no_library_module_imports_the_batched_engine(self):
+        import ast
+        import pathlib
+
+        import repro
+
+        def imported(tree):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    yield from (alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    yield node.module
+                    yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+        root = pathlib.Path(repro.__file__).parent
+        importers = [
+            str(path.relative_to(root))
+            for path in root.rglob("*.py")
+            if path.relative_to(root).parts[:2] != ("nn", "batched")
+            and any(
+                name.startswith("repro.nn.batched")
+                for name in imported(ast.parse(path.read_text()))
+            )
+        ]
+        assert importers == []
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 """Training sets are built in place, block by block, with the same bits.
 
 ``FCNNReconstructor._training_matrix`` preallocates the ``(N, features)`` /
-``(N, targets)`` pair and fills it block by block; ``fine_tune_batch``
+``(N, targets)`` pair and fills it block by block; a Case-2 ``fine_tune``
 streams the same blocks through the frozen prefix without building the
 matrix at all.  The identity property compares both, and
 ``FeatureExtractor.training_data``, with a reference written from the
@@ -26,7 +26,6 @@ import repro.core.features as features_mod
 import repro.core.reconstructor as reconstructor_mod
 from repro.core import FCNNReconstructor, FeatureExtractor, Normalizer, ReconstructionPipeline
 from repro.datasets import make_dataset
-from repro.nn.batched import ModelStack
 from repro.perf import DtypePolicy
 from repro.sampling import RandomSampler
 
@@ -224,13 +223,42 @@ def test_fine_tune_batch_never_holds_a_feature_matrix(case, strategy):
     n = sum(len(s.void_indices()) for s in train)
     features = base.extractor.feature_size
     targets = base.extractor.target_size
-    stack = ModelStack.from_network(base.model, k=1)
-    stack.freeze_all_but_last(2)
-    width = stack.prefix_width(stack.trainable_cut()) if strategy == "last" else features
+    # Case 2 trains the last two Dense layers: the prefix ends where they start.
+    width = base.model.dense_layers()[-2].in_features if strategy == "last" else features
     assert BATCH * 8 < n
     bound = 8 * n * (width + targets) + 8 * n * features
     model = base.clone()
     _, peak = _traced_peak(
         lambda: model.fine_tune_batch([field], [train], epochs=1, strategy=strategy)
     )
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB exceeds {bound / 1e6:.1f} MB"
+
+
+def test_case2_fine_tune_holds_prefix_activations_not_a_feature_matrix(case):
+    """A Case-2 ``fine_tune`` holds the ``(N, width)`` / ``(N, targets)``
+    compute-dtype arrays plus one block, never the ``(N, features)`` matrix.
+
+    The prefix of this model is 8 wide against 23 features.  The allowance
+    beyond the two arrays is what the in-place matrix build may hold beyond
+    its result (half of it, as in the bound above: the kNN query, the
+    gradients, the feature temporaries) plus one ``TRAINING_BLOCK`` of
+    float64 rows.  The ``(N, features)`` matrix alone, held through the fit
+    as an uncached Case 2 does, breaks it.
+    """
+    _, field, train = case
+    narrow = FCNNReconstructor(
+        hidden_layers=(8, 4), batch_size=BATCH, seed=7, dtype_policy="float64"
+    )
+    narrow.train(field, train, epochs=1)
+    n = sum(len(s.void_indices()) for s in train)
+    features = narrow.extractor.feature_size
+    targets = narrow.extractor.target_size
+    width = narrow.model.dense_layers()[-2].in_features
+    assert width < features
+    itemsize = np.dtype(narrow.dtype_policy.compute_dtype).itemsize
+    result = itemsize * n * (width + targets)
+    block = 8 * features_mod.TRAINING_BLOCK * (features + targets)
+    bound = result + 0.5 * 8 * n * (features + targets) + block
+    assert itemsize * n * (features + targets) + itemsize * n * width > bound
+    _, peak = _traced_peak(lambda: narrow.fine_tune(field, train, epochs=1, strategy="last"))
     assert peak < bound, f"peak {peak / 1e6:.1f} MB exceeds {bound / 1e6:.1f} MB"
