@@ -6,21 +6,21 @@ Zipf-skewed synthetic request stream through three serving strategies:
 
 * ``naive``     — one-request-one-reconstruction: per request, load the
   key's weights/values from the cold tier, restore them into a model and
-  reconstruct the **full grid**.  No caches, no coalescing, no fusion —
+  reconstruct the **full grid**.  No caches, no coalescing —
   the offline per-timestep path pressed into serving duty.  This is the
   gate's denominator (measured over a prefix of the trace; it is
   per-request stationary and a full million would take hours).
-* ``unbatched`` — a :class:`repro.serve.ReconstructionServer` degraded to
-  ``max_batch=1, cache_slots=1`` (the ``repro replay --no-batching``
-  config CI diffs against).
-* ``batched``   — the tentpole config: request coalescing, cross-timestep
-  (K, n, m) stacking through :mod:`repro.nn.batched`, hot-LRU model
-  registry and slot-ring result cache.
+* ``unbatched`` — a :class:`repro.serve.ReconstructionServer` whose
+  result ring holds one slot per namespace (``cache_slots=1``, the
+  ``repro replay --cache-slots 1`` config CI diffs against).
+* ``batched``   — the default config: request coalescing, one evaluation
+  per namespace per dispatcher wake-up, hot-LRU model registry and a
+  16-slot result ring.
 
 The batched replay fires **>= 1M requests on the bench profile** and the
 headline gate is ``batched_rps >= 5 x naive_rps`` — on one core: the
 server's dispatcher and the replay loop share the process, so the win is
-algorithmic (caching + fusion), not parallelism.
+algorithmic (caching + coalescing), not parallelism.
 
 Before any timing, every registry key is served once and the assembled
 volume is byte-compared against the offline campaign sink
@@ -105,10 +105,7 @@ def _assert_served_bits_match_offline(registry) -> None:
 def _server_run(registry, trace, *, name, profile, batched):
     obs_dir = OBS_DIRS[name]
     shutil.rmtree(obs_dir, ignore_errors=True)
-    config = ServerConfig(
-        max_batch=8 if batched else 1,
-        cache_slots=16 if batched else 1,
-    )
+    config = ServerConfig(cache_slots=16 if batched else 1)
     with RunRecorder(obs_dir, meta={"config": name, "profile": profile}):
         with ReconstructionServer(registry, config) as server:
             stats = replay(server, trace)
@@ -165,8 +162,8 @@ def test_serve_replay(benchmark, bench_profile, tmp_path):
         )
         return out
 
-    # One warmup round: first-touch of the cold mmaps, the fused engine's
-    # slab allocations and the kd-tree memo would otherwise bill to the
+    # One warmup round: first-touch of the cold mmaps, the evaluator's
+    # arena allocations and the kd-tree memo would otherwise bill to the
     # measured replay.
     runs = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=1)
     naive = runs["naive"]
@@ -230,7 +227,6 @@ def test_serve_replay(benchmark, bench_profile, tmp_path):
             "served_bits_match_offline_sink": True,
             "serve_evals": batched.server["evals"],
             "serve_coalesced": batched.server["coalesced"],
-            "mean_stack_k": round(batched.mean_stack_k, 3),
             "speedup_vs_naive": round(speedup, 2),
             "target": "batched rps >= 5x naive one-request-one-reconstruction rps",
         },

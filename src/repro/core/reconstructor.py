@@ -35,7 +35,7 @@ from repro.perf import DtypePolicy, Workspace, snapshot_weights
 from repro.resilience.checkpoint import CheckpointConfig, TrainingCheckpoint
 from repro.resilience.health import HealthGuard, NumericalHealthError
 from repro.resilience.report import ReconstructionReport
-from repro.sampling.base import SampledField
+from repro.sampling.base import SampledField, require_finite
 
 __all__ = ["FCNNReconstructor", "PAPER_HIDDEN_LAYERS"]
 
@@ -304,8 +304,12 @@ class FCNNReconstructor:
         checkpoints, bit-exact resume of a killed run (the model is
         deterministically rebuilt from ``seed``, then overwritten by the
         checkpointed state), and NaN/Inf recovery policies.
+
+        Raises :class:`~repro.sampling.NonFiniteFieldError` if the field or
+        a sample holds NaN or infinite values.
         """
         sample_list = self._as_sample_list(samples)
+        _require_finite_inputs(field, sample_list)
         # One gradient pass per timestep serves the fit and the targets.
         gradients = self.extractor.training_gradients(field)
         normalizer = Normalizer.fit(
@@ -365,12 +369,15 @@ class FCNNReconstructor:
         Case 2 runs the frozen layers once per fit
         (:meth:`_prefix_activations`) and trains only the suffix, so a
         ``checkpoint`` holds the suffix and its Adam state.  Every layer is
-        trainable again afterwards, also when the fit raises.
+        trainable again afterwards, also when the fit raises.  Non-finite
+        field or sample values raise
+        :class:`~repro.sampling.NonFiniteFieldError`, as in :meth:`train`.
         """
         model, normalizer = self._require_trained()
         if strategy not in ("full", "last"):
             raise ValueError(f"strategy must be 'full' or 'last', got {strategy!r}")
         sample_list = self._as_sample_list(samples)
+        _require_finite_inputs(field, sample_list)
         # Coordinates renormalize to the new field's grid; value scaling is
         # retained from pretraining.
         tuned = dataclasses.replace(
@@ -524,9 +531,11 @@ class FCNNReconstructor:
         the value columns; rows then stream through the workspace in
         fixed-size blocks and are denormalized straight into the result.
         Block boundaries equal the slow path's prediction batches, keeping
-        results bit-identical (``dtype_policy="float64"``).
+        results bit-identical (``dtype_policy="float64"``).  Non-finite
+        sample values raise :class:`~repro.sampling.NonFiniteFieldError`.
         """
         model, normalizer = self._require_trained()
+        require_finite(f"sample at timestep {sample.timestep}", sample.values)
         g = grid if grid is not None else sample.grid
         local = dataclasses.replace(
             normalizer,
@@ -763,6 +772,12 @@ class FCNNReconstructor:
 
 # --------------------------------------------------------------------------
 # helpers
+
+
+def _require_finite_inputs(field: TimestepField, samples: list[SampledField]) -> None:
+    require_finite(f"field {field.name!r} at timestep {field.timestep}", field.values)
+    for sample in samples:
+        require_finite(f"sample at timestep {sample.timestep}", sample.values)
 
 
 def _grid_span(grid: UniformGrid) -> np.ndarray:

@@ -21,7 +21,23 @@ __all__ = ["NonFiniteFieldError", "SampledField", "Sampler"]
 
 
 class NonFiniteFieldError(ValueError):
-    """A sampler was handed a field holding NaN or infinite values."""
+    """A field or sample holding NaN or infinite values reached a sampler or the FCNN.
+
+    Samplers raise it for the field they are handed; the FCNN
+    reconstructor raises it for the field and sample values it trains on
+    and for the sample values it predicts from, rather than training to a
+    NaN loss or copying a NaN into the reconstruction.
+    """
+
+
+def require_finite(what: str, values: np.ndarray) -> None:
+    """Raise :class:`NonFiniteFieldError`, naming ``what``, if ``values`` holds NaN or inf."""
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise NonFiniteFieldError(
+            f"{what} has {bad} non-finite value(s) of {values.size}; "
+            "sampling and reconstruction need finite values"
+        )
 
 
 @dataclass(frozen=True)
@@ -175,13 +191,7 @@ class Sampler(abc.ABC):
             raise ValueError(
                 f"fraction {fraction} keeps zero of {field.grid.num_points} points"
             )
-        flat = field.flat
-        bad = flat.size - np.count_nonzero(np.isfinite(flat))
-        if bad:
-            raise NonFiniteFieldError(
-                f"field {field.name!r} at timestep {field.timestep} has {bad} "
-                f"non-finite value(s) of {flat.size}; samplers need finite values"
-            )
+        require_finite(f"field {field.name!r} at timestep {field.timestep}", field.flat)
         base_seed = self.seed if seed is None else int(seed)
         rng = np.random.default_rng((base_seed, field.timestep, budget))
         indices = np.asarray(self.select(field, fraction, rng), dtype=np.int64)

@@ -1,12 +1,12 @@
 """Reconstruction-as-a-service: registry, serving engine, replay bench.
 
-The front door over the campaign substrate (PR 4-9): trained per-timestep
+The front door over the campaign substrate: trained per-timestep
 weights live in a durable :class:`ModelRegistry` (mmap'd cold tier + hot
 LRU), a :class:`ReconstructionServer` coalesces concurrent requests and
-groups distinct keys of one namespace into :class:`StackEvaluator`
-evaluations with per-tenant
+answers the distinct keys of one namespace pending at a dispatcher
+wake-up with one :class:`StackEvaluator` evaluation, with per-tenant
 token-bucket backpressure and deadline shedding, and responses stream as
-aligned predict-block chunks straight out of a (shared-memory) result
+aligned predict-block chunks straight out of a per-namespace result
 ring — bit-identical to the offline ``run_campaign`` reconstruction path
 for the same weights.  :mod:`repro.serve.replay` replays recorded or
 synthetic request traces against a server for load benchmarking

@@ -9,8 +9,8 @@
 ``repro replay`` plays a synthetic (or recorded ``--trace``) request
 stream against an in-process :class:`~repro.serve.ReconstructionServer`
 over the registry and prints :class:`~repro.serve.ReplayStats` as JSON.
-``--no-batching`` degrades the server to one-key-per-evaluation,
-single-slot caching — the configuration CI diffs the batched run against
+``--cache-slots 1`` shrinks each namespace's result ring to one slot —
+the configuration CI diffs the default run against
 (``repro obs report A --diff B --only 'serve.*'``).
 """
 
@@ -121,12 +121,8 @@ def replay_main(argv: list[str]) -> int:
                         help="Zipf exponent of the synthetic key popularity")
     parser.add_argument("--chunk-fraction", type=float, default=0.0,
                         help="fraction of requests asking for one streamed chunk")
-    parser.add_argument("--max-batch", type=int, default=8)
     parser.add_argument("--cache-slots", type=int, default=16)
     parser.add_argument("--max-in-flight", type=int, default=256)
-    parser.add_argument("--no-batching", action="store_true",
-                        help="naive serving config: max_batch=1, cache_slots=1")
-    parser.add_argument("--transport", default="auto", choices=["auto", "shm", "local"])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--report", default=None, metavar="JSON",
                         help="also write the stats to this file")
@@ -161,16 +157,12 @@ def replay_main(argv: list[str]) -> int:
             )
         if args.record:
             trace.save(args.record)
-        config = ServerConfig(
-            max_batch=1 if args.no_batching else args.max_batch,
-            cache_slots=1 if args.no_batching else args.cache_slots,
-            transport=args.transport,
-        )
+        config = ServerConfig(cache_slots=args.cache_slots)
         meta = {
             "command": "replay",
             "seed": args.seed,
             "requests": trace.num_requests,
-            "batching": not args.no_batching,
+            "cache_slots": args.cache_slots,
         }
         with _recorder(args.obs, meta) as recorder:
             with ReconstructionServer(registry, config) as server:

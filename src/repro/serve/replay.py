@@ -10,8 +10,8 @@ dominate, the regime where coalescing and result caching pay);
 window and reports :class:`ReplayStats` (p50/p99 latency, requests/sec,
 batch occupancy, cache hit rates).  :func:`naive_throughput` measures the
 one-request-one-reconstruction baseline — per request: load weights,
-restore them into a model, reconstruct the full grid — that the batched
-server is gated ≥5x against in ``benchmarks/test_bench_serve.py``.
+restore them into a model, reconstruct the full grid — that the server
+is gated ≥5x against in ``benchmarks/test_bench_serve.py``.
 """
 
 from __future__ import annotations
@@ -157,7 +157,6 @@ class ReplayStats:
     p99_ms: float
     statuses: dict = field(default_factory=dict)
     batch_occupancy: float = 0.0
-    mean_stack_k: float = 0.0
     cache_hit_rate: float = 0.0
     registry_hit_rate: float = 0.0
     server: dict = field(default_factory=dict)
@@ -171,7 +170,6 @@ class ReplayStats:
             "p99_ms": self.p99_ms,
             "statuses": dict(self.statuses),
             "batch_occupancy": self.batch_occupancy,
-            "mean_stack_k": self.mean_stack_k,
             "cache_hit_rate": self.cache_hit_rate,
             "registry_hit_rate": self.registry_hit_rate,
             "server": dict(self.server),
@@ -187,8 +185,8 @@ def replay(
 
     Requests are submitted as fast as the server accepts them with at
     most ``max_in_flight`` unresolved tickets — enough admission pressure
-    that misses pile up in the queue and coalescing/stacking actually
-    engage, while bounding replay memory.
+    that misses pile up in the queue and coalescing actually engages,
+    while bounding replay memory.
     """
     if max_in_flight < 1:
         raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
@@ -232,7 +230,6 @@ def replay(
         p99_ms=float(np.percentile(lat_ms, 99)) if num_ok else float("nan"),
         statuses=statuses,
         batch_occupancy=stats["batch_occupancy"],
-        mean_stack_k=stats["mean_stack_k"],
         cache_hit_rate=stats["hits"] / looked if looked else 0.0,
         registry_hit_rate=reg["hot_hits"] / reg_looked if reg_looked else 0.0,
         server=stats,
@@ -246,7 +243,7 @@ def naive_throughput(
 ) -> tuple[float, float]:
     """One-request-one-reconstruction baseline: ``(requests/sec, seconds)``.
 
-    Per request — no coalescing, no caches, no fusion — the naive server
+    Per request — no coalescing, no caches — the naive server
     loads the key's weights and sample values from the cold tier,
     restores the weights into a model and reconstructs the **full grid**,
     exactly the per-timestep offline path.  Measured over the first

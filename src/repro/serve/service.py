@@ -6,15 +6,12 @@ registry key and answers them from a single dispatcher thread (stdlib
 threading only):
 
 * **coalescing** — concurrent requests for the same (dataset, fraction,
-  timestep) are answered by one evaluation (counter ``serve.coalesced``);
-* **stacking** — distinct timesteps of one namespace queued together
-  become one :class:`repro.serve.StackEvaluator` evaluation of up to
-  ``max_batch`` members (histogram ``serve.batch.stack_k``);
+  timestep) are answered by one evaluation (counter ``serve.coalesced``),
+  and each dispatcher wake-up answers every distinct pending key of a
+  namespace with one :meth:`repro.serve.StackEvaluator.evaluate` call;
 * **result caching** — evaluated rows land in a per-namespace slot ring
-  (shared memory when available — the campaign's
-  :class:`~repro.perf.shm.SharedArrayBundle` transport — else local
-  arrays) and repeated requests complete synchronously at submit
-  (counters ``serve.cache.hits`` / ``.misses``);
+  of process-local arrays, and repeated requests complete synchronously
+  at submit (counters ``serve.cache.hits`` / ``.misses``);
 * **backpressure** — per-tenant token buckets throttle at submit
   (``serve.throttled``), a queue bound rejects floods (``serve.rejected``)
   and requests whose deadline lapses while queued are shed instead of
@@ -46,7 +43,6 @@ from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
 from repro.obs import histogram as obs_histogram
 from repro.obs import record_event, span
-from repro.perf.shm import SharedArrayBundle
 from repro.serve.engine import StackEvaluator
 from repro.serve.registry import ModelKey, ModelRegistry
 
@@ -97,24 +93,25 @@ class ServeRequest:
 class ServerConfig:
     """Tunables of one :class:`ReconstructionServer`."""
 
-    max_batch: int = 8            #: members per evaluation
-    batch_window: float = 0.0     #: seconds to linger collecting a batch
     cache_slots: int = 16         #: result-ring slots per namespace
     max_queue: int = 100_000      #: queued-request bound (reject beyond)
     default_deadline: float | None = None  #: seconds; None = never shed
     tenant_rate: float | None = None       #: tokens/s per tenant; None = off
     tenant_burst: int = 64        #: token-bucket capacity per tenant
-    transport: str = "auto"       #: result-ring transport: auto | shm | local
-    on_nonfinite: str = "fallback"
+    on_nonfinite: str = "fallback"  #: non-finite predictions: fallback | raise
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.cache_slots < 1:
             raise ValueError(f"cache_slots must be >= 1, got {self.cache_slots}")
-        if self.transport not in ("auto", "shm", "local"):
+        if self.max_queue < 1:
+            raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
+        if self.tenant_rate is not None and self.tenant_rate <= 0:
+            raise ValueError(f"tenant_rate must be > 0 or None, got {self.tenant_rate}")
+        if self.tenant_burst < 1:
+            raise ValueError(f"tenant_burst must be >= 1, got {self.tenant_burst}")
+        if self.on_nonfinite not in ("fallback", "raise"):
             raise ValueError(
-                f"transport must be auto/shm/local, got {self.transport!r}"
+                f"on_nonfinite must be 'fallback' or 'raise', got {self.on_nonfinite!r}"
             )
 
 
@@ -206,38 +203,16 @@ class Ticket:
 class _SlotCache:
     """Per-namespace LRU slot ring of evaluated (values, pred) rows.
 
-    Rows live in a :class:`SharedArrayBundle` when shared memory is
-    usable (``transport="auto"``/``"shm"``) so chunk responses are
-    zero-copy shareable across processes, degrading to process-local
-    arrays otherwise.  Slot reuse bumps a generation counter; guarded
-    views detect recycled slots (:class:`StaleResultError`).
+    Slot reuse bumps a generation counter; guarded views detect recycled
+    slots (:class:`StaleResultError`).
     """
 
-    def __init__(self, slots: int, num_samples: int, num_voids: int, transport: str) -> None:
-        self.slots = int(slots)
-        self.transport = "local"
-        self._bundle: SharedArrayBundle | None = None
-        if transport in ("auto", "shm"):
-            try:
-                self._bundle = SharedArrayBundle.create(
-                    {
-                        "values": np.zeros((slots, num_samples), dtype=np.float64),
-                        "pred": np.zeros((slots, num_voids), dtype=np.float64),
-                    }
-                )
-                self.values = self._bundle.view("values")
-                self.pred = self._bundle.view("pred")
-                self.transport = "shm"
-            except OSError:
-                if transport == "shm":
-                    raise
-                record_event("serve.cache.transport", fallback="local")
-        if self._bundle is None:
-            self.values = np.zeros((slots, num_samples), dtype=np.float64)
-            self.pred = np.zeros((slots, num_voids), dtype=np.float64)
-        self.generation = [0] * self.slots
+    def __init__(self, slots: int, num_samples: int, num_voids: int) -> None:
+        self.values = np.zeros((slots, num_samples), dtype=np.float64)
+        self.pred = np.zeros((slots, num_voids), dtype=np.float64)
+        self.generation = [0] * slots
         self._index: OrderedDict[ModelKey, int] = OrderedDict()
-        self._free = list(range(self.slots - 1, -1, -1))
+        self._free = list(range(slots - 1, -1, -1))
 
     def lookup(self, key: ModelKey) -> tuple[int, int] | None:
         slot = self._index.get(key)
@@ -262,12 +237,6 @@ class _SlotCache:
             raise StaleResultError(
                 "served result was evicted from the slot ring; re-request it"
             )
-
-    def close(self) -> None:
-        bundle, self._bundle = self._bundle, None
-        if bundle is not None:
-            bundle.close()
-        self._index.clear()
 
 
 # --------------------------------------------------------------------------
@@ -356,7 +325,7 @@ class ReconstructionServer:
 
     Create it inside an active :class:`repro.obs.RunRecorder` to capture
     the ``serve.*`` spans and metrics.  Close it (or use it as a context
-    manager) to drain the queue and release shared-memory slot rings.
+    manager) to drain the queue and release the evaluators' arenas.
     """
 
     def __init__(
@@ -394,7 +363,6 @@ class ReconstructionServer:
         self._c_evals = obs_counter("serve.evals")
         self._g_depth = obs_gauge("serve.queue.depth")
         self._g_occupancy = obs_gauge("serve.batch.occupancy")
-        self._h_stack = obs_histogram("serve.batch.stack_k")
         self._h_batch = obs_histogram("serve.batch.requests")
         self._h_latency = obs_histogram("serve.latency_ms")
         self._thread = threading.Thread(
@@ -411,7 +379,8 @@ class ReconstructionServer:
         """Enqueue one request; returns immediately with a :class:`Ticket`.
 
         Cache hits (and throttle/reject refusals) complete the ticket
-        synchronously; misses complete on the dispatcher thread.
+        synchronously; misses complete on the dispatcher thread.  A closed
+        server raises :class:`ServeError`.
         """
         if self._closed:
             raise ServeError("server is closed")
@@ -446,6 +415,10 @@ class ReconstructionServer:
                     self._c_hits.inc()
                     self._fulfill(ticket, ns, *hit, report=None)
                     return ticket
+            if self._closed:
+                # close() may have run since the check above, and a ticket
+                # queued after the dispatcher exits would never complete.
+                raise ServeError("server is closed")
             if len(self._queue) >= self.config.max_queue:
                 self._count("rejected")
                 self._c_rejected.inc()
@@ -469,16 +442,12 @@ class ReconstructionServer:
             with self._cond:
                 while not self._queue and not self._closed:
                     self._cond.wait()
-                if not self._queue and self._closed:
+                if not self._queue:
                     return
-            if self.config.batch_window > 0:
-                time.sleep(self.config.batch_window)
-            with self._cond:
                 batch = list(self._queue)
                 self._queue.clear()
                 self._g_depth.set(0)
-            if batch:
-                self._process(batch)
+            self._process(batch)
 
     def _process(self, batch: list[Ticket]) -> None:
         now = self._clock()
@@ -524,44 +493,40 @@ class ReconstructionServer:
                 self._c_hits.inc(len(tickets))
                 for ticket in tickets:
                     self._fulfill(ticket, ns, *hit, report=None)
-        pending = list(keymap)
-        for i in range(0, len(pending), self.config.max_batch):
-            kslice = pending[i : i + self.config.max_batch]
-            rows: list[tuple[ModelKey, np.ndarray, np.ndarray]] = []
-            for key in kslice:
-                try:
-                    weights, values = self.registry.hot(key)
-                except Exception as exc:
-                    for ticket in keymap[key]:
-                        self._fail(ticket, exc)
-                    continue
-                rows.append((key, weights, values))
-            if not rows:
-                continue
+        rows: list[tuple[ModelKey, np.ndarray, np.ndarray]] = []
+        for key, tickets in keymap.items():
             try:
-                pred, reports = ns.engine.evaluate(
-                    [r[1] for r in rows],
-                    [r[2] for r in rows],
-                    on_nonfinite=self.config.on_nonfinite,
-                )
+                weights, values = self.registry.hot(key)
             except Exception as exc:
-                for key, _, _ in rows:
-                    for ticket in keymap[key]:
-                        self._fail(ticket, exc)
-                continue
-            self._count("evals")
-            self._count("eval_members", len(rows))
-            self._c_evals.inc()
-            self._h_stack.observe(len(rows))
-            for member, (key, _, values) in enumerate(rows):
-                with self._cond:
-                    slot, generation = ns.cache.store(key, values, pred[member])
-                tickets = keymap[key]
-                self._count("coalesced", max(0, len(tickets) - 1))
-                if len(tickets) > 1:
-                    self._c_coalesced.inc(len(tickets) - 1)
                 for ticket in tickets:
-                    self._fulfill(ticket, ns, slot, generation, reports[member])
+                    self._fail(ticket, exc)
+                continue
+            rows.append((key, weights, values))
+        if not rows:
+            return
+        try:
+            pred, reports = ns.engine.evaluate(
+                [r[1] for r in rows],
+                [r[2] for r in rows],
+                on_nonfinite=self.config.on_nonfinite,
+            )
+        except Exception as exc:
+            for key, _, _ in rows:
+                for ticket in keymap[key]:
+                    self._fail(ticket, exc)
+            return
+        self._count("evals")
+        self._count("eval_members", len(rows))
+        self._c_evals.inc()
+        for member, (key, _, values) in enumerate(rows):
+            with self._cond:
+                slot, generation = ns.cache.store(key, values, pred[member])
+            tickets = keymap[key]
+            self._count("coalesced", len(tickets) - 1)
+            if len(tickets) > 1:
+                self._c_coalesced.inc(len(tickets) - 1)
+            for ticket in tickets:
+                self._fulfill(ticket, ns, slot, generation, reports[member])
 
     # ------------------------------------------------------------ plumbing
     def _namespace(self, key: ModelKey) -> _Namespace:
@@ -574,7 +539,6 @@ class ReconstructionServer:
             self.config.cache_slots,
             record.geometry.num_samples,
             record.geometry.num_voids,
-            self.config.transport,
         )
         ns = _Namespace(engine=engine, cache=cache)
         # submit() reads this dict under _cond for its cache fast path;
@@ -583,7 +547,7 @@ class ReconstructionServer:
             self._namespaces[key.namespace_id] = ns
         record_event(
             "serve.namespace.bound", namespace=key.namespace_id,
-            transport=cache.transport, voids=record.geometry.num_voids,
+            voids=record.geometry.num_voids,
         )
         return ns
 
@@ -618,25 +582,14 @@ class ReconstructionServer:
         out["batch_occupancy"] = (
             self._n["batch_requests"] / self._n["batches"] if self._n["batches"] else 0.0
         )
-        out["mean_stack_k"] = (
-            self._n["eval_members"] / self._n["evals"] if self._n["evals"] else 0.0
-        )
         looked = self._n["hits"] + self._n["misses"]
         out["cache_hit_rate"] = self._n["hits"] / looked if looked else 0.0
         out["registry"] = self.registry.stats()
-        out["config"] = {
-            "max_batch": self.config.max_batch,
-            "cache_slots": self.config.cache_slots,
-            "batch_window": self.config.batch_window,
-            "transport": self.config.transport,
-        }
-        out["transports"] = {
-            ns_id: ns.cache.transport for ns_id, ns in self._namespaces.items()
-        }
+        out["config"] = {"cache_slots": self.config.cache_slots}
         return out
 
     def close(self) -> None:
-        """Drain queued requests, stop the dispatcher, release arenas and slot rings."""
+        """Drain queued requests, stop the dispatcher, release the evaluators' arenas."""
         with self._cond:
             if self._closed and not self._thread.is_alive():
                 return
@@ -645,7 +598,6 @@ class ReconstructionServer:
         self._thread.join()
         for ns in self._namespaces.values():
             ns.engine.close()
-            ns.cache.close()
         self._namespaces.clear()
 
     def __enter__(self) -> "ReconstructionServer":

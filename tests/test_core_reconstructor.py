@@ -1,13 +1,17 @@
 """Unit/integration tests for the FCNN reconstructor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import FCNNReconstructor, PAPER_HIDDEN_LAYERS
-from repro.datasets import HurricaneDataset
+from repro.datasets import HurricaneDataset, make_dataset
+from repro.datasets.base import TimestepField
 from repro.grid import UniformGrid, upscaled_grid
 from repro.metrics import snr
-from repro.sampling import MultiCriteriaSampler
+from repro.perf import snapshot_weights
+from repro.sampling import MultiCriteriaSampler, NonFiniteFieldError, RandomSampler
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +170,52 @@ class TestFineTuning:
         _, field, _, train, _ = setup
         with pytest.raises(RuntimeError):
             FCNNReconstructor().fine_tune(field, train, epochs=1)
+
+
+class TestNonFiniteInputs:
+    """A NaN or inf input raises instead of training to a NaN loss or filling NaNs."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        field = make_dataset("combustion", dims=(10, 10, 5), seed=0).field(0)
+        sample = RandomSampler(seed=0).sample(field, 0.1)
+        model = FCNNReconstructor(hidden_layers=(8, 4), seed=0)
+        model.train(field, sample, epochs=2)
+        return field, sample, model
+
+    @staticmethod
+    def _poisoned(field, sample, where, bad=np.nan):
+        if where == "field":
+            values = field.values.copy()
+            values.flat[7] = bad
+            return TimestepField(field.grid, values, field.timestep, field.name), sample
+        values = sample.values.copy()
+        values[3] = bad
+        return field, dataclasses.replace(sample, values=values)
+
+    @pytest.mark.parametrize("where", ["field", "sample"])
+    def test_train_raises(self, small, where):
+        field, sample, _ = small
+        model = FCNNReconstructor(hidden_layers=(8, 4), seed=0)
+        with pytest.raises(NonFiniteFieldError, match=f"{where} .* has 1 non-finite"):
+            model.train(*self._poisoned(field, sample, where), epochs=2)
+        assert not model.is_trained
+
+    @pytest.mark.parametrize("where", ["field", "sample"])
+    def test_fine_tune_raises_and_keeps_the_weights(self, small, where):
+        field, sample, model = small
+        before = snapshot_weights(model.model).data.copy()
+        with pytest.raises(NonFiniteFieldError, match=f"{where} .* has 1 non-finite"):
+            model.fine_tune(*self._poisoned(field, sample, where, np.inf), epochs=1)
+        assert snapshot_weights(model.model).data.tobytes() == before.tobytes()
+
+    def test_prediction_raises_on_a_nan_sample_value(self, small):
+        field, sample, model = small
+        _, bad = self._poisoned(field, sample, "sample")
+        with pytest.raises(NonFiniteFieldError, match="sample at timestep 0"):
+            model.reconstruct(bad)
+        with pytest.raises(NonFiniteFieldError, match="sample at timestep 0"):
+            model.predict_values(bad, bad.void_points())
 
 
 class TestCrossGrid:

@@ -10,7 +10,6 @@ import pytest
 from repro.serve import (
     ReconstructionServer,
     RequestTrace,
-    ServerConfig,
     naive_throughput,
     replay,
     synthetic_trace,
@@ -77,7 +76,7 @@ class TestSyntheticTrace:
 class TestReplay:
     def test_replay_reports_sane_stats(self, serve_registry, keys):
         trace = synthetic_trace(keys, 3000, tenants=("a", "b"), seed=1)
-        with ReconstructionServer(serve_registry, ServerConfig(transport="local")) as server:
+        with ReconstructionServer(serve_registry) as server:
             stats = replay(server, trace)
         assert stats.requests == 3000
         assert stats.statuses == {"ok": 3000}
@@ -91,7 +90,7 @@ class TestReplay:
 
     def test_replay_validates_in_flight_window(self, serve_registry, keys):
         trace = synthetic_trace(keys, 10)
-        with ReconstructionServer(serve_registry, ServerConfig(transport="local")) as server:
+        with ReconstructionServer(serve_registry) as server:
             with pytest.raises(ValueError, match="max_in_flight"):
                 replay(server, trace, max_in_flight=0)
 
@@ -142,7 +141,6 @@ class TestCli:
             [
                 "replay", str(built),
                 "--requests", "500",
-                "--transport", "local",
                 "--report", str(report),
             ]
         )
@@ -161,33 +159,37 @@ class TestCli:
             [
                 "replay", str(built),
                 "--requests", "200",
-                "--transport", "local",
                 "--record", str(trace_path),
             ]
         )
         assert rc == 0
         capsys.readouterr()
-        rc = main(["replay", str(built), "--trace", str(trace_path), "--transport", "local"])
+        rc = main(["replay", str(built), "--trace", str(trace_path)])
         assert rc == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["requests"] == 200
 
-    def test_replay_no_batching_degrades_occupancy(self, built, capsys):
+    def test_replay_cache_slots_reach_the_server(self, built, capsys):
         from repro.cli import main
 
-        rc = main(
-            [
-                "replay", str(built),
-                "--requests", "300",
-                "--transport", "local",
-                "--no-batching",
-            ]
-        )
+        rc = main(["replay", str(built), "--requests", "300", "--cache-slots", "1"])
         assert rc == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["requests"] == 300
-        assert stats["server"]["config"]["max_batch"] == 1
-        assert stats["server"]["config"]["cache_slots"] == 1
+        assert stats["server"]["config"] == {"cache_slots": 1}
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--max-batch", "8"], ["--no-batching"], ["--transport", "local"]],
+        ids=["max-batch", "no-batching", "transport"],
+    )
+    def test_removed_flags_are_usage_errors(self, built, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", str(built), "--requests", "10", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_replay_obs_telemetry(self, built, tmp_path, capsys):
         from repro.cli import main
@@ -198,7 +200,6 @@ class TestCli:
             [
                 "replay", str(built),
                 "--requests", "300",
-                "--transport", "local",
                 "--obs", str(obs_dir),
             ]
         )

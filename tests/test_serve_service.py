@@ -1,6 +1,8 @@
-"""ReconstructionServer: coalescing, stacking, backpressure, streaming."""
+"""ReconstructionServer: coalescing, backpressure, streaming, lifecycle."""
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -21,10 +23,27 @@ def keys(serve_registry):
     return serve_registry.keys()
 
 
+@pytest.fixture
+def gate(monkeypatch):
+    """Hold every new server's dispatcher until the test sets the event.
+
+    Requests submitted meanwhile sit in the queue, so the dispatcher's
+    first wake-up drains them together: batching without a sleep.
+    """
+    opened = threading.Event()
+    run = ReconstructionServer._run
+
+    def gated_run(self):
+        opened.wait(60)  # bounded, so a test failing before set() cannot hang close()
+        run(self)
+
+    monkeypatch.setattr(ReconstructionServer, "_run", gated_run)
+    yield opened
+    opened.set()  # a failed test must not leave a dispatcher parked
+
+
 def make_server(registry, **overrides) -> ReconstructionServer:
-    defaults = dict(transport="local")
-    defaults.update(overrides)
-    return ReconstructionServer(registry, ServerConfig(**defaults))
+    return ReconstructionServer(registry, ServerConfig(**overrides))
 
 
 class TestBasics:
@@ -91,31 +110,49 @@ class TestBasics:
             ServeRequest(key=keys[0], kind="firehose")
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "name, value", [("max_batch", 8), ("batch_window", 0.0), ("transport", "local")]
+    )
+    def test_removed_fields_are_rejected(self, name, value):
+        with pytest.raises(TypeError):
+            ServerConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("on_nonfinite", "bogus"),
+            ("tenant_rate", 0),
+            ("tenant_burst", 0),
+            ("max_queue", 0),
+            ("cache_slots", 0),
+        ],
+    )
+    def test_invalid_values_raise_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ServerConfig(**{name: value})
+
+
 class TestCoalescingAndStacking:
-    def test_same_key_requests_coalesce_into_one_eval(self, serve_registry, keys):
-        with make_server(serve_registry, batch_window=0.25) as server:
+    def test_same_key_requests_coalesce_into_one_eval(self, serve_registry, keys, gate):
+        with make_server(serve_registry) as server:
             tickets = [server.submit(ServeRequest(key=keys[0])) for _ in range(6)]
+            gate.set()
             for ticket in tickets:
                 assert ticket.result(timeout=60) is not None
             stats = server.stats()
             assert stats["evals"] == 1
             assert stats["coalesced"] == 5
 
-    def test_distinct_timesteps_stack_into_one_fused_eval(self, serve_registry, keys):
-        with make_server(serve_registry, batch_window=0.25) as server:
+    def test_distinct_timesteps_share_one_evaluate_call(self, serve_registry, keys, gate):
+        with make_server(serve_registry) as server:
             tickets = [server.submit(ServeRequest(key=key)) for key in keys]
+            gate.set()
             for ticket in tickets:
                 assert ticket.result(timeout=60) is not None
             stats = server.stats()
             assert stats["evals"] == 1
-            assert stats["mean_stack_k"] == len(keys)
-
-    def test_max_batch_splits_oversized_stacks(self, serve_registry, keys):
-        with make_server(serve_registry, batch_window=0.25, max_batch=2) as server:
-            tickets = [server.submit(ServeRequest(key=key)) for key in keys]
-            for ticket in tickets:
-                ticket.result(timeout=60)
-            assert server.stats()["evals"] == 2  # 3 keys -> stacks of 2 + 1
+            assert stats["eval_members"] == len(keys)
 
     def test_cache_hits_complete_synchronously(self, serve_registry, keys):
         with make_server(serve_registry) as server:
@@ -148,19 +185,20 @@ class TestBackpressure:
             assert first.result(timeout=60) is not None
             assert other.result(timeout=60) is not None  # per-tenant buckets
 
-    def test_queue_bound_rejects(self, serve_registry, keys):
-        with make_server(serve_registry, max_queue=1, batch_window=0.5) as server:
+    def test_queue_bound_rejects(self, serve_registry, keys, gate):
+        with make_server(serve_registry, max_queue=1) as server:
             tickets = [server.submit(ServeRequest(key=key)) for key in keys]
-            statuses = sorted(t.status for t in tickets)
-            assert "rejected" in statuses
-            for ticket in tickets:
-                if ticket.status != "rejected":
-                    ticket.wait(60)
+            assert [t.status for t in tickets] == ["pending"] + ["rejected"] * (len(keys) - 1)
+            gate.set()
+            assert tickets[0].result(timeout=60) is not None
 
-    def test_deadline_shedding(self, serve_registry, keys):
-        with make_server(serve_registry, batch_window=0.4) as server:
+    def test_deadline_shedding(self, serve_registry, keys, gate):
+        now = [0.0]
+        with ReconstructionServer(serve_registry, clock=lambda: now[0]) as server:
             doomed = server.submit(ServeRequest(key=keys[0], deadline=0.01))
             patient = server.submit(ServeRequest(key=keys[1], deadline=60.0))
+            now[0] = 1.0  # past the first deadline while both are queued
+            gate.set()
             assert patient.result(timeout=60) is not None
             doomed.wait(60)
             assert doomed.status == "shed"
@@ -183,35 +221,34 @@ class TestResultRing:
             again = server.serve(ServeRequest(key=keys[0]), timeout=60)
             assert again.predictions.shape[0] > 0
 
-    def test_shm_transport_when_available(self, serve_registry, keys):
-        import os
-
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm")
-        with make_server(serve_registry, transport="shm") as server:
-            field = server.serve(ServeRequest(key=keys[0]), timeout=60)
-            assert np.isfinite(field.predictions).all()
-            assert server.stats()["transports"] == {keys[0].namespace_id: "shm"}
-
-    def test_local_and_shm_transports_agree_bitwise(self, serve_registry, keys):
-        import os
-
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm")
-        with make_server(serve_registry, transport="local") as server:
-            local = server.serve(ServeRequest(key=keys[0]), timeout=60).assemble()
-        with make_server(serve_registry, transport="shm") as server:
-            shm = server.serve(ServeRequest(key=keys[0]), timeout=60).assemble()
-        assert local.tobytes() == shm.tobytes()
-
 
 class TestLifecycle:
-    def test_close_drains_pending_tickets(self, serve_registry, keys):
-        server = make_server(serve_registry, batch_window=0.2)
+    def test_close_drains_pending_tickets(self, serve_registry, keys, gate):
+        server = make_server(serve_registry)
         tickets = [server.submit(ServeRequest(key=key)) for key in keys]
-        server.close()
+        closer = threading.Thread(target=server.close)
+        closer.start()
+        with server._cond:  # release the dispatcher only once close() has begun
+            assert server._cond.wait_for(lambda: server._closed, timeout=60)
+        gate.set()
+        closer.join(60)
+        assert not closer.is_alive()
         for ticket in tickets:
-            assert ticket.done()
+            assert ticket.status == "ok"
+
+    def test_submit_racing_close_raises_instead_of_queueing(self, serve_registry, keys):
+        """A request admitted while close() runs must not sit in the queue forever."""
+        server = make_server(serve_registry, tenant_rate=1.0)
+
+        class ClosingBucket:
+            def try_take(self):
+                server.close()  # lands between submit's first check and the queue
+                return True
+
+        server._buckets["racer"] = ClosingBucket()
+        with pytest.raises(ServeError, match="closed"):
+            server.submit(ServeRequest(key=keys[0], tenant="racer"))
+        assert not server._queue
 
     def test_submit_after_close_raises(self, serve_registry, keys):
         server = make_server(serve_registry)
