@@ -85,16 +85,16 @@ class FeatureExtractor:
         (the paper's design; ``False`` reproduces the Fig 8 ablation).
     workers:
         kd-tree query parallelism (-1 = all cores).
-    cache_geometry:
-        Reuse the sampled point cloud's kd-tree — and the last query's
-        neighbor indices and prediction block (a :class:`NeighborMemo`) —
-        across calls for the same ``(SampledField, query array)`` objects.
-        Chunked inference queries the same sample hundreds of times and
-        per-timestep reconstruction repeats the identical void-point query;
-        rebuilding the tree and re-running the neighbor search per call
-        dominated warm reconstruction time.
-        Keyed on object identity — mutating a sample's ``points`` or a
-        cached query array in place after a query will go unnoticed.
+
+    The extractor memoizes the sampled point cloud's kd-tree, and the last
+    query's neighbor indices and prediction block (a
+    :class:`NeighborMemo`), across calls for the same ``(SampledField,
+    query array)`` objects.  Chunked inference queries the same sample
+    hundreds of times and per-timestep reconstruction repeats the
+    identical void-point query; rebuilding the tree and re-running the
+    neighbor search per call dominated warm reconstruction time.  The
+    memo is keyed on object identity: mutating a sample's ``points`` or a
+    cached query array in place after a query goes unnoticed.
     """
 
     def __init__(
@@ -102,14 +102,12 @@ class FeatureExtractor:
         num_neighbors: int = 5,
         include_gradients: bool = True,
         workers: int = -1,
-        cache_geometry: bool = True,
     ) -> None:
         if num_neighbors < 1:
             raise ValueError(f"num_neighbors must be >= 1, got {num_neighbors}")
         self.num_neighbors = int(num_neighbors)
         self.include_gradients = bool(include_gradients)
         self.workers = int(workers)
-        self.cache_geometry = bool(cache_geometry)
         self._cached_sample: SampledField | None = None
         self._cached_tree: cKDTree | None = None
         self._memo: NeighborMemo | None = None
@@ -127,9 +125,7 @@ class FeatureExtractor:
         self._cached_sample = self._cached_tree = self._memo = None
 
     def _tree(self, sample: SampledField) -> cKDTree:
-        """The sample's kd-tree, cached per sample object when enabled."""
-        if not self.cache_geometry:
-            return cKDTree(sample.points)
+        """The sample's kd-tree, cached per sample object."""
         if self._cached_sample is not sample:
             self._cached_tree = cKDTree(sample.points)
             self._cached_sample = sample
@@ -155,7 +151,7 @@ class FeatureExtractor:
     ) -> np.ndarray:
         """Assemble ``(Q, feature_size)`` inputs for arbitrary query points."""
         query_points = np.atleast_2d(np.asarray(query_points, dtype=np.float64))
-        idx = self._memo_indices(sample, query_points)
+        idx = self._memo_for(sample, query_points).idx
 
         neighbor_xyz = normalizer.normalize_coords(sample.points[idx.ravel()]).reshape(
             len(query_points), self.num_neighbors, 3
@@ -179,30 +175,26 @@ class FeatureExtractor:
             self._tree(sample), query_points, self.num_neighbors, self.workers
         )
 
-    def _memo_indices(self, sample: SampledField, query_points: np.ndarray) -> np.ndarray:
-        """:meth:`_neighbor_indices`, memoized for the last ``(sample, query)`` pair.
+    def _memo_for(self, sample: SampledField, query_points: np.ndarray) -> NeighborMemo:
+        """The :class:`NeighborMemo` of the last ``(sample, query)`` pair, queried on a miss.
 
-        With ``cache_geometry`` the result is kept in a
-        :class:`NeighborMemo` for the last ``(sample, query_points)``
-        *object* pair: reconstructing every timestep of a campaign
-        re-queries the identical void positions
-        (:meth:`SampledField.void_points` returns a cached array), so the
-        kd-tree query — the dominant cost of warm reconstruction — runs
-        once per geometry instead of once per call.
+        The memo is kept for the last ``(sample, query_points)`` *object*
+        pair: reconstructing every timestep of a campaign re-queries the
+        identical void positions (:meth:`SampledField.void_points` returns
+        a cached array), so the kd-tree query — the dominant cost of warm
+        reconstruction — runs once per geometry instead of once per call.
         """
         memo = self._memo
         if (
-            self.cache_geometry
-            and memo is not None
-            and memo.sample is sample
-            and memo.query is query_points
-            and memo.idx.shape[1] == self.num_neighbors
+            memo is None
+            or memo.sample is not sample
+            or memo.query is not query_points
+            or memo.idx.shape[1] != self.num_neighbors
         ):
-            return memo.idx
-        idx = self._neighbor_indices(sample, query_points)
-        if self.cache_geometry:
-            self._memo = NeighborMemo(sample, query_points, idx)
-        return idx
+            memo = self._memo = NeighborMemo(
+                sample, query_points, self._neighbor_indices(sample, query_points)
+            )
+        return memo
 
     def features_into(
         self,
@@ -210,17 +202,14 @@ class FeatureExtractor:
         query_points: np.ndarray,
         normalizer: Normalizer,
         out: np.ndarray,
-        workspace=None,
         neighbor_idx: np.ndarray | None = None,
     ) -> np.ndarray:
         """:meth:`features` writing into a preallocated ``(Q, feature_size)`` block.
 
-        Per-neighbor columns are filled with strided ufunc ``out=`` writes,
-        and the kd-tree gathers land in ``workspace`` buffers (a
-        :class:`repro.perf.Workspace`) when given.  ``neighbor_idx`` lets a
-        caller that has already resolved (or cached) the ``(Q,
-        num_neighbors)`` nearest-sample indices for this block skip the
-        kd-tree query.  The arithmetic sequence (gather, subtract origin,
+        Per-neighbor columns are filled with strided ufunc ``out=`` writes.
+        ``neighbor_idx`` lets a caller that has already resolved (or
+        cached) the ``(Q, num_neighbors)`` nearest-sample indices for this
+        block skip the kd-tree query.  The arithmetic sequence (gather, subtract origin,
         divide by span; subtract mean, divide by std) matches
         :meth:`features`, so the block is bit-identical to the
         corresponding slice of the allocating result.  Every element is
@@ -238,17 +227,9 @@ class FeatureExtractor:
         idx = (
             neighbor_idx
             if neighbor_idx is not None
-            else self._memo_indices(sample, query_points)
+            else self._memo_for(sample, query_points).idx
         )
-
-        if workspace is not None:
-            pbuf = workspace.buffer(("feat", "pts"), (nq * kk, 3), dtype=np.float64)
-            if sample.points.dtype == np.float64:
-                np.take(sample.points, idx.ravel(), axis=0, out=pbuf)
-            else:
-                pbuf[...] = sample.points[idx.ravel()]
-        else:
-            pbuf = np.asarray(sample.points, dtype=np.float64)[idx.ravel()]
+        pbuf = np.asarray(sample.points, dtype=np.float64)[idx.ravel()]
 
         # Neighbor coordinates: (pts - origin) / span per neighbor column,
         # the difference held in float64 and the quotient rounded into out.
@@ -259,7 +240,7 @@ class FeatureExtractor:
         # The query's own normalized coordinates fill the last three columns.
         diff = np.subtract(query_points, normalizer.origin)
         np.divide(diff, normalizer.span, out=out[:, 4 * kk :])
-        return self.values_into(sample, normalizer, out, idx, workspace=workspace)
+        return self.values_into(sample, normalizer, out, idx)
 
     def values_into(
         self,
@@ -312,11 +293,8 @@ class FeatureExtractor:
         of the same geometry.  A new sample, query array, normalization
         origin/span or dtype rebuilds it.
         """
-        idx = self._memo_indices(sample, query_points)
-        memo = self._memo
-        if memo is None or memo.idx is not idx:
-            # Geometry memo off: the block lives for this call only.
-            memo = NeighborMemo(sample, query_points, idx)
+        memo = self._memo_for(sample, query_points)
+        idx = memo.idx
         key = (normalizer.origin.tobytes(), normalizer.span.tobytes(), np.dtype(dtype).str)
         if memo.block is None or memo.block_key != key:
             block = np.empty((len(idx), self.feature_size), dtype=dtype)

@@ -30,10 +30,10 @@ from repro.grid import UniformGrid
 from repro.nn import Adam, MSELoss, Sequential, Trainer, TrainingHistory, WeightedMSELoss, mlp
 from repro.nn.serialization import load_model, save_model, save_partial
 from repro.obs import counter as obs_counter
-from repro.obs import record_event, span
+from repro.obs import span
 from repro.perf import DtypePolicy, Workspace, snapshot_weights
 from repro.resilience.checkpoint import CheckpointConfig, TrainingCheckpoint
-from repro.resilience.health import HealthGuard, NumericalHealthError
+from repro.resilience.health import HealthGuard, check_on_nonfinite, fill_nonfinite
 from repro.resilience.report import ReconstructionReport
 from repro.sampling.base import SampledField, require_finite
 
@@ -67,17 +67,16 @@ class FCNNReconstructor:
         the optimization.
     seed:
         Controls weight init and shuffling; same seed → identical run.
-    fast_path:
-        Route training and inference through a reused
-        :class:`repro.perf.Workspace` (allocation-free hot loops, streamed
-        chunked inference).  Bit-identical to the slow path when
-        ``dtype_policy`` is ``"float64"``; set ``False`` to force the
-        allocating seed path.
     dtype_policy:
         Compute dtype for the network and its training rows: ``"float32"``
         (the default, as the paper's PyTorch computes) or ``"float64"``;
         see :class:`repro.perf.DtypePolicy`.  Losses, SNR and
         reconstruction outputs accumulate in float64 regardless.
+
+    Training and inference run on the reconstructor's own
+    :class:`repro.perf.Workspace` (allocation-free hot loops, streamed
+    chunked inference).  :meth:`settings` lists the constructor arguments
+    that :meth:`clone`, :meth:`save` and :meth:`load` carry over.
     """
 
     name = "fcnn"
@@ -91,7 +90,6 @@ class FCNNReconstructor:
         batch_size: int = 4096,
         gradient_loss_weight: float = 0.1,
         seed: int = 0,
-        fast_path: bool = True,
         dtype_policy: str = "float32",
     ) -> None:
         if not hidden_layers:
@@ -106,7 +104,6 @@ class FCNNReconstructor:
             raise ValueError(f"gradient_loss_weight must be >= 0, got {gradient_loss_weight}")
         self.gradient_loss_weight = float(gradient_loss_weight)
         self.seed = int(seed)
-        self.fast_path = bool(fast_path)
         self.dtype_policy = DtypePolicy(dtype_policy)
         self._workspace: Workspace | None = None
         # Single-writer guard: fine_tune_batch trains self.model in place
@@ -138,10 +135,31 @@ class FCNNReconstructor:
             raise RuntimeError("model is not trained; call train() or load() first")
         return self.model, self.normalizer
 
-    def _get_workspace(self) -> Workspace | None:
-        """The reconstructor's arena (one per instance), or ``None`` when slow."""
-        if not self.fast_path:
-            return None
+    def settings(self) -> dict:
+        """The constructor arguments this reconstructor was built with.
+
+        ``FCNNReconstructor(**r.settings())`` is an untrained twin of
+        ``r``; :meth:`clone`, :meth:`save` and :meth:`load` carry exactly
+        these values (JSON-ready: ``hidden_layers`` is a list).
+        """
+        return {
+            "hidden_layers": list(self.hidden_layers),
+            "num_neighbors": self.extractor.num_neighbors,
+            "include_gradients": self.extractor.include_gradients,
+            "learning_rate": self.learning_rate,
+            "batch_size": self.batch_size,
+            "gradient_loss_weight": self.gradient_loss_weight,
+            "seed": self.seed,
+            "dtype_policy": self.dtype_policy.compute,
+        }
+
+    @property
+    def predict_block(self) -> int:
+        """Rows per inference block; chunked callers align their chunks to it."""
+        return max(self.batch_size, 16384)
+
+    def _get_workspace(self) -> Workspace:
+        """The reconstructor's arena, one per instance, built on first use."""
         if self._workspace is None:
             self._workspace = Workspace(dtype=self.dtype_policy.compute_dtype)
         return self._workspace
@@ -524,15 +542,13 @@ class FCNNReconstructor:
         """Predict (denormalized) scalar values at arbitrary positions.
 
         The one FCNN inference kernel: offline reconstruction, the warm
-        campaign pool and the serving evaluator all predict
-        through it.  With ``fast_path`` the coordinate feature columns come
-        from the extractor's per-geometry memo
-        (:meth:`FeatureExtractor.prediction_block`), so a call refills only
-        the value columns; rows then stream through the workspace in
-        fixed-size blocks and are denormalized straight into the result.
-        Block boundaries equal the slow path's prediction batches, keeping
-        results bit-identical (``dtype_policy="float64"``).  Non-finite
-        sample values raise :class:`~repro.sampling.NonFiniteFieldError`.
+        campaign pool and the serving evaluator all predict through it.
+        The coordinate feature columns come from the extractor's
+        per-geometry memo (:meth:`FeatureExtractor.prediction_block`), so a
+        call refills only the value columns; rows then stream through the
+        workspace in :attr:`predict_block` rows at a time and are
+        denormalized straight into the result.  Non-finite sample values
+        raise :class:`~repro.sampling.NonFiniteFieldError`.
         """
         model, normalizer = self._require_trained()
         require_finite(f"sample at timestep {sample.timestep}", sample.values)
@@ -542,40 +558,26 @@ class FCNNReconstructor:
             origin=np.asarray(g.origin, dtype=np.float64),
             span=_grid_span(g),
         )
-        with span("fcnn.predict", queries=len(points), fast=self.fast_path):
-            if self.fast_path:
-                return self._predict_values_fast(model, sample, points, local)
-            x = self.extractor.features(sample, points, local)
-            pred = model.predict(x, batch_size=max(self.batch_size, 16384))
-            return local.denormalize_values(pred[:, 0])
-
-    def _predict_values_fast(
-        self,
-        model: Sequential,
-        sample: SampledField,
-        points: np.ndarray,
-        local: Normalizer,
-    ) -> np.ndarray:
-        """Chunked inference through the reused workspace (see predict_values)."""
         ws = self._get_workspace()
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         nq = len(points)
         out = np.empty(nq, dtype=np.float64)
-        block = max(self.batch_size, 16384)
-        feat, idx = self.extractor.prediction_block(sample, points, local, ws.dtype)
-        model.attach_workspace(ws)
-        model.set_training(False)
-        try:
-            for start in range(0, nq, block):
-                stop = min(start + block, nq)
-                rows = self.extractor.values_into(
-                    sample, local, feat[start:stop], idx[start:stop], workspace=ws
-                )
-                pred = model.forward(rows)
-                local.denormalize_values_into(pred[:, 0], out[start:stop])
-        finally:
-            model.set_training(True)
-            model.detach_workspace()
+        block = self.predict_block
+        with span("fcnn.predict", queries=nq):
+            feat, idx = self.extractor.prediction_block(sample, points, local, ws.dtype)
+            model.attach_workspace(ws)
+            model.set_training(False)
+            try:
+                for start in range(0, nq, block):
+                    stop = min(start + block, nq)
+                    rows = self.extractor.values_into(
+                        sample, local, feat[start:stop], idx[start:stop], workspace=ws
+                    )
+                    pred = model.forward(rows)
+                    local.denormalize_values_into(pred[:, 0], out[start:stop])
+            finally:
+                model.set_training(True)
+                model.detach_workspace()
         return out
 
     def reconstruct(
@@ -592,18 +594,16 @@ class FCNNReconstructor:
         values and only void locations are predicted.
 
         Non-finite FCNN predictions (a numerically-poisoned model, an
-        overflowing feature) are handled per ``on_nonfinite``:
-        ``"fallback"`` (default) fills the affected locations by nearest-
-        neighbor interpolation from the sample and flags them in the
-        report; ``"raise"`` aborts with
+        overflowing feature) are handled per ``on_nonfinite``
+        (:func:`repro.resilience.health.fill_nonfinite`): ``"fallback"``
+        (default) fills the affected locations by nearest-neighbor
+        interpolation from the sample and flags them in the report;
+        ``"raise"`` aborts with
         :class:`~repro.resilience.NumericalHealthError`.  Request the
         degradation metadata with ``return_report=True`` — the result
         becomes ``(field, report)``.
         """
-        if on_nonfinite not in ("fallback", "raise"):
-            raise ValueError(
-                f"on_nonfinite must be 'fallback' or 'raise', got {on_nonfinite!r}"
-            )
+        check_on_nonfinite(on_nonfinite)
         self._require_trained()
         grid = target_grid if target_grid is not None else sample.grid
         same_grid = target_grid is None or target_grid == sample.grid
@@ -642,31 +642,7 @@ class FCNNReconstructor:
     ) -> np.ndarray:
         """Predict at ``points``, degrading non-finite outputs to nearest-neighbor."""
         pred = self.predict_values(sample, points, grid)
-        bad = ~np.isfinite(pred)
-        count = int(bad.sum())
-        if count == 0:
-            return pred
-        if on_nonfinite == "raise":
-            raise NumericalHealthError(
-                f"FCNN produced {count}/{pred.size} non-finite predictions; "
-                "the model state is numerically poisoned"
-            )
-        from scipy.spatial import cKDTree
-
-        pred = pred.copy()
-        _, nearest = cKDTree(sample.points).query(points[bad], k=1)
-        pred[bad] = sample.values[nearest]
-        report.flag(
-            len(report.degraded),
-            count,
-            f"{count}/{pred.size} non-finite FCNN prediction(s)",
-            "nearest",
-        )
-        obs_counter("reconstruct.fcnn.fallback").inc(count)
-        record_event(
-            "degraded", where="fcnn.predict", count=count, fallback="nearest"
-        )
-        return pred
+        return fill_nonfinite(pred, sample, sample.values, points, report, on_nonfinite)
 
     # ------------------------------------------------------------- snapshots
     def snapshot(self):
@@ -700,17 +676,7 @@ class FCNNReconstructor:
         Training history carries over; the normalizer (immutable) is
         shared.
         """
-        recon = FCNNReconstructor(
-            hidden_layers=self.hidden_layers,
-            num_neighbors=self.extractor.num_neighbors,
-            include_gradients=self.extractor.include_gradients,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            gradient_loss_weight=self.gradient_loss_weight,
-            seed=self.seed,
-            fast_path=self.fast_path,
-            dtype_policy=self.dtype_policy.compute,
-        )
+        recon = FCNNReconstructor(**self.settings())
         if self.model is not None:
             recon.model = self.model.clone_architecture()
             recon.dtype_policy.cast_model(recon.model)
@@ -721,20 +687,9 @@ class FCNNReconstructor:
 
     # ----------------------------------------------------------- checkpoints
     def save(self, path: str | Path) -> None:
-        """Full checkpoint: weights + architecture + normalization stats."""
+        """Full checkpoint: weights + architecture, :meth:`settings` + normalization stats."""
         model, normalizer = self._require_trained()
-        meta = {
-            "hidden_layers": list(self.hidden_layers),
-            "num_neighbors": self.extractor.num_neighbors,
-            "include_gradients": self.extractor.include_gradients,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "fast_path": self.fast_path,
-            "dtype_policy": self.dtype_policy.compute,
-            "normalizer": normalizer.as_dict(),
-        }
-        save_model(path, model, meta=meta)
+        save_model(path, model, meta={**self.settings(), "normalizer": normalizer.as_dict()})
 
     def save_partial(self, path: str | Path, num_layers: int = 2) -> None:
         """Case-2 checkpoint: only the last ``num_layers`` Dense layers."""
@@ -743,19 +698,17 @@ class FCNNReconstructor:
 
     @classmethod
     def load(cls, path: str | Path) -> "FCNNReconstructor":
-        """Restore a reconstructor saved with :meth:`save`."""
+        """Restore a reconstructor saved with :meth:`save`.
+
+        Every :meth:`settings` key in the file is passed back; one the file
+        lacks takes its default, except ``dtype_policy``: files from before
+        the float32 default carry no key and compute in float64.  Other
+        keys (``normalizer``, arguments the constructor no longer takes)
+        are not passed.
+        """
         model, meta = load_model(path)
-        recon = cls(
-            hidden_layers=tuple(meta["hidden_layers"]),
-            num_neighbors=int(meta["num_neighbors"]),
-            include_gradients=bool(meta["include_gradients"]),
-            learning_rate=float(meta["learning_rate"]),
-            batch_size=int(meta["batch_size"]),
-            seed=int(meta["seed"]),
-            fast_path=bool(meta.get("fast_path", True)),
-            # Files from before the float32 default carry no key: float64.
-            dtype_policy=str(meta.get("dtype_policy", "float64")),
-        )
+        defaults = {**cls().settings(), "dtype_policy": "float64"}
+        recon = cls(**{name: meta.get(name, value) for name, value in defaults.items()})
         recon.model = model
         # Checkpoints store float64 weights; re-apply the compute policy.
         recon.dtype_policy.cast_model(model)

@@ -68,9 +68,6 @@ class ExperimentConfig:
     #: None (the default) disables observability — instrumented code paths
     #: then cost a no-op call (see docs/OBSERVABILITY.md)
     obs: str | None = None
-    #: route training/inference through the repro.perf workspace fast path
-    #: (bit-identical to the slow path while ``dtype_policy`` is float64)
-    fast_path: bool = True
     #: network compute dtype: "float32" (the default, as the paper's
     #: PyTorch computes; half the bandwidth at ~1e-7 relative error) or
     #: "float64" — see repro.perf.DtypePolicy

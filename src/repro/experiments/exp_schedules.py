@@ -70,6 +70,7 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
             optimizer=optimizer,
             batch_size=config.batch_size,
             seed=config.seed,
+            workspace=fcnn._get_workspace(),
         )
         history = trainer.fit(
             x, y, epochs=config.epochs, callback=apply_schedule(optimizer, schedule)

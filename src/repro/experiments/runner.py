@@ -71,7 +71,6 @@ def build_reconstructor(config: ExperimentConfig, **overrides) -> FCNNReconstruc
         batch_size=config.batch_size,
         gradient_loss_weight=config.gradient_loss_weight,
         seed=config.seed,
-        fast_path=config.fast_path,
         dtype_policy=config.dtype_policy,
     )
     kwargs.update(overrides)

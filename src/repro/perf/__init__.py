@@ -1,4 +1,4 @@
-"""repro.perf — the performance subsystem: fast paths that change nothing else.
+"""repro.perf — the performance subsystem: arenas, dtype policy, transport, campaigns.
 
 Independent pieces (see ``docs/PERFORMANCE.md`` for design and
 measurements):
@@ -28,9 +28,9 @@ measurements):
   (Imported lazily: :mod:`repro.core` imports this package, and the
   campaign module imports :mod:`repro.core` back.)
 
-``BENCH_perf.json`` / ``BENCH_campaign.json`` (written by the benchmark
-suite) record the measured speedups; the CI ``perf`` and ``campaign``
-jobs keep them from regressing via ``repro obs report --diff
+Speed is measured end to end by ``benchmarks/e2e``; ``BENCH_campaign.json``
+(written by the campaign bench) records the pipelining measurements, and
+the CI ``campaign`` job gates its spans via ``repro obs report --diff
 --fail-on-regression``.
 """
 

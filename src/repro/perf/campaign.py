@@ -32,11 +32,11 @@ This module overlaps the stages and keeps everything warm:
   :class:`~repro.sampling.base.SampledField` shells.
 
 Bit-identity contract: worker chunk boundaries are aligned to the FCNN
-predict block (``max(batch_size, 16384)``), so the matmul block shapes —
-and therefore every float — match the serial
+predict block (:attr:`~repro.core.reconstructor.FCNNReconstructor.predict_block`),
+so the matmul block shapes — and therefore every float — match the serial
 :meth:`~repro.core.reconstructor.FCNNReconstructor.reconstruct` exactly;
-weight deltas are XOR (exact); the non-finite nearest-neighbor fallback is
-replicated with the serial path's tree and counters.
+weight deltas are XOR (exact); non-finite predictions degrade through the
+serial path's :func:`~repro.resilience.health.fill_nonfinite`.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from repro.parallel.executor import ParallelExecutor, usable_cpus
 from repro.perf import shm as _shm
 from repro.perf.shm import SharedArrayBundle
 from repro.perf.weights import apply_weight_delta, restore_weights, snapshot_weights, weight_delta
+from repro.resilience.health import check_on_nonfinite, fill_nonfinite
 from repro.resilience.report import ReconstructionReport
 from repro.resilience.supervise import CampaignInterrupted
 from repro.sampling.base import SampledField
@@ -564,45 +565,6 @@ def _stoppable_acquire(sem: threading.Semaphore, stop: threading.Event) -> None:
 # reconstruction sinks
 
 
-def _predict_block(reconstructor) -> int:
-    """The FCNN predict block size — chunk boundaries must align to it."""
-    return max(reconstructor.batch_size, 16384)
-
-
-def _nonfinite_fallback(
-    pred: np.ndarray,
-    sample_points: np.ndarray,
-    sample_values: np.ndarray,
-    query_points: np.ndarray,
-    report: ReconstructionReport,
-) -> np.ndarray:
-    """Replicate the serial nearest-neighbor degradation for non-finite predictions.
-
-    Same tree (built over the same sample positions), same counters
-    (``reconstruct.fcnn.fallback``) and the same ``degraded`` event as
-    :meth:`FCNNReconstructor._healthy_predictions`, so a pipelined campaign
-    degrades bit-identically to — and is as observable as — a serial one.
-    """
-    bad = ~np.isfinite(pred)
-    count = int(bad.sum())
-    if count == 0:
-        return pred
-    from scipy.spatial import cKDTree
-
-    pred = pred.copy()
-    _, nearest = cKDTree(sample_points).query(query_points[bad], k=1)
-    pred[bad] = sample_values[nearest]
-    report.flag(
-        len(report.degraded),
-        count,
-        f"{count}/{pred.size} non-finite FCNN prediction(s)",
-        "nearest",
-    )
-    obs_counter("reconstruct.fcnn.fallback").inc(count)
-    record_event("degraded", where="fcnn.predict", count=count, fallback="nearest")
-    return pred
-
-
 class LocalReconstructionSink:
     """In-process publish/reconstruct sink — the pool's serial twin.
 
@@ -760,23 +722,13 @@ class WarmReconstructionPool:
             flat = snapshot_weights(network).data
             base[tag] = np.array(flat, dtype=np.float64, copy=True)
             metas[tag] = {
-                "ctor": {
-                    "hidden_layers": model.hidden_layers,
-                    "num_neighbors": model.extractor.num_neighbors,
-                    "include_gradients": model.extractor.include_gradients,
-                    "learning_rate": model.learning_rate,
-                    "batch_size": model.batch_size,
-                    "gradient_loss_weight": model.gradient_loss_weight,
-                    "seed": model.seed,
-                    "fast_path": model.fast_path,
-                    "dtype_policy": model.dtype_policy.compute,
-                },
+                "ctor": model.settings(),
                 "spec": network.spec(),
                 "normalizer": normalizer.as_dict(),
                 "num_weights": int(flat.size),
             }
             self._chunks[tag] = aligned_chunks(
-                geometry.num_voids, self._target_chunks(), _predict_block(model)
+                geometry.num_voids, self._target_chunks(), model.predict_block
             )
         width = max(meta["num_weights"] for meta in metas.values())
         base_matrix = np.zeros((len(tags), width), dtype=np.float64)
@@ -850,10 +802,7 @@ class WarmReconstructionPool:
         """
         if self._bundle is None or self.geometry is None:
             raise RuntimeError("pool is not bound; call bind() first")
-        if on_nonfinite not in ("fallback", "raise"):
-            raise ValueError(
-                f"on_nonfinite must be 'fallback' or 'raise', got {on_nonfinite!r}"
-            )
+        check_on_nonfinite(on_nonfinite)
         geometry = self.geometry
         ti = self._tags.index(tag)
         chunks = self._chunks[tag]
@@ -897,19 +846,10 @@ class WarmReconstructionPool:
                         f"campaign chunk {outcome.index} ({tag}) failed: {outcome.error}"
                     )
             values = self._bundle.view("values")[slot]
-            pred = np.array(self._bundle.view("out")[slot, ti], copy=True)
-            if not np.isfinite(pred).all():
-                if on_nonfinite == "raise":
-                    from repro.resilience.health import NumericalHealthError
-
-                    count = int((~np.isfinite(pred)).sum())
-                    raise NumericalHealthError(
-                        f"FCNN produced {count}/{pred.size} non-finite predictions; "
-                        "the model state is numerically poisoned"
-                    )
-                pred = _nonfinite_fallback(
-                    pred, geometry.points, values, geometry.void_points, report
-                )
+            pred = fill_nonfinite(
+                np.array(self._bundle.view("out")[slot, ti], copy=True),
+                geometry, values, geometry.void_points, report, on_nonfinite,
+            )
             out = geometry.grid.empty_field().ravel()
             out[geometry.indices] = values
             out[geometry.void_indices] = pred
@@ -1117,9 +1057,7 @@ def _campaign_worker(payload: dict) -> int:
     state.sample.values[...] = state.arrays["values"][slot]
 
     extractor = recon.extractor
-    memo = state.slab(start, stop, extractor.num_neighbors, extractor.workers)
-    if extractor.cache_geometry:
-        extractor._memo = memo
+    memo = extractor._memo = state.slab(start, stop, extractor.num_neighbors, extractor.workers)
     state.arrays["out"][slot, ti, start:stop] = recon.predict_values(
         state.sample, memo.query, state.geometry.grid
     )

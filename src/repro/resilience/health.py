@@ -14,6 +14,11 @@ three recovery policies:
 
 Every intervention is recorded as a :class:`HealthEvent` so a run's
 recovery story is auditable after the fact.
+
+At inference, :func:`fill_nonfinite` is the one degradation of every FCNN
+reconstruction route: a non-finite prediction takes the nearest sample's
+value, or ``on_nonfinite="raise"`` aborts with
+:class:`NumericalHealthError`.
 """
 
 from __future__ import annotations
@@ -22,7 +27,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["HealthGuard", "HealthEvent", "NumericalHealthError", "POLICIES"]
+from repro.obs import counter, record_event
+
+__all__ = [
+    "HealthGuard",
+    "HealthEvent",
+    "NumericalHealthError",
+    "POLICIES",
+    "check_on_nonfinite",
+    "fill_nonfinite",
+]
 
 POLICIES = ("raise", "skip_batch", "rollback")
 
@@ -107,3 +121,62 @@ class HealthGuard:
 
     def retries_left(self) -> int:
         return self.max_retries - self.rollbacks_used
+
+
+# --------------------------------------------------------------------------
+# inference
+
+
+def check_on_nonfinite(on_nonfinite: str) -> None:
+    """Raise ``ValueError`` unless ``on_nonfinite`` is ``"fallback"`` or ``"raise"``."""
+    if on_nonfinite not in ("fallback", "raise"):
+        raise ValueError(
+            f"on_nonfinite must be 'fallback' or 'raise', got {on_nonfinite!r}"
+        )
+
+
+def fill_nonfinite(
+    pred: np.ndarray,
+    samples,
+    sample_values: np.ndarray,
+    query_points: np.ndarray,
+    report,
+    on_nonfinite: str = "fallback",
+) -> np.ndarray:
+    """Degrade non-finite predictions at ``query_points`` to the nearest sample's value.
+
+    ``samples`` holds the ``(M, 3)`` sample positions as ``.points`` (a
+    :class:`~repro.sampling.SampledField` or a campaign geometry); they are
+    read only when a prediction is non-finite.  Returns ``pred`` itself
+    when every prediction is finite.  Otherwise ``on_nonfinite="raise"``
+    raises :class:`NumericalHealthError`, and ``"fallback"`` returns a copy
+    in which each non-finite entry holds the value of its nearest sample
+    (the Voronoi fill), flags the count in ``report`` (a
+    :class:`~repro.resilience.ReconstructionReport`), adds it to the
+    ``reconstruct.fcnn.fallback`` counter and records a ``degraded`` event.
+    """
+    check_on_nonfinite(on_nonfinite)
+    finite = np.isfinite(pred)
+    if finite.all():  # the common case allocates no second mask
+        return pred
+    bad = ~finite
+    count = int(bad.sum())
+    if on_nonfinite == "raise":
+        raise NumericalHealthError(
+            f"FCNN produced {count}/{pred.size} non-finite predictions; "
+            "the model state is numerically poisoned"
+        )
+    from scipy.spatial import cKDTree
+
+    pred = pred.copy()
+    _, nearest = cKDTree(samples.points).query(query_points[bad], k=1)
+    pred[bad] = sample_values[nearest]
+    report.flag(
+        len(report.degraded),
+        count,
+        f"{count}/{pred.size} non-finite FCNN prediction(s)",
+        "nearest",
+    )
+    counter("reconstruct.fcnn.fallback").inc(count)
+    record_event("degraded", where="fcnn.predict", count=count, fallback="nearest")
+    return pred

@@ -8,8 +8,8 @@ namespace base, whose :meth:`repro.core.FCNNReconstructor.predict_values`
 then predicts every void over the evaluator's stable sample shell.  Served
 rows are therefore **bit-identical, per member, to the serial**
 ``predict_values`` path for the same weights (the acceptance contract of
-``repro.serve``), and the non-finite nearest-neighbor fallback reuses the
-serial path's exact op sequence.
+``repro.serve``), and non-finite predictions degrade through the serial
+path's :func:`repro.resilience.health.fill_nonfinite`.
 
 Stacking K members into one ``(K, n, m)`` pass saved no per-member time
 at inference (37–47 ms per member for 22,162 voids at K = 1…4 on a
@@ -27,9 +27,9 @@ import numpy as np
 
 from repro.obs import gauge as obs_gauge
 from repro.obs import span
-from repro.perf.campaign import CampaignGeometry, _nonfinite_fallback
+from repro.perf.campaign import CampaignGeometry
 from repro.perf.weights import restore_weights
-from repro.resilience.health import NumericalHealthError
+from repro.resilience.health import check_on_nonfinite, fill_nonfinite
 from repro.resilience.report import ReconstructionReport
 
 __all__ = ["StackEvaluator"]
@@ -42,7 +42,7 @@ class StackEvaluator:
         base._require_trained()
         self.base = base
         self.geometry = geometry
-        self.block = max(base.batch_size, 16384)
+        self.block = base.predict_block
         # Member weights are restored into a private clone, never the base;
         # one stable shell + the geometry's cached void positions keep the
         # clone's neighbor and coordinate-column memo hot.
@@ -84,10 +84,7 @@ class StackEvaluator:
         :meth:`~repro.core.FCNNReconstructor.predict_values` over the
         same geometry with the same weights.
         """
-        if on_nonfinite not in ("fallback", "raise"):
-            raise ValueError(
-                f"on_nonfinite must be 'fallback' or 'raise', got {on_nonfinite!r}"
-            )
+        check_on_nonfinite(on_nonfinite)
         k = len(weight_rows)
         if k == 0 or len(value_rows) != k:
             raise ValueError(
@@ -105,29 +102,20 @@ class StackEvaluator:
                         self._shell, geometry.void_points
                     )
             finally:
-                obs_gauge("serve.engine.workspace.bytes").set(
-                    float(self._ws.nbytes if self._ws is not None else 0)
-                )
+                obs_gauge("serve.engine.workspace.bytes").set(float(self._ws.nbytes))
         reports = []
         for member in range(k):
             report = ReconstructionReport(
                 total_points=int(geometry.grid.num_points), fallback_method="nearest"
             )
-            row = pred[member]
-            if not np.isfinite(row).all():
-                if on_nonfinite == "raise":
-                    count = int((~np.isfinite(row)).sum())
-                    raise NumericalHealthError(
-                        f"FCNN produced {count}/{row.size} non-finite predictions; "
-                        "the model state is numerically poisoned"
-                    )
-                pred[member] = _nonfinite_fallback(
-                    row,
-                    geometry.points,
-                    np.asarray(value_rows[member], dtype=np.float64),
-                    geometry.void_points,
-                    report,
-                )
+            pred[member] = fill_nonfinite(
+                pred[member],
+                geometry,
+                np.asarray(value_rows[member], dtype=np.float64),
+                geometry.void_points,
+                report,
+                on_nonfinite,
+            )
             reports.append(report)
         return pred, reports
 
@@ -138,8 +126,7 @@ class StackEvaluator:
         arena), and a closed evaluator still works: the next
         :meth:`evaluate` rebuilds what it needs.
         """
-        if self._ws is not None:
-            self._ws.clear()
+        self._ws.clear()
         self._model.extractor.clear_cache()
 
     def assemble(self, values: np.ndarray, pred: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
 from repro.obs import histogram as obs_histogram
 from repro.obs import record_event, span
+from repro.resilience.health import check_on_nonfinite
 from repro.serve.engine import StackEvaluator
 from repro.serve.registry import ModelKey, ModelRegistry
 
@@ -109,10 +110,7 @@ class ServerConfig:
             raise ValueError(f"tenant_rate must be > 0 or None, got {self.tenant_rate}")
         if self.tenant_burst < 1:
             raise ValueError(f"tenant_burst must be >= 1, got {self.tenant_burst}")
-        if self.on_nonfinite not in ("fallback", "raise"):
-            raise ValueError(
-                f"on_nonfinite must be 'fallback' or 'raise', got {self.on_nonfinite!r}"
-            )
+        check_on_nonfinite(self.on_nonfinite)
 
 
 class TokenBucket:
@@ -484,13 +482,12 @@ class ReconstructionServer:
                     self._fail(ticket, exc)
             return
         # Second chance: a result may have landed since these were queued.
+        # The tickets were counted as misses at submit and stay misses.
         for key in list(keymap):
             with self._cond:
                 hit = ns.cache.lookup(key)
             if hit is not None:
                 tickets = keymap.pop(key)
-                self._count("hits", len(tickets))
-                self._c_hits.inc(len(tickets))
                 for ticket in tickets:
                     self._fulfill(ticket, ns, *hit, report=None)
         rows: list[tuple[ModelKey, np.ndarray, np.ndarray]] = []

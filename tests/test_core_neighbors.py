@@ -73,7 +73,7 @@ def test_more_neighbors_than_samples_pads_with_the_farthest():
         grid=grid, indices=flat, values=np.array([1.0, 2.0, 3.0]), fraction=0.1
     )
     queries = grid.index_to_position(grid.flat_to_multi(np.array([1, 10, 30])))
-    extractor = FeatureExtractor(num_neighbors=5, cache_geometry=False)
+    extractor = FeatureExtractor(num_neighbors=5)
     idx = extractor._neighbor_indices(sample, queries)
     assert idx.shape == (3, 5)
     got = np.linalg.norm(sample.points[idx[:, :3]] - queries[:, None, :], axis=2)

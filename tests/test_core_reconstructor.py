@@ -1,15 +1,18 @@
 """Unit/integration tests for the FCNN reconstructor."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
-from repro.core import FCNNReconstructor, PAPER_HIDDEN_LAYERS
+from repro.core import FCNNReconstructor, FeatureExtractor, PAPER_HIDDEN_LAYERS
 from repro.datasets import HurricaneDataset, make_dataset
 from repro.datasets.base import TimestepField
+from repro.experiments.config import ExperimentConfig
 from repro.grid import UniformGrid, upscaled_grid
 from repro.metrics import snr
+from repro.nn.serialization import load_model, save_model
 from repro.perf import snapshot_weights
 from repro.sampling import MultiCriteriaSampler, NonFiniteFieldError, RandomSampler
 
@@ -39,6 +42,19 @@ class TestConfiguration:
             FCNNReconstructor(hidden_layers=())
         with pytest.raises(ValueError):
             FCNNReconstructor(gradient_loss_weight=-0.5)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FCNNReconstructor(fast_path=False),
+            lambda: ExperimentConfig(fast_path=False),
+            lambda: FeatureExtractor(cache_geometry=False),
+        ],
+        ids=["reconstructor-fast_path", "config-fast_path", "extractor-cache_geometry"],
+    )
+    def test_removed_options_are_type_errors(self, build):
+        with pytest.raises(TypeError):
+            build()
 
     def test_untrained_raises(self, sample):
         model = FCNNReconstructor()
@@ -261,6 +277,41 @@ class TestCheckpointing:
         loaded = FCNNReconstructor.load(path)
         assert loaded.hidden_layers == model.hidden_layers
         assert loaded.extractor.num_neighbors == model.extractor.num_neighbors
+
+    def test_every_setting_survives_save_load_and_clone(self, hurricane_field, sample, tmp_path):
+        settings = {  # every constructor argument, none at its default
+            "hidden_layers": [12, 6],
+            "num_neighbors": 4,
+            "include_gradients": False,
+            "learning_rate": 2e-3,
+            "batch_size": 300,
+            "gradient_loss_weight": 0.5,
+            "seed": 9,
+            "dtype_policy": "float64",
+        }
+        defaults = FCNNReconstructor().settings()
+        assert set(settings) == set(defaults) == set(inspect.signature(FCNNReconstructor).parameters)
+        assert all(settings[name] != defaults[name] for name in settings)
+        model = FCNNReconstructor(**settings)
+        assert model.settings() == settings
+        model.train(hurricane_field, sample, epochs=1)
+        model.save(tmp_path / "model.npz")
+        assert FCNNReconstructor.load(tmp_path / "model.npz").settings() == settings
+        assert model.clone().settings() == settings
+
+    def test_file_from_before_the_settings_list_loads(self, hurricane_field, sample, tmp_path):
+        """Older files carry ``fast_path`` and lack ``gradient_loss_weight``."""
+        model = FCNNReconstructor(hidden_layers=(8,), batch_size=256, seed=0)
+        model.train(hurricane_field, sample, epochs=1)
+        model.save(tmp_path / "new.npz")
+        _, meta = load_model(tmp_path / "new.npz")
+        del meta["gradient_loss_weight"]
+        meta["fast_path"] = True
+        save_model(tmp_path / "old.npz", model.model, meta=meta)
+        loaded = FCNNReconstructor.load(tmp_path / "old.npz")
+        assert loaded.gradient_loss_weight == 0.1
+        assert loaded.settings() == model.settings()
+        assert loaded.reconstruct(sample).tobytes() == model.reconstruct(sample).tobytes()
 
     def test_partial_checkpoint_graft(self, setup, tmp_path):
         import copy

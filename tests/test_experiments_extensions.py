@@ -117,6 +117,23 @@ class TestScheduleAblation:
             assert np.isfinite(row["avg_snr"])
             assert row["final_lr"] > 0
 
+    def test_trains_in_the_model_dtype(self, monkeypatch):
+        """Every Dense layer computes float32 rows against its float32 weights."""
+        from repro.experiments import exp_schedules
+        from repro.nn.layers import Dense
+
+        seen = set()
+        forward = Dense.forward
+
+        def spy(layer, x):
+            out = forward(layer, x)
+            seen.add((x.dtype.name, layer.weight.value.dtype.name, out.dtype.name))
+            return out
+
+        monkeypatch.setattr(Dense, "forward", spy)
+        exp_schedules.run(TINY.scaled(epochs=1))
+        assert seen == {("float32", "float32", "float32")}
+
 
 class TestCLIRegistration:
     @pytest.mark.parametrize(

@@ -71,7 +71,7 @@ def _reference(model, sample, points, grid=None) -> np.ndarray:
         for start in range(0, len(points), block):
             stop = min(start + block, len(points))
             feat = ws.buffer("feat", (stop - start, extractor.feature_size))
-            extractor.features_into(sample, points[start:stop], local, feat, workspace=ws)
+            extractor.features_into(sample, points[start:stop], local, feat)
             local.denormalize_values_into(net.forward(feat)[:, 0], out[start:stop])
     finally:
         net.set_training(True)

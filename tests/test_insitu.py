@@ -144,6 +144,42 @@ class TestInSituTraining:
         part_size = (tmp_path / "camp" / manifest.model_files["32"]).stat().st_size
         assert part_size < base_size
 
+    def test_resume_fine_tunes_with_the_saved_settings(self, tmp_path):
+        """A resumed campaign rebuilds its model from the base file, which
+        must carry every constructor setting (here a non-default
+        ``gradient_loss_weight``) for the fine-tunes to match."""
+        from repro.datasets import make_dataset
+        from repro.resilience.chaos import directory_digest
+        from repro.resilience.faults import SimulatedCrash
+
+        def writer():
+            return InSituWriter(
+                dataset=make_dataset("combustion", dims=(12, 12, 6), seed=0),
+                sampler=MultiCriteriaSampler(seed=5),
+                fraction=0.05,
+                train_model=True,
+                epochs=2,
+                finetune_epochs=2,
+                model_kwargs={"hidden_layers": (8,), "gradient_loss_weight": 0.5},
+            )
+
+        def kill_in_fine_tune(stage, t):
+            if (stage, t) == ("process", 2):
+                raise SimulatedCrash("killed during the t=2 fine-tune")
+
+        timesteps = [0, 1, 2]
+        writer().run(tmp_path / "full", timesteps, pipeline=False, journal=True)
+        with pytest.raises(SimulatedCrash):
+            writer().run(
+                tmp_path / "run", timesteps, pipeline=False, journal=True,
+                on_stage=kill_in_fine_tune,
+            )
+        writer().run(tmp_path / "run", timesteps, pipeline=False, resume=True)
+        full = directory_digest(tmp_path / "full")
+        resumed = directory_digest(tmp_path / "run")
+        assert resumed["model_t0002.npz"] == full["model_t0002.npz"]
+        assert resumed == full
+
     def test_load_model_without_training_raises(self, writer, tmp_path):
         writer.run(tmp_path / "camp", timesteps=[0])
         reader = CampaignReader(tmp_path / "camp")

@@ -1,16 +1,16 @@
-"""Fast path vs slow path: bit-identical losses, weights and reconstructions.
+"""Workspace vs allocating ``repro.nn`` paths: bit-identical losses, weights and predictions.
 
-The workspace fast path's contract is that with the dtype policy off
-(float64 compute) it changes *where* results are written, never what they
-are.  These tests run the two paths side by side — including a
-killed-and-resumed run reusing the resilience fault fixtures — and demand
-exact equality, not tolerances.
+The workspace arena's contract is that with float64 compute it changes
+*where* results are written, never what they are.  These tests run the
+two ``repro.nn`` paths side by side — including a killed-and-resumed run
+reusing the resilience fault fixtures — and demand exact equality, not
+tolerances.  ``FCNNReconstructor`` has one inference path;
+``tests/test_oracle.py`` anchors its float64 reconstruction.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import FCNNReconstructor
 from repro.nn import Adam, MSELoss, Trainer, WeightedMSELoss, mlp
 from repro.perf import Workspace
 from repro.resilience import CheckpointConfig
@@ -119,19 +119,6 @@ class TestInferenceBitExact:
         fast = model.predict(x, batch_size=256)
         model.detach_workspace()
         np.testing.assert_array_equal(slow, fast)
-
-    def test_reconstruction_identical(self, hurricane_field, sample):
-        def build(fast):
-            r = FCNNReconstructor(
-                hidden_layers=(16, 8), batch_size=256, seed=0, fast_path=fast,
-                dtype_policy="float64",
-            )
-            r.train(hurricane_field, sample, epochs=2)
-            return r
-
-        f_slow = build(False).reconstruct(sample)
-        f_fast = build(True).reconstruct(sample)
-        np.testing.assert_array_equal(f_slow, f_fast)
 
     def test_loss_gradient_out_matches_allocating(self):
         rng = np.random.default_rng(3)

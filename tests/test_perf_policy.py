@@ -87,7 +87,6 @@ class TestFloat32Compute:
         r.save(tmp_path / "model.npz")
         loaded = FCNNReconstructor.load(tmp_path / "model.npz")
         assert loaded.dtype_policy.compute == "float32"
-        assert loaded.fast_path is True
         assert all(p.value.dtype == np.float32 for p in loaded.model.parameters())
 
 

@@ -10,6 +10,7 @@ import pytest
 from repro.serve import (
     ReconstructionServer,
     RequestTrace,
+    ServerConfig,
     naive_throughput,
     replay,
     synthetic_trace,
@@ -87,6 +88,27 @@ class TestReplay:
         payload = stats.to_dict()
         json.dumps(payload)  # JSON-serializable end to end
         assert payload["requests"] == 3000
+
+    def test_each_request_is_counted_once(self, serve_registry, keys):
+        """One result slot per namespace: results land while tickets for
+        their keys are queued, and those tickets stay misses."""
+        from repro.obs import counter
+        from repro.obs.metrics import MetricsRegistry, activate, deactivate
+
+        trace = synthetic_trace(keys, 3000, tenants=("a", "b"), seed=1)
+        previous = activate(MetricsRegistry())
+        try:
+            config = ServerConfig(cache_slots=1)
+            with ReconstructionServer(serve_registry, config) as server:
+                stats = replay(server, trace)
+            outcomes = ("hits", "misses", "throttled", "rejected")
+            n = stats.server
+            assert sum(n[name] for name in outcomes) == n["requests"] == 3000
+            assert sum(
+                counter(f"serve.cache.{name}").value for name in ("hits", "misses")
+            ) == 3000
+        finally:
+            deactivate(previous)
 
     def test_replay_validates_in_flight_window(self, serve_registry, keys):
         trace = synthetic_trace(keys, 10)

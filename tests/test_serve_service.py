@@ -162,6 +162,29 @@ class TestCoalescingAndStacking:
             assert ticket.status == "ok"
             assert server.stats()["hits"] == 1
 
+    def test_a_queued_ticket_stays_a_miss(self, serve_registry, keys, monkeypatch):
+        """The result for a queued ticket's key lands in the ring before the
+        dispatcher reaches the ticket: it is answered from the ring, and
+        counted once, as the miss it was at submit."""
+        evaluating, release = threading.Event(), threading.Event()
+        hot = serve_registry.hot
+
+        def held_hot(key):
+            evaluating.set()
+            assert release.wait(60)
+            return hot(key)
+
+        monkeypatch.setattr(serve_registry, "hot", held_hot)
+        with make_server(serve_registry) as server:
+            first = server.submit(ServeRequest(key=keys[0]))
+            assert evaluating.wait(60)
+            second = server.submit(ServeRequest(key=keys[0]))  # not in the ring yet
+            release.set()
+            for ticket in (first, second):
+                assert ticket.result(timeout=60) is not None
+            stats = server.stats()
+        assert (stats["requests"], stats["hits"], stats["misses"], stats["evals"]) == (2, 0, 2, 1)
+
 
 class TestBackpressure:
     def test_token_bucket(self):
