@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 import numpy as np
 
@@ -19,18 +20,17 @@ from repro.grid import UniformGrid
 from repro.interpolation.base import GridInterpolator
 from repro.metrics import ReconstructionScore, score_reconstruction
 from repro.obs import counter as obs_counter
-from repro.obs import record_event, span
 from repro.perf.campaign import (
-    CampaignScheduler,
     CampaignStats,
     GeometryCache,
+    fine_tune_step,
     make_reconstruction_sink,
+    run_journaled,
 )
 from repro.perf.weights import restore_weights, snapshot_weights
-from repro.resilience.journal import CampaignJournal, content_hash
+from repro.resilience.journal import content_hash
 from repro.resilience.report import ReconstructionReport
 from repro.resilience.supervise import (
-    CampaignInterrupted,
     QuarantineRecord,
     SupervisionPolicy,
     WorkerSupervisor,
@@ -205,7 +205,7 @@ class ReconstructionPipeline:
         interrupt=None,
         on_stage=None,
     ) -> CampaignResult:
-        """Rolling fine-tune + reconstruct over a stream of timesteps (Fig 11).
+        """Fine-tune, reconstruct and score over a stream of timesteps (Fig 11).
 
         Reconstruction locations are drawn **once** at the first timestep
         (``fraction`` of the grid) and their values refreshed per timestep
@@ -213,56 +213,39 @@ class ReconstructionPipeline:
         and the warm pool ships geometry + base weights exactly once.
         ``reconstructor`` must already be (pre)trained (see
         :meth:`train_fcnn`); per timestep it is fine-tuned on fresh
-        ``train_fractions`` draws, its weights published as a bit-exact XOR
-        delta, and the timestep reconstructed and scored against the
-        original field.
+        ``train_fractions`` draws, its weights published to the sink, and
+        the timestep reconstructed and scored against the original field.
 
-        ``pipeline=True`` overlaps the stages on a
-        :class:`~repro.perf.CampaignScheduler` (fine-tuning stays strictly
-        sequential); ``warm_pool=True`` reconstructs on a
+        The timesteps run on :func:`repro.perf.campaign.run_journaled`:
+        ``pipeline=True`` overlaps the stages (fine-tuning stays strictly
+        sequential) and ``warm_pool=True`` reconstructs on a
         :class:`~repro.perf.WarmReconstructionPool` (falling back to the
         in-process sink when shared memory is unavailable).  Every
         ``(pipeline, warm_pool)`` combination produces **bit-identical**
         reconstructions and scores.
 
         ``batched_finetune=True`` fine-tunes every timestep **from the
-        pretrained base** (the paper's transfer setup, enabling per-timestep
-        partial checkpoints) instead of rolling the weights forward
-        timestep to timestep, so its rows differ from rolling rows by
-        design.  Each timestep is one
-        :meth:`FCNNReconstructor.fine_tune_batch` call, a single-model
-        fine-tune from the base in the compute dtype that puts the base
-        back afterwards, so only one timestep's training data is alive at
-        a time and, as in rolling campaigns, the reconstruction of
-        ``t-1`` overlaps the fine-tune of ``t``.
-        Journal/resume keeps one weight sidecar per timestep.
+        pretrained base** (the paper's transfer setup) instead of rolling
+        the weights forward, so its rows differ from rolling rows by
+        design; both schedules are
+        :func:`~repro.perf.campaign.fine_tune_step`, one timestep at a
+        time, and the reconstruction of ``t-1`` overlaps the fine-tune of
+        ``t``.
 
         Crash safety (see :mod:`repro.resilience` and docs/RESILIENCE.md):
-
-        * ``journal`` — a path (or open
-          :class:`~repro.resilience.journal.CampaignJournal`): every stage
-          completion is durably recorded; with ``resume=True`` the
-          contiguous already-emitted prefix is skipped bit-identically
-          (rows replayed from the journal, model weights restored from the
-          last completed timestep's atomic state sidecar; skipped
-          timesteps contribute ``None`` to ``reconstructions``).
-        * ``supervision`` — a
-          :class:`~repro.resilience.supervise.SupervisionPolicy` (or
-          prepared :class:`~repro.resilience.supervise.WorkerSupervisor`):
-          per-stage deadlines recycle a hung pool, and a "poison" timestep
-          whose reconstruct keeps failing is quarantined as degraded
-          nearest-neighbor output instead of aborting the campaign.  A
-          timestep whose fine-tune raises is reconstructed with the weights
-          it entered with (the previous timestep's when rolling, the base's
-          when from base) and flagged; only that timestep is quarantined.
-        * ``interrupt`` — a
-          :class:`~repro.resilience.supervise.GracefulInterrupt`: on
-          SIGTERM/SIGINT the scheduler drains in-flight work, the journal
-          gets a resume manifest, and
-          :class:`~repro.resilience.supervise.CampaignInterrupted` is
-          raised.
-        * ``on_stage`` — optional ``fn(stage, timestep)`` called as each
-          stage starts (the chaos harness's injection point).
+        ``journal`` (a path), ``resume``, ``interrupt`` and ``on_stage``
+        follow the loop's journal protocol.  A resume replays the skipped
+        rows from the journal (they contribute ``None`` to
+        ``reconstructions``) and, rolling, restores the weights of the last
+        skipped timestep.  ``supervision`` (a
+        :class:`~repro.resilience.supervise.SupervisionPolicy` or prepared
+        :class:`~repro.resilience.supervise.WorkerSupervisor`) adds
+        per-stage deadlines that recycle a hung pool, and quarantines a
+        "poison" timestep whose reconstruct keeps failing as degraded
+        nearest-neighbor output instead of aborting the campaign.  A
+        timestep whose fine-tune raises is reconstructed with the weights
+        it entered with (the previous timestep's when rolling, the base's
+        when from base) and flagged; only that timestep is quarantined.
         """
         if not reconstructor.is_trained:
             raise RuntimeError(
@@ -271,55 +254,6 @@ class ReconstructionPipeline:
         steps = [int(t) for t in timesteps]
         if not steps:
             return CampaignResult(rows=[], stats=CampaignStats(0, pipeline, 0.0, 0.0, 0.0, 0.0))
-
-        wal, own_wal = None, False
-        if journal is not None:
-            if isinstance(journal, CampaignJournal):
-                wal = journal
-            else:
-                config = {
-                    "kind": "run_campaign",
-                    "dataset": getattr(self.dataset, "name", type(self.dataset).__name__),
-                    "fraction": float(fraction),
-                    "timesteps": steps,
-                    "train_fractions": [float(f) for f in self.train_fractions],
-                    "finetune_epochs": int(finetune_epochs),
-                    "finetune_strategy": str(finetune_strategy),
-                }
-                if batched_finetune:
-                    # Only present in batched journals: a serial journal
-                    # stays resumable by a serial run, and a batched resume
-                    # of a serial journal (different trajectories) is
-                    # rejected as a config mismatch.
-                    config["batched_finetune"] = True
-                wal = CampaignJournal(journal, config=config, resume=resume)
-                own_wal = True
-
-        # The resume plan: the contiguous prefix whose terminal records are
-        # durable.  Computed whenever a journal is present (trivially empty
-        # for a fresh one) so `campaign.resume.plan` is comparable across
-        # fresh and resumed run records.
-        skipped_rows: list[dict] = []
-        steps_to_run = steps
-        if wal is not None:
-            with span("campaign.resume.plan"):
-                plan = wal.plan(steps)
-            completed = list(plan.completed) if resume else []
-            if completed:
-                if not batched_finetune:
-                    # Serial fine-tunes roll forward; from-base ones
-                    # derive every timestep from the unchanged base, so
-                    # there is nothing to restore.
-                    restore_weights(reconstructor.model, wal.load_state(completed[-1]))
-                skipped_rows = [dict(p["row"]) for p in plan.payloads]
-                steps_to_run = list(plan.remaining)
-                obs_counter("campaign.resume.skipped").inc(len(completed))
-            record_event(
-                "campaign.resume.planned",
-                resume=bool(resume),
-                skipped=len(completed),
-                remaining=len(steps_to_run),
-            )
 
         field0 = self.field(steps[0])
         geometry = self.geometry_cache.get(
@@ -351,44 +285,28 @@ class ReconstructionPipeline:
                     sup.on_stall = lambda stage, t, elapsed: pool_executor.recycle("stall")
             sup.start()
 
-        base_flat = None
-        if batched_finetune and sup is not None:
-            # From-base fine-tunes never mutate the base, so a quarantined
-            # one reconstructs with its weights.
-            base_flat = snapshot_weights(reconstructor.model).data
         fallback = (
             "the pretrained base weights" if batched_finetune
             else "the previous timestep's weights"
         )
+        skipped_rows: list[dict] = []
+
+        def restore(plan, weights) -> None:
+            skipped_rows.extend(dict(p["row"]) for p in plan.payloads)
+            if weights is not None:
+                restore_weights(reconstructor.model, weights())
 
         def materialize(t: int):
-            if on_stage is not None:
-                on_stage("materialize", t)
             fld = field0 if t == steps[0] else self.field(t)
             train = [self.sample(fld, f) for f in self.train_fractions]
-            if wal is not None:
-                wal.record(t, "sampled", field_sha=content_hash(fld.values))
-            return fld, train
+            return (fld, train), lambda: {"sampled": {"field_sha": content_hash(fld.values)}}
 
-        def fine_tune(fld: TimestepField, train) -> tuple[np.ndarray, float]:
-            """This timestep's published weights and its epoch seconds.
-
-            Rolling fine-tunes advance ``reconstructor`` in place.  From-base
-            ones leave it as they found it and return one flat ``(W,)`` model.
-            """
-            if not batched_finetune:
-                seconds = reconstructor.fine_tune(
-                    fld, train, epochs=finetune_epochs, strategy=finetune_strategy
-                ).total_seconds
-                return snapshot_weights(reconstructor.model).data, seconds
-            flats, histories = reconstructor.fine_tune_batch(
-                [fld], [train], epochs=finetune_epochs, strategy=finetune_strategy
-            )
-            return flats[0], histories[0].total_seconds
+        fine_tune = partial(
+            fine_tune_step, reconstructor, from_base=batched_finetune,
+            epochs=finetune_epochs, strategy=finetune_strategy,
+        )
 
         def process(t: int, item):
-            if on_stage is not None:
-                on_stage("process", t)
             fld, train = item
             stale: str | None = None
             if sup is None:
@@ -398,31 +316,22 @@ class ReconstructionPipeline:
                 # futile — reconstruct this timestep with the weights it
                 # entered with and carry on (bounded degradation, never a
                 # dead campaign).
-                if base_flat is not None:
-                    before = base_flat
-                else:
-                    before = snapshot_weights(reconstructor.model).data
+                before = snapshot_weights(reconstructor.model).data
                 with sup.stage("process", t):
                     try:
                         flat, finetune_seconds = fine_tune(fld, train)
                     except Exception as exc:
                         if not sup.policy.quarantine:
                             raise
-                        if not batched_finetune:
-                            restore_weights(reconstructor.model, before)
+                        restore_weights(reconstructor.model, before)
                         sup.quarantine(t, "fine-tune", exc, attempts=1)
                         stale = f"{type(exc).__name__}: {exc}"
                         flat, finetune_seconds = before, 0.0
-            if wal is not None:
-                wal.save_state(t, flat)
-                wal.record(t, "fine-tuned", weights_sha=content_hash(flat))
             geometry.refresh(train_shell, fld)
             slot = sink.publish(t, train_shell.values, {"fcnn": flat})
-            return slot, fld, finetune_seconds, stale
+            return (slot, fld, finetune_seconds, stale), flat
 
         def emit(t: int, payload):
-            if on_stage is not None:
-                on_stage("emit", t)
             slot, fld, finetune_seconds, stale = payload
             if sup is None:
                 volume, report = sink.reconstruct(slot, "fcnn")
@@ -452,38 +361,37 @@ class ReconstructionPipeline:
                 "degraded_points": report.degraded_points,
             }
             row.update(score_reconstruction(fld.values, volume).as_dict())
-            if wal is not None:
-                wal.record(t, "reconstructed", volume_sha=content_hash(volume))
-                wal.record(t, "emitted", row=_jsonable(row))
-            return row, (volume if self.keep_reconstructions else None)
+            return (row, volume if self.keep_reconstructions else None), lambda: {
+                "reconstructed": {"volume_sha": content_hash(volume)},
+                "emitted": {"row": _jsonable(row)},
+            }
 
-        scheduler = CampaignScheduler(
-            materialize, process, emit, pipeline=pipeline, interrupt=interrupt
-        )
+        config = {
+            "kind": "run_campaign",
+            "dataset": getattr(self.dataset, "name", type(self.dataset).__name__),
+            "fraction": float(fraction),
+            "timesteps": steps,
+            "train_fractions": [float(f) for f in self.train_fractions],
+            "finetune_epochs": int(finetune_epochs),
+            "finetune_strategy": str(finetune_strategy),
+        }
         try:
-            emitted = scheduler.run(steps_to_run)
-        except CampaignInterrupted as exc:
-            if wal is not None:
-                done = steps[: len(skipped_rows)] + list(exc.completed)
-                wal.write_manifest(
-                    reason=f"interrupted (signal {getattr(interrupt, 'signum', None)})",
-                    completed=done,
-                    remaining=steps[len(done):],
-                )
-            raise exc
+            emitted, stats = run_journaled(
+                steps, materialize, process, emit, restore,
+                journal=journal, config=config, from_base=batched_finetune, resume=resume,
+                pipeline=pipeline, interrupt=interrupt, on_stage=on_stage,
+            )
         finally:
             sink.close()
             if sup is not None:
                 sup.stop()
-            if own_wal and wal is not None:
-                wal.close()
         rows = skipped_rows + [row for row, _ in emitted]
         volumes = None
         if self.keep_reconstructions:
             volumes = [None] * len(skipped_rows) + [vol for _, vol in emitted]
         return CampaignResult(
             rows=rows,
-            stats=scheduler.stats,
+            stats=stats,
             reconstructions=volumes,
             quarantined=tuple(sup.quarantined) if sup is not None else (),
             resumed=len(skipped_rows),

@@ -20,9 +20,9 @@ clones — results are bit-identical to the serial loop
 (``config.campaign_pipeline = False``).
 
 With ``config.batched_finetune`` the ``fcnn-ft`` curves fine-tune every
-timestep **from the pretrained base** (the paper's transfer setup) with
-one :meth:`~repro.core.FCNNReconstructor.fine_tune_batch` call per model
-and timestep — a different trajectory from the rolling curves by design;
+timestep **from the pretrained base** (the paper's transfer setup) — a
+different trajectory from the rolling curves by design; both schedules are
+:func:`~repro.perf.campaign.fine_tune_step`, as in the two campaigns;
 see docs/TRAINING.md.
 """
 
@@ -31,8 +31,8 @@ from __future__ import annotations
 from repro.experiments.config import ExperimentConfig, get_config
 from repro.experiments.runner import ExperimentResult, build_pipeline, build_reconstructor, test_samples
 from repro.metrics import snr
-from repro.perf.campaign import CampaignScheduler
-from repro.perf.weights import restore_weights, snapshot_weights
+from repro.perf.campaign import CampaignScheduler, fine_tune_step
+from repro.perf.weights import restore_weights
 
 __all__ = ["run"]
 
@@ -90,16 +90,13 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     def process(t: int, item):
         field, sample, train = item
         # Both models fine-tune on the same (deterministic) draws.
-        flats = {}
-        for tag, model in finetuned.items():
-            if config.batched_finetune:
-                # From the base: fine_tune_batch leaves ``model`` as it is.
-                (flats[tag],), _ = model.fine_tune_batch(
-                    [field], [train], epochs=config.finetune_epochs, strategy="full"
-                )
-            else:
-                model.fine_tune(field, train, epochs=config.finetune_epochs, strategy="full")
-                flats[tag] = snapshot_weights(model.model).data
+        flats = {
+            tag: fine_tune_step(
+                model, field, train, from_base=config.batched_finetune,
+                epochs=config.finetune_epochs, strategy="full",
+            )[0]
+            for tag, model in finetuned.items()
+        }
         return field, sample, flats
 
     def emit(t: int, payload):

@@ -25,10 +25,9 @@ import numpy as np
 from repro.core.reconstructor import FCNNReconstructor
 from repro.datasets.base import AnalyticDataset
 from repro.grid import UniformGrid
-from repro.obs import counter as obs_counter, record_event, span
-from repro.perf.campaign import CampaignScheduler
+from repro.perf.campaign import fine_tune_step, run_journaled
 from repro.perf.weights import restore_weights, snapshot_weights
-from repro.resilience.journal import CampaignJournal, content_hash
+from repro.resilience.journal import content_hash
 from repro.resilience.supervise import CampaignInterrupted
 from repro.sampling.base import SampledField, Sampler
 
@@ -157,37 +156,30 @@ class InSituWriter:
     ) -> CampaignManifest:
         """Execute the campaign; returns the written manifest.
 
-        With ``pipeline=True`` (default) the time loop runs on the
-        streaming :class:`~repro.perf.CampaignScheduler`: timesteps ``t+1``
-        and ``t+2`` are simulated and sampled on two prefetch threads while
-        ``t`` trains on the calling thread and ``t-1``'s cloud/checkpoint
-        files are written by the emit thread.  Training stays strictly
-        sequential and checkpoints are written from published weight
-        snapshots, so the on-disk campaign is byte-identical to
-        ``pipeline=False`` (files and manifest entries land in timestep
-        order either way).
+        The time loop is :func:`repro.perf.campaign.run_journaled`.  With
+        ``pipeline=True`` (default) timesteps ``t+1`` and ``t+2`` are
+        simulated and sampled on two prefetch threads while ``t`` trains on
+        the calling thread and ``t-1``'s cloud/checkpoint files are written
+        by the emit thread.  Training stays strictly sequential and
+        checkpoints are written from published weight snapshots, so the
+        on-disk campaign is byte-identical to ``pipeline=False`` (files and
+        manifest entries land in timestep order either way).
 
-        Crash safety: ``journal=True`` keeps a durable write-ahead journal
-        (plus per-timestep model-state sidecars) under
-        ``<directory>/.wal/``; ``resume=True`` (implies ``journal``)
-        verifies every already-emitted file against the journal's content
-        hashes, skips that prefix, restores the training model
-        bit-exactly, and continues — the finished directory is
-        byte-identical to an uninterrupted run (the ``.wal/`` bookkeeping
-        aside).  ``interrupt`` (a
-        :class:`~repro.resilience.supervise.GracefulInterrupt`) turns
-        SIGTERM/SIGINT into a drained stop: a partial (readable) manifest
-        and a resume manifest are written, then
-        :class:`~repro.resilience.supervise.CampaignInterrupted` is
-        raised.  ``on_stage`` (``fn(stage, timestep)``) is the chaos
-        harness's injection hook.
+        Crash safety: ``journal=True`` keeps the loop's journal (see its
+        journal protocol) and weight sidecars under ``<directory>/.wal/``.
+        ``resume=True`` (implies ``journal``) also re-hashes every emitted
+        file against the journal, so a tampered file ends the skipped
+        prefix; the skipped timesteps are replayed into the manifest and
+        the training model is rebuilt from the base file (plus, rolling,
+        the last sidecar).  The finished directory is byte-identical to an
+        uninterrupted run, the ``.wal/`` bookkeeping aside.  When
+        ``interrupt`` stops the run, a partial (readable) manifest is
+        written as well.
         """
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         timesteps = [int(t) for t in timesteps]
         if not timesteps:
             raise ValueError("a campaign needs at least one timestep")
-        journal = journal or resume
 
         grid = self.dataset.grid
         manifest = CampaignManifest(
@@ -199,129 +191,74 @@ class InSituWriter:
             fraction=self.fraction,
         )
 
-        wal: CampaignJournal | None = None
-        if journal:
-            config = {
-                "kind": "insitu",
-                "dataset": self.dataset.name,
-                "fraction": self.fraction,
-                "timesteps": timesteps,
-                "train_model": self.train_model,
-                "train_fractions": list(self.train_fractions),
-                "epochs": self.epochs,
-                "finetune_epochs": self.finetune_epochs,
-            }
-            if self.batched_finetune:
-                # Recorded only for batched campaigns so old serial
-                # journals stay valid; a serial<->batched resume (different
-                # trajectories) is rejected as a config mismatch.
-                config["batched_finetune"] = True
-            wal = CampaignJournal(
-                directory / WAL_DIRNAME / "journal.jsonl",
-                config=config,
-                resume=resume,
-            )
-
         # Training state lives on the calling thread (process stage); the
         # emit thread writes checkpoints from its own clone restored per
         # published weight snapshot, never from the live training model.
         model: FCNNReconstructor | None = None
         emit_model: FCNNReconstructor | None = None
 
-        steps_to_run = timesteps
-        skipped: list[int] = []
-        if wal is not None:
-
-            def verify(t: int, payload: dict) -> bool:
-                for name, sha in payload.get("files", {}).items():
-                    path = directory / name
-                    if not path.exists() or _file_sha(path) != sha:
-                        return False
-                return True
-
-            with span("campaign.resume.plan"):
-                resume_plan = (
-                    wal.plan(timesteps, verify=verify) if resume else wal.plan(timesteps)
-                )
-            record_event(
-                "campaign.resume.planned",
-                resume=bool(resume),
-                skipped=len(resume_plan.completed) if resume else 0,
-                remaining=len(resume_plan.remaining) if resume else len(timesteps),
+        def verify(t: int, payload: dict) -> bool:
+            return all(
+                (directory / name).exists() and _file_sha(directory / name) == sha
+                for name, sha in payload.get("files", {}).items()
             )
-            if resume and resume_plan.completed:
-                skipped = list(resume_plan.completed)
-                steps_to_run = list(resume_plan.remaining)
-                obs_counter("campaign.resume.skipped").inc(len(skipped))
-                # Replay the completed prefix into the manifest.
-                for t, payload in zip(skipped, resume_plan.payloads):
-                    manifest.timesteps.append(t)
-                    manifest.cloud_files[str(t)] = payload["cloud"]
-                    if payload.get("model") is not None:
-                        manifest.model_files[str(t)] = payload["model"]
-                    if payload.get("base") is not None:
-                        manifest.base_model_file = payload["base"]
-                if self.train_model and manifest.base_model_file is not None:
-                    # Architecture + normalization from the base checkpoint,
-                    # exact weights from the last completed timestep's WAL
-                    # state — fine-tuning re-enters bit-identically.
-                    model = FCNNReconstructor.load(directory / manifest.base_model_file)
-                    if not self.batched_finetune:
-                        # Serial fine-tunes roll forward; batched ones
-                        # derive every timestep from the unchanged base,
-                        # which *is* the checkpoint just loaded.
-                        restore_weights(model.model, wal.load_state(skipped[-1]))
-                    emit_model = model.clone()
+
+        def restore(plan, weights) -> None:
+            nonlocal model, emit_model
+            directory.mkdir(parents=True, exist_ok=True)
+            # Replay the skipped prefix into the manifest.
+            for t, payload in zip(plan.completed, plan.payloads):
+                manifest.timesteps.append(t)
+                manifest.cloud_files[str(t)] = payload["cloud"]
+                if payload.get("model") is not None:
+                    manifest.model_files[str(t)] = payload["model"]
+                if payload.get("base") is not None:
+                    manifest.base_model_file = payload["base"]
+            if self.train_model and manifest.base_model_file is not None:
+                # Architecture + normalization from the base checkpoint;
+                # rolling, exact weights from the last skipped timestep.
+                model = FCNNReconstructor.load(directory / manifest.base_model_file)
+                if weights is not None:
+                    restore_weights(model.model, weights())
+                emit_model = model.clone()
 
         def materialize(t: int):
-            if on_stage is not None:
-                on_stage("materialize", t)
             field = self.dataset.field(t=t)
             sample = self.sampler.sample(field, self.fraction)
-            if wal is not None:
-                wal.record(t, "sampled", sample_sha=content_hash(sample.values))
             train = (
                 [self.sampler.sample(field, f) for f in self.train_fractions]
                 if self.train_model
                 else None
             )
-            return field, sample, train
+            return (field, sample, train), lambda: {
+                "sampled": {"sample_sha": content_hash(sample.values)}
+            }
 
         def process(t: int, item):
             nonlocal model, emit_model
-            if on_stage is not None:
-                on_stage("process", t)
             field, sample, train = item
             if not self.train_model:
-                return sample, None, False
+                return (sample, None, False), None
             first = model is None
             if first:
                 model = FCNNReconstructor(**self.model_kwargs)
                 model.train(field, train, epochs=self.epochs)
                 emit_model = model.clone()
                 flat = snapshot_weights(model.model).data
-            elif self.batched_finetune:
-                (flat,), _ = model.fine_tune_batch(
-                    [field], [train], epochs=self.finetune_epochs, strategy="last"
-                )
             else:
-                model.fine_tune(field, train, epochs=self.finetune_epochs, strategy="last")
-                flat = snapshot_weights(model.model).data
-            if wal is not None:
-                wal.save_state(t, flat)
-                wal.record(t, "fine-tuned", weights_sha=content_hash(flat))
-            return sample, flat, first
+                flat, _ = fine_tune_step(
+                    model, field, train, from_base=self.batched_finetune,
+                    epochs=self.finetune_epochs, strategy="last",
+                )
+            return (sample, flat, first), flat
 
         def emit(t: int, payload):
-            if on_stage is not None:
-                on_stage("emit", t)
             sample, flat, first = payload
             cloud_name = f"t{t:04d}.vtp"
             sample.to_vtp(directory / cloud_name)
             manifest.timesteps.append(t)
             manifest.cloud_files[str(t)] = cloud_name
-            model_name = None
-            base_name = None
+            model_name = base_name = None
             if flat is not None:
                 restore_weights(emit_model.model, flat)
                 if first:
@@ -331,40 +268,38 @@ class InSituWriter:
                 model_name = f"model_t{t:04d}.npz"
                 emit_model.save_partial(directory / model_name, num_layers=2)
                 manifest.model_files[str(t)] = model_name
-            if wal is not None:
-                written = [cloud_name] + [n for n in (base_name, model_name) if n]
-                wal.record(
-                    t,
-                    "emitted",
-                    cloud=cloud_name,
-                    model=model_name,
-                    base=base_name,
-                    files={n: _file_sha(directory / n) for n in written},
-                )
-            return t
+            written = [cloud_name] + [n for n in (base_name, model_name) if n]
+            return t, lambda: {
+                "emitted": {
+                    "cloud": cloud_name,
+                    "model": model_name,
+                    "base": base_name,
+                    "files": {n: _file_sha(directory / n) for n in written},
+                }
+            }
 
-        scheduler = CampaignScheduler(
-            materialize, process, emit, pipeline=pipeline, name="insitu", interrupt=interrupt
-        )
+        config = {
+            "kind": "insitu",
+            "dataset": self.dataset.name,
+            "fraction": self.fraction,
+            "timesteps": timesteps,
+            "train_model": self.train_model,
+            "train_fractions": list(self.train_fractions),
+            "epochs": self.epochs,
+            "finetune_epochs": self.finetune_epochs,
+        }
         try:
-            scheduler.run(steps_to_run)
-        except CampaignInterrupted as exc:
-            # Flush a *readable* partial campaign (post hoc tools work on
-            # the completed prefix) plus the resume manifest, then let the
-            # interruption propagate.
+            run_journaled(
+                timesteps, materialize, process, emit, restore,
+                journal=directory / WAL_DIRNAME / "journal.jsonl" if journal or resume else None,
+                config=config, from_base=self.batched_finetune, resume=resume, verify=verify,
+                pipeline=pipeline, name="insitu", interrupt=interrupt, on_stage=on_stage,
+            )
+        except CampaignInterrupted:
+            # Post hoc tools work on the completed prefix.
             self._write_index(directory, manifest)
-            if wal is not None:
-                done = skipped + list(exc.completed)
-                wal.write_manifest(
-                    reason="interrupted",
-                    completed=done,
-                    remaining=timesteps[len(done):],
-                )
-                wal.close()
-            raise exc
+            raise
         self._write_index(directory, manifest)
-        if wal is not None:
-            wal.close()
         return manifest
 
     @staticmethod

@@ -14,7 +14,8 @@ This module overlaps the stages and keeps everything warm:
   Fine-tuning stays strictly sequential — model state flows from timestep
   to timestep — so results are **bit-identical** to the serial schedule;
   only side-effect-free work (I/O, sampling, reconstruction of already
-  published weights) overlaps.
+  published weights) overlaps.  :func:`run_journaled` journals it for both
+  campaign entry points; :func:`fine_tune_step` is their one fine-tune.
 * :class:`WarmReconstructionPool` — persistent reconstruction workers fed
   through one shared-memory slot ring.  Grid geometry and base model
   weights ship **once per campaign** (counter
@@ -45,7 +46,7 @@ import hashlib
 import threading
 import time
 import uuid
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
@@ -62,6 +63,7 @@ from repro.perf import shm as _shm
 from repro.perf.shm import SharedArrayBundle
 from repro.perf.weights import apply_weight_delta, restore_weights, snapshot_weights, weight_delta
 from repro.resilience.health import check_on_nonfinite, fill_nonfinite
+from repro.resilience.journal import CampaignJournal, ResumePlan, content_hash
 from repro.resilience.report import ReconstructionReport
 from repro.resilience.supervise import CampaignInterrupted
 from repro.sampling.base import SampledField
@@ -559,6 +561,139 @@ def _stoppable_acquire(sem: threading.Semaphore, stop: threading.Event) -> None:
     while not sem.acquire(timeout=_POLL_SECONDS):
         if stop.is_set():
             raise _Stop
+
+
+# --------------------------------------------------------------------------
+# the journaled timestep loop and its fine-tune step
+
+
+def fine_tune_step(model, field, train, *, from_base: bool, epochs: int, strategy: str):
+    """Fine-tune ``model`` on one timestep: its flat weights and epoch seconds.
+
+    Rolling (``from_base=False``) advances ``model`` in place with
+    ``fine_tune`` and snapshots it.  From the base, one
+    ``fine_tune_batch([field], [train])`` call trains from the current
+    weights and puts them back, so every timestep starts from the same
+    base.  Either way the instance's own method runs.
+    """
+    if from_base:
+        (flat,), (history,) = model.fine_tune_batch(
+            [field], [train], epochs=epochs, strategy=strategy
+        )
+        return flat, history.total_seconds
+    history = model.fine_tune(field, train, epochs=epochs, strategy=strategy)
+    return snapshot_weights(model.model).data, history.total_seconds
+
+
+def run_journaled(
+    timesteps,
+    materialize,
+    process,
+    emit,
+    restore,
+    *,
+    journal=None,
+    config: dict,
+    from_base: bool,
+    resume: bool = False,
+    verify=None,
+    pipeline: bool = True,
+    name: str = "campaign",
+    interrupt=None,
+    on_stage=None,
+) -> tuple[list, CampaignStats]:
+    """Run a campaign's timesteps on a :class:`CampaignScheduler`, journaled.
+
+    The one timestep loop behind ``ReconstructionPipeline.run_campaign``
+    and ``InSituWriter.run``; returns the emit results of the timesteps it
+    runs and the scheduler's stats.  ``on_stage(stage, t)`` runs as each
+    stage starts (the chaos harness's injection point).
+
+    Journal protocol.  The timesteps must be distinct (``ValueError``
+    names the repeated ones, before anything is opened).  ``journal`` is
+    a path, or ``None`` for no journal; its header is ``config``, plus
+    ``batched_finetune: true`` for from-base campaigns only, so resuming
+    under the other schedule is a config mismatch.  Per timestep:
+    ``materialize(t) -> (item, records)`` journals ``records()``
+    (``{"sampled": payload}``); ``process(t, item) -> (payload, flat)``
+    saves ``flat``, the fine-tuned weights or ``None`` when nothing
+    trains, as the sidecar ``state_t*.npz`` and records
+    ``fine-tuned{weights_sha}``; ``emit(t, payload) -> (result, records)``
+    journals its records, ending with the terminal ``emitted``.
+    ``records`` is called only with a journal, so hashes cost nothing
+    without one.  A journaled run plans in a ``campaign.resume.plan`` span
+    and records a ``campaign.resume.planned`` event; with ``resume`` the
+    contiguous prefix with durable ``emitted`` records (that pass
+    ``verify(t, payload)``) is skipped and counted in
+    ``campaign.resume.skipped``.  ``restore(plan, weights)`` runs once
+    before the first timestep, with an empty plan when nothing is skipped;
+    ``weights()`` loads the last skipped sidecar, and is ``None`` when
+    nothing is skipped or from the base, where nothing rolls forward.  An
+    ``interrupt`` leaves a resume manifest next to the journal before
+    :class:`~repro.resilience.supervise.CampaignInterrupted` propagates,
+    and the journal is closed on every exit.
+    """
+    steps = [int(t) for t in timesteps]
+    repeated = sorted(t for t, n in Counter(steps).items() if n > 1)
+    if repeated:
+        raise ValueError(f"a campaign's timesteps must be distinct; repeated: {repeated}")
+    wal = None
+    if journal is not None:
+        header = {**config, "batched_finetune": True} if from_base else config
+        wal = CampaignJournal(journal, config=header, resume=resume)
+    try:
+        plan = ResumePlan((), tuple(steps))
+        if wal is not None:
+            with span("campaign.resume.plan"):
+                found = wal.plan(steps, verify if resume else None)
+            plan = found if resume else plan
+            if plan.completed:
+                obs_counter("campaign.resume.skipped").inc(len(plan.completed))
+            record_event(
+                "campaign.resume.planned", resume=bool(resume),
+                skipped=len(plan.completed), remaining=len(plan.remaining),
+            )
+        last = plan.completed[-1] if plan.completed else None
+        restore(plan, None if last is None or from_base else lambda: wal.load_state(last))
+
+        def journaled(stage: str, fn):
+            def run(t: int, *args):
+                if on_stage is not None:
+                    on_stage(stage, t)
+                value, records = fn(t, *args)
+                if wal is not None:
+                    for done, payload in records().items():
+                        wal.record(t, done, **payload)
+                return value
+
+            return run
+
+        def with_sidecar(t: int, item):
+            payload, flat = process(t, item)
+            if flat is None:
+                return payload, lambda: {}
+            if wal is not None:
+                wal.save_state(t, flat)
+            return payload, lambda: {"fine-tuned": {"weights_sha": content_hash(flat)}}
+
+        scheduler = CampaignScheduler(
+            journaled("materialize", materialize), journaled("process", with_sidecar),
+            journaled("emit", emit), pipeline=pipeline, name=name, interrupt=interrupt,
+        )
+        try:
+            return scheduler.run(plan.remaining), scheduler.stats
+        except CampaignInterrupted as exc:
+            if wal is not None:
+                done = list(plan.completed) + list(exc.completed)
+                wal.write_manifest(
+                    reason=f"interrupted (signal {getattr(interrupt, 'signum', None)})",
+                    completed=done,
+                    remaining=steps[len(done):],
+                )
+            raise
+    finally:
+        if wal is not None:
+            wal.close()
 
 
 # --------------------------------------------------------------------------

@@ -158,6 +158,7 @@ class CampaignJournal:
             self._load()
             if config is not None:
                 if self.config is not None and self.config != dict(config):
+                    self.close()
                     raise JournalCorruptionError(
                         self.path,
                         "stored campaign config does not match the resume request "

@@ -147,6 +147,23 @@ def test_config_mismatch_refuses_to_resume(tmp_path, stored, requested):
         _journal(tmp_path, resume=True, config=requested)
 
 
+def test_config_mismatch_closes_the_file_it_opened(tmp_path, monkeypatch):
+    import repro.resilience.journal as journal_mod
+
+    with _journal(tmp_path, config={"fraction": 0.05}) as journal:
+        _complete(journal, 0)
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(journal_mod, "open", spy, raising=False)
+    with pytest.raises(JournalCorruptionError, match="config"):
+        _journal(tmp_path, resume=True, config={"fraction": 0.10})
+    assert opened and all(fh.closed for fh in opened)
+
+
 # ----------------------------------------------------------------- planning
 def test_plan_skips_contiguous_completed_prefix(tmp_path):
     with _journal(tmp_path) as journal:
