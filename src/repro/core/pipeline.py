@@ -210,7 +210,7 @@ class ReconstructionPipeline:
         Reconstruction locations are drawn **once** at the first timestep
         (``fraction`` of the grid) and their values refreshed per timestep
         — so all timesteps share one :class:`~repro.perf.CampaignGeometry`
-        and the warm pool ships geometry + base weights exactly once.
+        and the warm pool ships the geometry exactly once.
         ``reconstructor`` must already be (pre)trained (see
         :meth:`train_fcnn`); per timestep it is fine-tuned on fresh
         ``train_fractions`` draws, its weights published to the sink, and

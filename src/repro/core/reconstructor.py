@@ -175,7 +175,6 @@ class FCNNReconstructor:
             self.extractor.feature_size,
             list(self.hidden_layers),
             self.extractor.target_size,
-            activation="ReLU",
             seed=self.seed,
         )
 

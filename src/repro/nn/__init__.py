@@ -1,21 +1,19 @@
 """A from-scratch, numpy-only neural-network engine.
 
 The paper trains its FCNN in a mainstream framework on A100 GPUs; none is
-available offline, so this package implements the required subset exactly:
-dense layers with ReLU activations, mean-squared-error loss, backprop, the
-Adam optimizer (lr=0.001, the paper's setting), mini-batch training with
-loss history, *layer freezing* (the Case-2 "last two layers trainable"
-fine-tuning protocol of Fig 5) and model (de)serialization including
-partial, last-k-layer checkpoints (the Case-2 storage optimization).
-
-Beyond the paper's minimum the engine also carries Huber / column-weighted
-MSE losses, SGD/RMSProp optimizers, learning-rate schedules
-(:func:`apply_schedule` with constant/step/exponential/cosine/warmup),
-Dropout/LayerNorm layers, L2 regularization + gradient clipping, and
-:class:`EarlyStopping`.  :meth:`Trainer.fit` exposes the resilience hooks
-(``checkpoint=``, ``resume_from=``, ``health=`` — ``docs/RESILIENCE.md``)
-and, under an active ``repro.obs`` recorder, emits ``train.*`` spans and
-metrics (``docs/OBSERVABILITY.md``).
+available offline, so this package implements the subset that network
+needs: He-initialized Dense+ReLU blocks under an Xavier-initialized linear
+head (:func:`mlp`), mean-squared-error loss (plain, or column-weighted over
+the scalar and gradient outputs), backprop, the Adam optimizer (lr=0.001,
+the paper's setting), mini-batch training with loss history, *layer
+freezing* (the Case-2 "last two layers trainable" fine-tuning protocol of
+Fig 5) and model (de)serialization including partial, last-k-layer
+checkpoints (the Case-2 storage optimization).  Learning-rate schedules
+(:func:`apply_schedule` with constant/step/exponential/cosine/warmup) back
+the ``ext-schedules`` experiment.  :meth:`Trainer.fit` exposes the
+resilience hooks (``checkpoint=``, ``resume_from=``, ``health=`` —
+``docs/RESILIENCE.md``) and, under an active ``repro.obs`` recorder,
+emits ``train.*`` spans and metrics (``docs/OBSERVABILITY.md``).
 
 Everything is vectorized over the batch dimension; see
 ``tests/test_nn_gradcheck.py`` for finite-difference verification of every
@@ -23,12 +21,12 @@ layer's backward pass.
 """
 
 from repro.nn.parameter import Parameter
-from repro.nn.layers import Dense, Identity, Layer, LayerNorm, ReLU, Sigmoid, Tanh
+from repro.nn.layers import Dense, Layer, ReLU
 from repro.nn.network import Sequential, mlp
-from repro.nn.losses import HuberLoss, Loss, MAELoss, MSELoss
+from repro.nn.losses import Loss, MSELoss
 from repro.nn.losses_weighted import WeightedMSELoss
-from repro.nn.optimizers import SGD, Adam, Optimizer, RMSProp
-from repro.nn.initializers import he_normal, he_uniform, xavier_normal, xavier_uniform, zeros
+from repro.nn.optimizers import Adam
+from repro.nn.initializers import he_normal, xavier_normal
 from repro.nn.training import Trainer, TrainingHistory
 from repro.nn.schedules import (
     ConstantSchedule,
@@ -37,13 +35,6 @@ from repro.nn.schedules import (
     StepDecaySchedule,
     WarmupSchedule,
     apply_schedule,
-)
-from repro.nn.regularization import (
-    Dropout,
-    EarlyStopping,
-    add_l2_gradients,
-    clip_gradients,
-    l2_penalty,
 )
 from repro.nn.serialization import (
     load_model,
@@ -57,26 +48,14 @@ __all__ = [
     "Layer",
     "Dense",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "Identity",
-    "LayerNorm",
     "Sequential",
     "mlp",
     "Loss",
     "MSELoss",
-    "MAELoss",
     "WeightedMSELoss",
-    "HuberLoss",
-    "Optimizer",
-    "SGD",
     "Adam",
-    "RMSProp",
     "he_normal",
-    "he_uniform",
     "xavier_normal",
-    "xavier_uniform",
-    "zeros",
     "Trainer",
     "TrainingHistory",
     "save_model",
@@ -89,9 +68,4 @@ __all__ = [
     "CosineAnnealingSchedule",
     "WarmupSchedule",
     "apply_schedule",
-    "Dropout",
-    "EarlyStopping",
-    "l2_penalty",
-    "add_l2_gradients",
-    "clip_gradients",
 ]

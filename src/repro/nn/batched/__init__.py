@@ -30,7 +30,6 @@ from repro.nn.batched.optimizers import BatchedAdam
 from repro.nn.batched.stack import (
     ModelStack,
     StackedDense,
-    StackedIdentity,
     StackedParameter,
     StackedReLU,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "BatchedTrainer",
     "ModelStack",
     "StackedDense",
-    "StackedIdentity",
     "StackedParameter",
     "StackedReLU",
     "batched_loss_gradient",

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Dense, Identity, ReLU
+from repro.nn.layers import Dense, ReLU
 from repro.nn.network import Sequential
 
-__all__ = ["StackedParameter", "StackedDense", "StackedReLU", "StackedIdentity", "ModelStack"]
+__all__ = ["StackedParameter", "StackedDense", "StackedReLU", "ModelStack"]
 
 
 class StackedParameter:
@@ -195,23 +195,13 @@ class StackedReLU(StackedLayer):
         return out
 
 
-class StackedIdentity(StackedLayer):
-    """No-op layer (linear output head)."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
-        return grad_out if need_input_grad else None
-
-
 class ModelStack:
     """K copies of one :class:`repro.nn.Sequential`, trained in lockstep.
 
     Build one with :meth:`from_network` — every member starts from the
     source network's weights (the fine-tune base) and diverges as each
-    member trains against its own data slab.  Only ``Dense``/``ReLU``/
-    ``Identity`` layers stack (the paper's FCNN); anything else raises.
+    member trains against its own data slab.  Only ``Dense``/``ReLU``
+    layers stack (the paper's FCNN); anything else raises.
     """
 
     def __init__(self, layers: list[StackedLayer], k: int) -> None:
@@ -238,12 +228,10 @@ class ModelStack:
                 )
             elif isinstance(layer, ReLU):
                 layers.append(StackedReLU())
-            elif isinstance(layer, Identity):
-                layers.append(StackedIdentity())
             else:
                 raise TypeError(
                     f"cannot stack layer of type {type(layer).__name__}; "
-                    "the batched engine supports Dense/ReLU/Identity networks"
+                    "the batched engine supports Dense/ReLU networks"
                 )
         return cls(layers, k)
 

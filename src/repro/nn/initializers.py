@@ -2,15 +2,15 @@
 
 He initialization is the natural partner of ReLU activations (it preserves
 forward variance through rectified layers), so :func:`he_normal` is the
-default for the paper's FCNN; Xavier variants are provided for the
-non-rectified output layer and experimentation.
+default for the paper's FCNN; :func:`xavier_normal` initializes the
+non-rectified output layer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["he_normal", "he_uniform", "xavier_normal", "xavier_uniform", "zeros", "get_initializer"]
+__all__ = ["he_normal", "xavier_normal", "get_initializer"]
 
 
 def he_normal(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -18,34 +18,14 @@ def he_normal(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
 
 
-def he_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform over ``[-sqrt(6/fan_in), +sqrt(6/fan_in)]``."""
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 def xavier_normal(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian with std ``sqrt(2 / (fan_in + fan_out))``."""
     return rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), size=(fan_in, fan_out))
 
 
-def xavier_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform over ``[-sqrt(6/(fan_in+fan_out)), +...]``."""
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-def zeros(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """All-zero weights (useful in tests)."""
-    return np.zeros((fan_in, fan_out))
-
-
 _INITIALIZERS = {
     "he_normal": he_normal,
-    "he_uniform": he_uniform,
     "xavier_normal": xavier_normal,
-    "xavier_uniform": xavier_uniform,
-    "zeros": zeros,
 }
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from repro.nn.initializers import get_initializer
 from repro.nn.parameter import Parameter
 
-__all__ = ["Layer", "Dense", "ReLU", "Tanh", "Sigmoid", "Identity", "LayerNorm"]
+__all__ = ["Layer", "Dense", "ReLU"]
 
 class Layer:
     """Base class: a differentiable map with (possibly zero) parameters."""
@@ -201,104 +201,3 @@ class ReLU(Layer):
         out = ws.buffer((self._ws_tag, "bwd"), grad_out.shape)
         np.multiply(grad_out, self._mask, out=out)
         return out
-
-
-class Tanh(Layer):
-    """Hyperbolic-tangent activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(x)
-        return self._output
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * (1.0 - self._output**2)
-
-
-class Sigmoid(Layer):
-    """Logistic activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
-        return self._output
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._output * (1.0 - self._output)
-
-
-class LayerNorm(Layer):
-    """Layer normalization over the feature axis, with learned gain/bias.
-
-    Stabilizes deep-ladder training (the Fig 6 nine-layer regime); rows are
-    normalized to zero mean / unit variance before the affine map.
-    """
-
-    def __init__(self, features: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        if features < 1:
-            raise ValueError(f"features must be >= 1, got {features}")
-        self.features = int(features)
-        self.eps = float(eps)
-        self.gain = Parameter(np.ones(features), name="gain")
-        self.bias = Parameter(np.zeros(features), name="bias")
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.features:
-            raise ValueError(f"LayerNorm({self.features}) got input shape {x.shape}")
-        mu = x.mean(axis=1, keepdims=True)
-        var = x.var(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu) * inv
-        self._cache = (xhat, inv, x)
-        return xhat * self.gain.value + self.bias.value
-
-    def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        xhat, inv, _ = self._cache
-        self.gain.grad += (grad_out * xhat).sum(axis=0)
-        self.bias.grad += grad_out.sum(axis=0)
-        if not need_input_grad:
-            return None
-        g = grad_out * self.gain.value
-        # d/dx of (x - mu) / sqrt(var + eps), vectorized per row.
-        return inv * (g - g.mean(axis=1, keepdims=True)
-                      - xhat * (g * xhat).mean(axis=1, keepdims=True))
-
-    def parameters(self) -> list[Parameter]:
-        return [self.gain, self.bias]
-
-    def spec(self) -> dict:
-        return {"kind": "LayerNorm", "features": self.features}
-
-
-class Identity(Layer):
-    """No-op layer (linear output head)."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out
-
-
-#: activations addressable by name in ``mlp()`` and checkpoints
-ACTIVATIONS: dict[str, type[Layer]] = {
-    "ReLU": ReLU,
-    "Tanh": Tanh,
-    "Sigmoid": Sigmoid,
-    "Identity": Identity,
-}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Loss", "MSELoss", "MAELoss", "HuberLoss"]
+__all__ = ["Loss", "MSELoss"]
 
 
 class Loss:
@@ -61,45 +61,3 @@ class MSELoss(Loss):
         out *= 2.0
         out /= p.size
         return out
-
-
-class HuberLoss(Loss):
-    """Huber loss: quadratic near zero, linear in the tails.
-
-    Robust to the occasional extreme target (e.g. gradient spikes at
-    under-resolved fronts) while staying smooth at the optimum.
-    """
-
-    name = "huber"
-
-    def __init__(self, delta: float = 1.0) -> None:
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        self.delta = float(delta)
-
-    def value(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        p, t = self._check(prediction, target)
-        r = p - t
-        a = np.abs(r)
-        quad = 0.5 * r**2
-        lin = self.delta * (a - 0.5 * self.delta)
-        return float(np.mean(np.where(a <= self.delta, quad, lin)))
-
-    def gradient(self, prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
-        p, t = self._check(prediction, target)
-        r = p - t
-        return np.clip(r, -self.delta, self.delta) / p.size
-
-
-class MAELoss(Loss):
-    """Mean absolute error (robust alternative, used in ablations)."""
-
-    name = "mae"
-
-    def value(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        p, t = self._check(prediction, target)
-        return float(np.mean(np.abs(p - t)))
-
-    def gradient(self, prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
-        p, t = self._check(prediction, target)
-        return np.sign(p - t) / p.size

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import ACTIVATIONS, Dense, Layer
+from repro.nn.layers import Dense, Layer, ReLU
 
 __all__ = ["Sequential", "mlp"]
 
@@ -85,7 +85,7 @@ class Sequential:
         return self._ws
 
     def set_training(self, flag: bool) -> None:
-        """Toggle train/eval mode on layers that distinguish them (Dropout)."""
+        """Toggle train/eval mode: in eval mode layers keep no backward state."""
         for layer in self.layers:
             if hasattr(layer, "training"):
                 layer.training = bool(flag)
@@ -93,8 +93,8 @@ class Sequential:
     def predict(self, x: np.ndarray, batch_size: int = 65536) -> np.ndarray:
         """Inference over arbitrarily many rows, processed in batches.
 
-        Runs in eval mode (Dropout disabled) and restores train mode after;
-        does not disturb training caches beyond the last batch.
+        Runs in eval mode (no input or mask is kept for a backward) and
+        restores train mode after.
         """
         ws = self._ws
         x = np.asarray(x, dtype=np.float64 if ws is None else ws.dtype)
@@ -230,16 +230,8 @@ def from_spec(spec: list[dict], rng: np.random.Generator | None = None) -> Seque
                     rng=rng,
                 )
             )
-        elif kind == "Dropout":
-            from repro.nn.regularization import Dropout
-
-            layers.append(Dropout(rate=float(entry.get("rate", 0.5))))
-        elif kind == "LayerNorm":
-            from repro.nn.layers import LayerNorm
-
-            layers.append(LayerNorm(int(entry["features"])))
-        elif kind in ACTIVATIONS:
-            layers.append(ACTIVATIONS[kind]())
+        elif kind == "ReLU":
+            layers.append(ReLU())
         else:
             raise ValueError(f"unknown layer kind {kind!r} in spec")
     return Sequential(layers)
@@ -249,22 +241,19 @@ def mlp(
     in_features: int,
     hidden: list[int] | tuple[int, ...],
     out_features: int,
-    activation: str = "ReLU",
-    weight_init: str = "he_normal",
+    *,
     seed: int | None = 0,
 ) -> Sequential:
-    """Build a multilayer perceptron: Dense+activation blocks + linear head.
+    """Build a multilayer perceptron: He-initialized Dense+ReLU blocks + Xavier linear head.
 
     ``mlp(23, [512, 256, 128, 64, 16], 4)`` is the paper's architecture.
     """
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}; available: {sorted(ACTIVATIONS)}")
     rng = np.random.default_rng(seed)
     layers: list[Layer] = []
     prev = int(in_features)
     for width in hidden:
-        layers.append(Dense(prev, int(width), weight_init=weight_init, rng=rng))
-        layers.append(ACTIVATIONS[activation]())
+        layers.append(Dense(prev, int(width), rng=rng))
+        layers.append(ReLU())
         prev = int(width)
     layers.append(Dense(prev, int(out_features), weight_init="xavier_normal", rng=rng))
     return Sequential(layers)

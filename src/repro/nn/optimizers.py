@@ -1,17 +1,17 @@
 # hot-path
-"""Gradient-descent optimizers.
+"""The Adam optimizer.
 
 :class:`Adam` with ``lr=0.001`` is the paper's configuration (Sec III-C).
-Optimizers respect :attr:`Parameter.trainable`, so freezing layers for
-Case-2 fine-tuning simply stops their updates while per-parameter state
-(Adam moments) stays aligned.
+It respects :attr:`Parameter.trainable`, so freezing layers for Case-2
+fine-tuning simply stops their updates while the per-parameter moments
+stay aligned.
 
-Updates run fully in place: each optimizer keeps per-parameter scratch
-buffers (allocated once, never checkpointed) and applies the textbook
-expressions as a sequence of ``out=`` ufunc calls.  The operation order is
-unchanged from the allocating forms, so steps are bit-identical; the
-bias-correction denominators ``1 - beta**t`` are computed once per step,
-not per parameter.
+Updates run fully in place: Adam keeps per-parameter scratch buffers
+(allocated once, never checkpointed) and applies the textbook expressions
+as a sequence of ``out=`` ufunc calls.  The operation order is unchanged
+from the allocating form, so steps are bit-identical; the bias-correction
+denominators ``1 - beta**t`` are computed once per step, not per
+parameter.
 """
 
 from __future__ import annotations
@@ -20,146 +20,10 @@ import numpy as np
 
 from repro.nn.parameter import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "RMSProp"]
+__all__ = ["Adam"]
 
 
-class Optimizer:
-    """Base class binding an update rule to a list of parameters."""
-
-    def __init__(self, parameters: list[Parameter], lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.parameters = list(parameters)
-        self.lr = float(lr)
-
-    def step(self) -> None:
-        """Apply one update from the accumulated gradients."""
-        raise NotImplementedError
-
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
-
-    # ----------------------------------------------------------- checkpointing
-    def state_dict(self) -> dict:
-        """Resumable state: scalars plus per-parameter arrays (copies).
-
-        Subclasses extend this with their moment/velocity buffers; the
-        contract is that ``load_state_dict(state_dict())`` restores the
-        optimizer bit-exactly (see :mod:`repro.resilience.checkpoint`).
-        """
-        return {"kind": type(self).__name__, "lr": self.lr}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`, in place."""
-        kind = state.get("kind")
-        if kind != type(self).__name__:
-            raise ValueError(
-                f"optimizer state is for {kind!r}, cannot load into {type(self).__name__}"
-            )
-        self.lr = float(state["lr"])
-
-    @staticmethod
-    def _restore_buffers(dst: list[np.ndarray], src, label: str) -> None:
-        """Copy checkpointed buffers over live ones, validating counts/shapes."""
-        src = list(src)
-        if len(src) != len(dst):
-            raise ValueError(
-                f"optimizer state {label!r} holds {len(src)} arrays, expected {len(dst)}"
-            )
-        for d, s in zip(dst, src):
-            s = np.asarray(s, dtype=np.float64)
-            if d.shape != s.shape:
-                raise ValueError(
-                    f"optimizer state {label!r} shape mismatch: {s.shape} vs {d.shape}"
-                )
-            d[...] = s
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, parameters: list[Parameter], lr: float = 0.01, momentum: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        if not (0.0 <= momentum < 1.0):
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.value) for p in self.parameters]
-        self._scratch = [np.empty_like(p.value) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v, s in zip(self.parameters, self._velocity, self._scratch):
-            if not p.trainable:
-                continue
-            np.multiply(p.grad, self.lr, out=s)
-            if self.momentum > 0:
-                v *= self.momentum
-                v -= s
-                p.value += v
-            else:
-                p.value -= s
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["momentum"] = self.momentum
-        state["velocity"] = [v.copy() for v in self._velocity]
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.momentum = float(state["momentum"])
-        self._restore_buffers(self._velocity, state["velocity"], "velocity")
-
-
-class RMSProp(Optimizer):
-    """RMSProp: per-parameter step sizes from an EMA of squared gradients."""
-
-    def __init__(
-        self,
-        parameters: list[Parameter],
-        lr: float = 0.001,
-        rho: float = 0.9,
-        eps: float = 1e-8,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if not (0.0 <= rho < 1.0):
-            raise ValueError(f"rho must be in [0, 1), got {rho}")
-        self.rho = float(rho)
-        self.eps = float(eps)
-        self._sq = [np.zeros_like(p.value) for p in self.parameters]
-        self._s1 = [np.empty_like(p.value) for p in self.parameters]
-        self._s2 = [np.empty_like(p.value) for p in self.parameters]
-
-    def step(self) -> None:
-        one_minus_rho = 1.0 - self.rho
-        for p, sq, s1, s2 in zip(self.parameters, self._sq, self._s1, self._s2):
-            if not p.trainable:
-                continue
-            sq *= self.rho
-            np.multiply(p.grad, p.grad, out=s1)
-            s1 *= one_minus_rho
-            sq += s1
-            np.sqrt(sq, out=s2)
-            s2 += self.eps
-            np.multiply(p.grad, self.lr, out=s1)
-            s1 /= s2
-            p.value -= s1
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["rho"] = self.rho
-        state["eps"] = self.eps
-        state["sq"] = [sq.copy() for sq in self._sq]
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.rho = float(state["rho"])
-        self.eps = float(state["eps"])
-        self._restore_buffers(self._sq, state["sq"], "sq")
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba) with bias-corrected moment estimates."""
 
     def __init__(
@@ -170,9 +34,12 @@ class Adam(Optimizer):
         beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> None:
-        super().__init__(parameters, lr)
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {beta1}, {beta2}")
+        self.parameters = list(parameters)
+        self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
@@ -183,6 +50,7 @@ class Adam(Optimizer):
         self._t = 0
 
     def step(self) -> None:
+        """Apply one update from the accumulated gradients."""
         self._t += 1
         # Bias corrections depend only on t: hoisted out of the parameter loop.
         b1t = 1.0 - self.beta1**self._t
@@ -207,21 +75,53 @@ class Adam(Optimizer):
             s1 /= s2
             p.value -= s1
 
+    def zero_grad(self) -> None:
+        for p in self.parameters:
+            p.zero_grad()
+
+    # ----------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["beta1"] = self.beta1
-        state["beta2"] = self.beta2
-        state["eps"] = self.eps
-        state["t"] = self._t
-        state["m"] = [m.copy() for m in self._m]
-        state["v"] = [v.copy() for v in self._v]
-        return state
+        """Resumable state: scalars plus the moment arrays (copies).
+
+        ``load_state_dict(state_dict())`` restores the optimizer bit-exactly
+        (see :mod:`repro.resilience.checkpoint`).
+        """
+        return {
+            "kind": "Adam",
+            "lr": self.lr,
+            "beta1": self.beta1,
+            "beta2": self.beta2,
+            "eps": self.eps,
+            "t": self._t,
+            "m": [m.copy() for m in self._m],
+            "v": [v.copy() for v in self._v],
+        }
 
     def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
+        """Restore state captured by :meth:`state_dict`, in place."""
+        kind = state.get("kind")
+        if kind != "Adam":
+            raise ValueError(f"optimizer state is for {kind!r}, cannot load into Adam")
+        self.lr = float(state["lr"])
         self.beta1 = float(state["beta1"])
         self.beta2 = float(state["beta2"])
         self.eps = float(state["eps"])
         self._t = int(state["t"])
         self._restore_buffers(self._m, state["m"], "m")
         self._restore_buffers(self._v, state["v"], "v")
+
+    @staticmethod
+    def _restore_buffers(dst: list[np.ndarray], src, label: str) -> None:
+        """Copy checkpointed buffers over live ones, validating counts/shapes."""
+        src = list(src)
+        if len(src) != len(dst):
+            raise ValueError(
+                f"optimizer state {label!r} holds {len(src)} arrays, expected {len(dst)}"
+            )
+        for d, s in zip(dst, src):
+            s = np.asarray(s, dtype=np.float64)
+            if d.shape != s.shape:
+                raise ValueError(
+                    f"optimizer state {label!r} shape mismatch: {s.shape} vs {d.shape}"
+                )
+            d[...] = s

@@ -46,8 +46,8 @@ def _dense_arrays(model: Sequential, dense_indices: list[int]) -> dict[str, np.n
 def _all_parameter_arrays(model: Sequential) -> dict[str, np.ndarray]:
     """Every layer's parameters, keyed by layer position in the pipeline.
 
-    Covers non-Dense parameterized layers (e.g. LayerNorm) that the
-    Dense-indexed Case-2 partial format deliberately ignores.
+    The full format counts every layer (``layer{i}``, ReLUs included);
+    the Case-2 partial format counts Dense layers only (``dense{i}``).
     """
     arrays: dict[str, np.ndarray] = {}
     for i, layer in enumerate(model.layers):

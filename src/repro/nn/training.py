@@ -36,7 +36,7 @@ from repro.obs import histogram as obs_histogram
 from repro.obs import record_event, span
 from repro.nn.losses import Loss, MSELoss
 from repro.nn.network import Sequential
-from repro.nn.optimizers import Adam, Optimizer
+from repro.nn.optimizers import Adam
 from repro.resilience.checkpoint import (
     CheckpointConfig,
     TrainingCheckpoint,
@@ -117,7 +117,7 @@ class Trainer:
         self,
         model: Sequential,
         loss: Loss | None = None,
-        optimizer: Optimizer | None = None,
+        optimizer: Adam | None = None,
         batch_size: int = 4096,
         seed: int = 0,
         workspace=None,
@@ -137,7 +137,6 @@ class Trainer:
         y: np.ndarray,
         epochs: int,
         validation: tuple[np.ndarray, np.ndarray] | None = None,
-        shuffle: bool = True,
         callback=None,
         checkpoint: CheckpointConfig | None = None,
         resume_from: str | Path | TrainingCheckpoint | None = None,
@@ -145,8 +144,10 @@ class Trainer:
     ) -> TrainingHistory:
         """Train until ``epochs`` total passes over ``(x, y)`` are done.
 
-        ``callback(epoch, history)``, when given, runs after each epoch —
-        used by the harness for early stopping and progress reporting.
+        Every epoch visits the rows in a fresh permutation drawn from the
+        trainer's seed.  ``callback(epoch, history)``, when given, runs
+        after each epoch; returning ``False`` ends training there (LR
+        schedules, see :func:`repro.nn.apply_schedule`, use this hook).
 
         ``checkpoint`` periodically persists the full training state with
         :func:`repro.resilience.save_training_checkpoint` (atomic replace,
@@ -205,7 +206,7 @@ class Trainer:
             self.model.attach_workspace(ws)
         try:
             return self._fit_loop(
-                x, y, epochs, validation, shuffle, callback,
+                x, y, epochs, validation, callback,
                 checkpoint, health, n, rng, history, snapshot, epoch,
             )
         finally:
@@ -220,7 +221,6 @@ class Trainer:
         y: np.ndarray,
         epochs: int,
         validation,
-        shuffle: bool,
         callback,
         checkpoint: CheckpointConfig | None,
         health: HealthGuard | None,
@@ -234,7 +234,7 @@ class Trainer:
             while epoch < epochs:
                 with span("train.epoch", epoch=epoch):
                     t0 = time.perf_counter()
-                    order = rng.permutation(n) if shuffle else np.arange(n)
+                    order = rng.permutation(n)
                     try:
                         epoch_loss = self._run_epoch(x, y, order, health, epoch)
                         if health is not None:

@@ -18,8 +18,8 @@ measurements):
   shared-memory transport that ships sampled points, queries and results
   to ``parallel_reconstruct`` workers as segment names instead of pickled
   arrays.
-* :mod:`repro.perf.weights` — flat weight snapshots and bit-exact XOR
-  weight deltas (:func:`snapshot_weights`, :func:`weight_delta`, ...).
+* :mod:`repro.perf.weights` — flat weight snapshots
+  (:func:`snapshot_weights`, :func:`restore_weights`).
 * :mod:`repro.perf.campaign` — the streaming campaign scheduler:
   :class:`CampaignScheduler` pipelines sample -> fine-tune -> reconstruct
   across timesteps, :class:`WarmReconstructionPool` keeps reconstruction
@@ -36,13 +36,7 @@ the CI ``campaign`` job gates its spans via ``repro obs report --diff
 
 from repro.perf.policy import DtypePolicy
 from repro.perf.shm import SharedArrayBundle, SharedArraySpec, attached_arrays
-from repro.perf.weights import (
-    WeightSnapshot,
-    apply_weight_delta,
-    restore_weights,
-    snapshot_weights,
-    weight_delta,
-)
+from repro.perf.weights import WeightSnapshot, restore_weights, snapshot_weights
 from repro.perf.workspace import Workspace
 
 __all__ = [
@@ -54,8 +48,6 @@ __all__ = [
     "WeightSnapshot",
     "snapshot_weights",
     "restore_weights",
-    "weight_delta",
-    "apply_weight_delta",
     "CampaignGeometry",
     "GeometryCache",
     "CampaignScheduler",

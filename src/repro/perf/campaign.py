@@ -17,12 +17,12 @@ This module overlaps the stages and keeps everything warm:
   published weights) overlaps.  :func:`run_journaled` journals it for both
   campaign entry points; :func:`fine_tune_step` is their one fine-tune.
 * :class:`WarmReconstructionPool` — persistent reconstruction workers fed
-  through one shared-memory slot ring.  Grid geometry and base model
-  weights ship **once per campaign** (counter
-  ``campaign.shm_bundles_created``); each fine-tuned timestep afterwards
-  publishes only a bitwise XOR weight delta (:mod:`repro.perf.weights`)
-  and the refreshed sample values.  Workers cache the kd-tree, neighbor
-  indices and rebuilt models across timesteps.
+  through one shared-memory slot ring.  Grid geometry ships **once per
+  campaign** (counter ``campaign.shm_bundles_created``); each fine-tuned
+  timestep afterwards publishes its flat model weights
+  (:mod:`repro.perf.weights`) and the refreshed sample values.  Workers
+  cache the kd-tree, neighbor indices and rebuilt models across
+  timesteps.
 * :class:`LocalReconstructionSink` — the same publish/reconstruct
   protocol executed in-process; the degradation target when shared memory
   is unavailable and the reference implementation the pool is tested
@@ -36,8 +36,8 @@ Bit-identity contract: worker chunk boundaries are aligned to the FCNN
 predict block (:attr:`~repro.core.reconstructor.FCNNReconstructor.predict_block`),
 so the matmul block shapes — and therefore every float — match the serial
 :meth:`~repro.core.reconstructor.FCNNReconstructor.reconstruct` exactly;
-weight deltas are XOR (exact); non-finite predictions degrade through the
-serial path's :func:`~repro.resilience.health.fill_nonfinite`.
+weights travel as exact float64 copies; non-finite predictions degrade
+through the serial path's :func:`~repro.resilience.health.fill_nonfinite`.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from repro.parallel.chunking import aligned_chunks
 from repro.parallel.executor import ParallelExecutor, usable_cpus
 from repro.perf import shm as _shm
 from repro.perf.shm import SharedArrayBundle
-from repro.perf.weights import apply_weight_delta, restore_weights, snapshot_weights, weight_delta
+from repro.perf.weights import restore_weights, snapshot_weights
 from repro.resilience.health import check_on_nonfinite, fill_nonfinite
 from repro.resilience.journal import CampaignJournal, ResumePlan, content_hash
 from repro.resilience.report import ReconstructionReport
@@ -97,6 +97,10 @@ _SINK_SLOTS = _EMIT_DEPTH + 1
 
 #: Per-process cap on cached worker states (bundle attachments + models).
 _WORKER_STATE_MAX = 4
+
+#: Geometries a :class:`GeometryCache` keeps before evicting the least
+#: recently used one.
+_GEOMETRY_CACHE_ENTRIES = 8
 
 
 # --------------------------------------------------------------------------
@@ -213,15 +217,14 @@ class GeometryCache:
     Re-running a campaign (or reconstructing several models against the
     same sample locations) reuses the void enumeration, positions and the
     kd-trees hanging off the cached arrays instead of recomputing them per
-    timestep.  Eviction is least-recently-used (a hit refreshes the
-    entry), and the cache key folds in the caller's compute dtype so
-    fast32 and fast64 runs over the same locations can never alias one
-    entry.  Counters: ``campaign.geometry.hits`` / ``.misses``; gauges
+    timestep.  It holds ``_GEOMETRY_CACHE_ENTRIES`` geometries; eviction
+    is least-recently-used (a hit refreshes the entry), and the cache key
+    folds in the caller's compute dtype so fast32 and fast64 runs over the
+    same locations can never alias one entry.  Counters: ``campaign.geometry.hits`` / ``.misses``; gauges
     ``campaign.geometry.hit_count`` / ``.miss_count``.
     """
 
-    def __init__(self, max_entries: int = 8) -> None:
-        self.max_entries = int(max_entries)
+    def __init__(self) -> None:
         self._entries: OrderedDict[tuple[str, str], CampaignGeometry] = OrderedDict()
         self._hits = 0
         self._misses = 0
@@ -246,7 +249,7 @@ class GeometryCache:
         obs_counter("campaign.geometry.misses").inc()
         obs_gauge("campaign.geometry.miss_count").set(self._misses)
         geometry = CampaignGeometry.from_sample(sample)
-        while len(self._entries) >= self.max_entries:
+        if len(self._entries) >= _GEOMETRY_CACHE_ENTRIES:
             self._entries.popitem(last=False)
         self._entries[key] = geometry
         return geometry
@@ -785,8 +788,7 @@ class WarmReconstructionPool:
     ========================  =====================================================
     ``indices``               ``(M,)`` sampled flat indices — shipped once
     ``values``                ``(slots, M)`` per-slot sample values
-    ``weights_base``          ``(T, W)`` base flat weights per tag — shipped once
-    ``weights_delta``         ``(slots, T, W)`` XOR deltas against the base
+    ``weights``               ``(slots, T, W)`` per-slot flat weights per tag
     ``out``                   ``(slots, T, K)`` per-slot void predictions
     ========================  =====================================================
 
@@ -795,7 +797,7 @@ class WarmReconstructionPool:
     static init block, attach the segments once, and keep the rebuilt
     models, kd-tree and per-chunk neighbor indices warm in module state
     across every timestep (counter ``campaign.shm_bundles_created`` proves
-    geometry + weights ship at most once per campaign).
+    the geometry ships at most once per campaign).
 
     The executor is a ``persistent=True``
     :class:`~repro.parallel.ParallelExecutor`: crashed workers get the
@@ -827,7 +829,6 @@ class WarmReconstructionPool:
         self.geometry: CampaignGeometry | None = None
         self._bundle: SharedArrayBundle | None = None
         self._tags: tuple[str, ...] = ()
-        self._base: dict[str, np.ndarray] = {}
         self._chunks: dict[str, list[tuple[int, int]]] = {}
         self._init: dict = {}
         self._timesteps: list[int | None] = []
@@ -839,7 +840,7 @@ class WarmReconstructionPool:
 
     # ----------------------------------------------------------------- bind
     def bind(self, geometry: CampaignGeometry, models: dict) -> None:
-        """Ship geometry + base weights to shared memory (once per campaign).
+        """Ship the geometry to shared memory (once per campaign).
 
         ``models`` maps tag -> trained :class:`FCNNReconstructor`.  Raises
         ``OSError`` when shared memory is unavailable — callers degrade to
@@ -851,30 +852,23 @@ class WarmReconstructionPool:
         if not tags:
             raise ValueError("bind needs at least one tagged model")
         metas = {}
-        base = {}
         for tag, model in models.items():
             network, normalizer = model._require_trained()
-            flat = snapshot_weights(network).data
-            base[tag] = np.array(flat, dtype=np.float64, copy=True)
             metas[tag] = {
                 "ctor": model.settings(),
                 "spec": network.spec(),
                 "normalizer": normalizer.as_dict(),
-                "num_weights": int(flat.size),
+                "num_weights": int(network.num_parameters()),
             }
             self._chunks[tag] = aligned_chunks(
                 geometry.num_voids, self._target_chunks(), model.predict_block
             )
         width = max(meta["num_weights"] for meta in metas.values())
-        base_matrix = np.zeros((len(tags), width), dtype=np.float64)
-        for ti, tag in enumerate(tags):
-            base_matrix[ti, : base[tag].size] = base[tag]
         self._bundle = SharedArrayBundle.create(
             {
                 "indices": geometry.indices,
                 "values": np.zeros((_SINK_SLOTS, geometry.num_samples), dtype=np.float64),
-                "weights_base": base_matrix,
-                "weights_delta": np.zeros((_SINK_SLOTS, len(tags), width), dtype=np.uint64),
+                "weights": np.zeros((_SINK_SLOTS, len(tags), width), dtype=np.float64),
                 "out": np.zeros((_SINK_SLOTS, len(tags), geometry.num_voids), dtype=np.float64),
             }
         )
@@ -882,7 +876,6 @@ class WarmReconstructionPool:
         self.epoch += 1
         self.geometry = geometry
         self._tags = tags
-        self._base = base
         self._timesteps = [None] * _SINK_SLOTS
         self._seq = 0
         self._init = {
@@ -900,11 +893,10 @@ class WarmReconstructionPool:
 
     # -------------------------------------------------------------- publish
     def publish(self, timestep: int, values: np.ndarray, weights: dict) -> int:
-        """Write one timestep's sample values + per-tag weight deltas to a slot.
+        """Write one timestep's sample values + per-tag flat weights to a slot.
 
         ``weights`` maps every bound tag to its current flat weight vector
-        (:func:`repro.perf.weights.snapshot_weights` ``.data``); only the
-        XOR delta against the base crosses into shared memory.
+        (:func:`repro.perf.weights.snapshot_weights` ``.data``).
         """
         if self._bundle is None:
             raise RuntimeError("pool is not bound; call bind() first")
@@ -916,10 +908,10 @@ class WarmReconstructionPool:
         slot = self._seq % _SINK_SLOTS
         self._seq += 1
         self._bundle.view("values")[slot][...] = values
-        delta_view = self._bundle.view("weights_delta")
+        weights_view = self._bundle.view("weights")
         for ti, tag in enumerate(self._tags):
             flat = np.asarray(weights[tag], dtype=np.float64)
-            delta_view[slot, ti, : flat.size] = weight_delta(self._base[tag], flat)
+            weights_view[slot, ti, : flat.size] = flat
         self._timesteps[slot] = int(timestep)
         return slot
 
@@ -1001,7 +993,6 @@ class WarmReconstructionPool:
         _evict_worker_state(self.campaign_id)
         self.geometry = None
         self._tags = ()
-        self._base = {}
         self._chunks = {}
         self._init = {}
 
@@ -1098,7 +1089,6 @@ class _WorkerState:
         self.tree = cKDTree(self.geometry.points)
         self.models: dict[str, FCNNReconstructor] = {}
         self.num_weights: dict[str, int] = {}
-        self.scratch: dict[str, np.ndarray] = {}
         for tag in init["tags"]:
             meta = init["models"][tag]
             recon = FCNNReconstructor(**meta["ctor"])
@@ -1107,7 +1097,6 @@ class _WorkerState:
             recon.normalizer = Normalizer.from_dict(meta["normalizer"])
             self.models[tag] = recon
             self.num_weights[tag] = int(meta["num_weights"])
-            self.scratch[tag] = np.empty(meta["num_weights"], dtype=np.float64)
         self._slabs: dict = {}
 
     def slab(self, start: int, stop: int, num_neighbors: int, workers: int):
@@ -1169,7 +1158,7 @@ def _campaign_worker(payload: dict) -> int:
     """Reconstruct one (slot, tag, chunk) into the shared ``out`` segment.
 
     Runs in pool workers (or in-process on the executor's serial fallback).
-    Decodes the slot's XOR weight delta into the warm model, refreshes the
+    Restores the slot's flat weights into the warm model, refreshes the
     warm sample shell's values in place, primes the feature extractor's
     neighbor memo (indices and coordinate columns) from the per-chunk cache
     and predicts the chunk — every step bit-identical to the serial predict
@@ -1183,12 +1172,7 @@ def _campaign_worker(payload: dict) -> int:
     recon = state.models[tag]
     w = state.num_weights[tag]
 
-    flat = apply_weight_delta(
-        state.arrays["weights_base"][ti, :w],
-        state.arrays["weights_delta"][slot, ti, :w],
-        out=state.scratch[tag],
-    )
-    restore_weights(recon.model, flat)
+    restore_weights(recon.model, state.arrays["weights"][slot, ti, :w])
     state.sample.values[...] = state.arrays["values"][slot]
 
     extractor = recon.extractor

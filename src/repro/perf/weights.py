@@ -1,14 +1,9 @@
-"""Flat-packed weight snapshots and bit-exact weight deltas.
+"""Flat-packed weight snapshots.
 
-The campaign scheduler (:mod:`repro.perf.campaign`) ships model weights to
-its persistent workers through shared memory: the full weight vector goes
-out **once** per campaign, and each fine-tuned timestep afterwards is
-published as a *delta* against that base.  Floating-point arithmetic deltas
-(``base + (new - base)``) are not bit-exact, so deltas here are bitwise:
-the XOR of the two weight vectors' IEEE-754 bit patterns.  Applying a delta
-reproduces the new weights **exactly** — every reconstruction stays
-bit-identical to the serial path — and unchanged weights XOR to zero, so
-deltas stay sparse/compressible for mostly-frozen (Case-2) fine-tuning.
+The campaign's warm reconstruction pool (:mod:`repro.perf.campaign`)
+ships each published timestep's model weights to its persistent workers
+as one flat float64 vector per model in shared memory; workers write it
+back into their warm networks with :func:`restore_weights`.
 
 :class:`WeightSnapshot` is also the in-process rollback primitive behind
 :meth:`repro.nn.Sequential.snapshot` when a single flat vector is more
@@ -21,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "WeightSnapshot",
-    "snapshot_weights",
-    "restore_weights",
-    "weight_delta",
-    "apply_weight_delta",
-]
+__all__ = ["WeightSnapshot", "snapshot_weights", "restore_weights"]
 
 
 @dataclass(frozen=True)
@@ -87,38 +76,3 @@ def restore_weights(network, snapshot: WeightSnapshot | np.ndarray) -> None:
             p.trainable = bool(snapshot.trainable[i])
         p.zero_grad()
         offset += n
-
-
-def weight_delta(base: WeightSnapshot | np.ndarray, new: WeightSnapshot | np.ndarray) -> np.ndarray:
-    """Bitwise (XOR) delta between two flat weight vectors.
-
-    Returns a ``uint64`` array the size of the weight vector;
-    ``apply_weight_delta(base, delta)`` reproduces ``new`` bit-for-bit
-    (including signed zeros and NaN payloads, which an arithmetic delta
-    would corrupt).  Identical weights delta to zero.
-    """
-    b = base.data if isinstance(base, WeightSnapshot) else np.asarray(base, dtype=np.float64)
-    n = new.data if isinstance(new, WeightSnapshot) else np.asarray(new, dtype=np.float64)
-    if b.shape != n.shape:
-        raise ValueError(f"weight vectors differ in size: {b.shape} vs {n.shape}")
-    return np.bitwise_xor(b.view(np.uint64), n.view(np.uint64))
-
-
-def apply_weight_delta(
-    base: WeightSnapshot | np.ndarray,
-    delta: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Reconstruct the new flat weight vector from ``base`` and a XOR delta.
-
-    ``out`` (float64, same size) receives the result in place when given —
-    the campaign workers decode into a reused scratch buffer.
-    """
-    b = base.data if isinstance(base, WeightSnapshot) else np.asarray(base, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.uint64)
-    if b.shape != delta.shape:
-        raise ValueError(f"delta has {delta.size} entries, base has {b.size}")
-    if out is None:
-        out = np.empty_like(b)
-    np.bitwise_xor(b.view(np.uint64), delta, out=out.view(np.uint64))
-    return out

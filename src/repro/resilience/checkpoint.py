@@ -219,7 +219,7 @@ class TrainingCheckpoint:
 
     epoch: int                              # completed epochs
     parameters: dict[str, np.ndarray]       # "layer{i}.{name}" -> value
-    optimizer_state: dict                   # Optimizer.state_dict() payload
+    optimizer_state: dict                   # Adam.state_dict() payload
     rng_state: dict                         # Generator.bit_generator.state
     history: dict[str, list[float]]         # TrainingHistory field lists
     meta: dict = field(default_factory=dict)

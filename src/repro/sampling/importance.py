@@ -44,26 +44,49 @@ def acceptance_probabilities(importance: np.ndarray, budget: int, max_iter: int 
     imp = np.asarray(importance, dtype=np.float64)
     if imp.ndim != 1:
         raise ValueError("importance must be 1D")
-    if np.any(imp < 0) or not np.all(np.isfinite(imp)):
-        raise ValueError("importance must be finite and non-negative")
     n = imp.size
+    peak = imp.max() if n else 0.0
+    # A NaN minimum fails the comparison; an infinity is the peak.
+    if n and not (imp.min() >= 0 and np.isfinite(peak)):
+        raise ValueError("importance must be finite and non-negative")
     if not (1 <= budget <= n):
         raise ValueError(f"budget must be in [1, {n}], got {budget}")
 
     # The water-filling solution is scale-invariant in the importances;
     # normalizing up front keeps subnormal inputs (which would overflow the
     # rescaling division) well-conditioned.
-    peak = imp.max()
-    if peak > 0:
-        imp = imp / peak
+    p = imp / peak if peak > 0 else np.zeros(n, dtype=np.float64)
+    if max_iter > 0 and np.count_nonzero(p) == n:
+        # Every point is free and the peak maps to exactly 1, so the first
+        # water-filling pass scales the whole array; when nothing
+        # saturates, that pass is the answer.
+        p *= budget / p.sum()
+        if p.max() > 1.0:
+            p = _water_fill(imp / peak, budget, max_iter)
+    else:
+        p = _water_fill(p, budget, max_iter)
 
+    # If importance mass was insufficient (e.g. mostly zeros), spread the
+    # shortfall uniformly over unsaturated points.
+    shortfall = budget - p.sum()
+    if shortfall > 1e-9:
+        free = p < 1.0
+        headroom = (1.0 - p[free]).sum()
+        if headroom > 0:
+            p[free] += (1.0 - p[free]) * min(1.0, shortfall / headroom)
+    return np.clip(p, 0.0, 1.0, out=p)
+
+
+def _water_fill(imp: np.ndarray, budget: int, max_iter: int) -> np.ndarray:
+    """Water-filling passes over importances whose peak is 1 (or all zero)."""
+    n = imp.size
     p = np.zeros(n, dtype=np.float64)
     saturated = np.zeros(n, dtype=bool)
     remaining = float(budget)
     positive = imp > 0
     for _ in range(max_iter):
         # Zero-importance points never receive mass here; any unmet budget
-        # is spread over them in the shortfall pass below.
+        # is spread over them in the caller's shortfall pass.
         free = ~saturated & positive
         if not free.any():
             break
@@ -83,16 +106,7 @@ def acceptance_probabilities(importance: np.ndarray, budget: int, max_iter: int 
         if remaining <= 0:
             p[~saturated] = 0.0
             break
-
-    # If importance mass was insufficient (e.g. mostly zeros), spread the
-    # shortfall uniformly over unsaturated points.
-    shortfall = budget - p.sum()
-    if shortfall > 1e-9:
-        free = p < 1.0
-        headroom = (1.0 - p[free]).sum()
-        if headroom > 0:
-            p[free] += (1.0 - p[free]) * min(1.0, shortfall / headroom)
-    return np.clip(p, 0.0, 1.0)
+    return p
 
 
 def _select_from_probabilities(

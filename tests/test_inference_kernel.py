@@ -219,7 +219,7 @@ class TestInferenceDense:
 class TestInferenceReLU:
     @pytest.mark.parametrize("workspace", [False, True])
     def test_backward_after_inference_forward_raises(self, workspace):
-        net = mlp(4, [8], 2, activation="ReLU", seed=0)
+        net = mlp(4, [8], 2, seed=0)
         if workspace:
             net.attach_workspace(Workspace())
         x = np.random.default_rng(0).normal(size=(16, 4))

@@ -242,11 +242,14 @@ def test_member_weights_layout_matches_snapshot_weights():
 
 
 def test_stack_rejects_unsupported_layers():
-    from repro.nn.layers import Tanh
+    from repro.nn.layers import Dense, Layer
     from repro.nn.network import Sequential
-    from repro.nn.layers import Dense
 
-    net = Sequential([Dense(4, 4), Tanh()])
+    class Square(Layer):
+        def forward(self, x):
+            return x * x
+
+    net = Sequential([Dense(4, 4), Square()])
     with pytest.raises(TypeError, match="cannot stack"):
         ModelStack.from_network(net, k=2)
 

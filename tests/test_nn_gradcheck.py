@@ -8,8 +8,7 @@ correctness test for a hand-written autodiff.
 import numpy as np
 import pytest
 
-from repro.nn import Dense, MSELoss, ReLU, Sequential, Sigmoid, Tanh, WeightedMSELoss, mlp
-from repro.nn.losses import MAELoss
+from repro.nn import Dense, MSELoss, ReLU, Sequential, WeightedMSELoss, mlp
 
 EPS = 1e-6
 TOL = 1e-5
@@ -54,7 +53,7 @@ def small_net(activation_cls, rng):
 
 
 class TestParameterGradients:
-    @pytest.mark.parametrize("activation", [ReLU, Tanh, Sigmoid])
+    @pytest.mark.parametrize("activation", [ReLU])
     def test_all_parameters(self, activation, data, rng):
         x, y = data
         # Shift inputs away from ReLU kinks so finite differences are valid.
@@ -68,21 +67,13 @@ class TestParameterGradients:
 
     def test_weighted_mse(self, data, rng):
         x, y = data
-        model = small_net(Tanh, rng)
+        x = x + 0.05  # off the ReLU kinks
+        model = small_net(ReLU, rng)
         loss = WeightedMSELoss([1.0, 0.25])
         analytic_grads(model, loss, x, y)
         for p in model.parameters():
             numeric = numeric_param_grad(model, loss, x, y, p)
             np.testing.assert_allclose(p.grad, numeric, rtol=TOL, atol=TOL)
-
-    def test_mae(self, data, rng):
-        x, y = data
-        model = small_net(Tanh, rng)
-        loss = MAELoss()
-        analytic_grads(model, loss, x, y)
-        for p in model.parameters():
-            numeric = numeric_param_grad(model, loss, x, y, p)
-            np.testing.assert_allclose(p.grad, numeric, rtol=1e-4, atol=1e-4)
 
     def test_deep_paper_shape_network(self, rng):
         # The actual architecture (scaled down): 23 -> ladder -> 4.
@@ -101,9 +92,9 @@ class TestInputGradient:
     def test_input_gradient_matches(self, rng):
         # Sequential.backward stops below the network input, so chain the
         # layers' own backward passes, which still return input gradients.
-        model = small_net(Tanh, rng)
+        model = small_net(ReLU, rng)
         loss = MSELoss()
-        x = rng.normal(size=(3, 4))
+        x = rng.normal(size=(3, 4)) + 0.05  # off the ReLU kinks
         y = rng.normal(size=(3, 2))
         model.zero_grad()
         pred = model.forward(x)

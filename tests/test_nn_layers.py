@@ -3,19 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Dense,
-    Identity,
-    Parameter,
-    ReLU,
-    Sigmoid,
-    Tanh,
-    he_normal,
-    he_uniform,
-    xavier_normal,
-    xavier_uniform,
-    zeros,
-)
+from repro.nn import Dense, Parameter, ReLU, he_normal, xavier_normal
 from repro.nn.initializers import get_initializer
 
 
@@ -39,7 +27,7 @@ class TestParameter:
 
 
 class TestInitializers:
-    @pytest.mark.parametrize("init", [he_normal, he_uniform, xavier_normal, xavier_uniform])
+    @pytest.mark.parametrize("init", [he_normal, xavier_normal])
     def test_shape(self, init, rng):
         w = init(23, 512, rng)
         assert w.shape == (23, 512)
@@ -47,14 +35,6 @@ class TestInitializers:
     def test_he_normal_variance(self, rng):
         w = he_normal(1000, 200, rng)
         assert w.std() == pytest.approx(np.sqrt(2.0 / 1000), rel=0.1)
-
-    def test_he_uniform_bounds(self, rng):
-        w = he_uniform(10, 10, rng)
-        limit = np.sqrt(6.0 / 10)
-        assert np.abs(w).max() <= limit
-
-    def test_zeros(self, rng):
-        assert (zeros(3, 3, rng) == 0).all()
 
     def test_get_initializer(self):
         assert get_initializer("he_normal") is he_normal
@@ -124,29 +104,11 @@ class TestActivations:
         grad = layer.backward(np.array([[5.0, 5.0]]))
         np.testing.assert_allclose(grad, [[0.0, 5.0]])
 
-    def test_tanh_range(self, rng):
-        out = Tanh().forward(rng.normal(size=(10, 4)) * 10)
-        assert np.abs(out).max() <= 1.0
-
-    def test_sigmoid_range(self, rng):
-        out = Sigmoid().forward(rng.normal(size=(10, 4)) * 100)
-        assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_sigmoid_no_overflow(self):
-        out = Sigmoid().forward(np.array([[-1000.0, 1000.0]]))
-        assert np.isfinite(out).all()
-
-    def test_identity_passthrough(self, rng):
-        x = rng.normal(size=(3, 3))
-        layer = Identity()
-        np.testing.assert_array_equal(layer.forward(x), x)
-        np.testing.assert_array_equal(layer.backward(x), x)
-
-    @pytest.mark.parametrize("cls", [ReLU, Tanh, Sigmoid])
+    @pytest.mark.parametrize("cls", [ReLU])
     def test_backward_before_forward(self, cls):
         with pytest.raises(RuntimeError):
             cls().backward(np.zeros((1, 1)))
 
-    @pytest.mark.parametrize("cls", [ReLU, Tanh, Sigmoid, Identity])
+    @pytest.mark.parametrize("cls", [ReLU])
     def test_no_parameters(self, cls):
         assert cls().parameters() == []

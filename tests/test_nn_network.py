@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Dense, LayerNorm, MSELoss, ReLU, Sequential, Trainer, mlp
+from repro.nn import Adam, Dense, MSELoss, ReLU, Sequential, Trainer, mlp
 from repro.nn.network import from_spec
 from repro.perf import Workspace
 
@@ -46,6 +46,19 @@ class TestSequential:
     def test_dense_layers(self):
         model = mlp(2, [4, 4], 1, seed=0)
         assert len(model.dense_layers()) == 3
+
+    def test_predict_runs_in_eval_mode(self, rng):
+        model = mlp(4, [8], 2, seed=1)
+        x = rng.normal(size=(8, 4))
+        np.testing.assert_array_equal(model.predict(x), model.predict(x))
+        # Eval mode keeps no input or mask, so no backward can follow...
+        with pytest.raises(RuntimeError, match="before forward"):
+            model.backward(np.ones((8, 2)))
+        # ...and train mode is restored afterwards.
+        assert all(layer.training is True for layer in model.layers)
+        model.forward(x)
+        model.backward(np.ones((8, 2)))
+        assert any((p.grad != 0).any() for p in model.parameters())
 
 
 class TestFreezing:
@@ -157,15 +170,15 @@ class TestBackwardStop:
         model.backward(np.ones((2, 2)))
         assert all((p.grad == 0).all() for p in model.parameters())
 
-    def test_layer_norm_skips_input_gradient_on_request(self):
-        layer = LayerNorm(4)
+    def test_dense_skips_input_gradient_on_request(self):
+        layer = Dense(4, 3, rng=np.random.default_rng(1))
         x = np.random.default_rng(0).normal(size=(5, 4))
         layer.forward(x)
-        assert layer.backward(np.ones((5, 4))).shape == x.shape
+        assert layer.backward(np.ones((5, 3))).shape == x.shape
         grads = [p.grad.copy() for p in layer.parameters()]
         for p in layer.parameters():
             p.zero_grad()
-        assert layer.backward(np.ones((5, 4)), need_input_grad=False) is None
+        assert layer.backward(np.ones((5, 3)), need_input_grad=False) is None
         for p, g in zip(layer.parameters(), grads):
             assert p.grad.tobytes() == g.tobytes()
 
@@ -185,6 +198,20 @@ class TestSpecRoundtrip:
     def test_from_spec_unknown_kind(self):
         with pytest.raises(ValueError):
             from_spec([{"kind": "Conv3D"}])
+
+    @pytest.mark.parametrize("kind", ["Tanh", "Sigmoid", "Identity", "LayerNorm", "Dropout"])
+    def test_from_spec_names_a_removed_layer_kind(self, kind):
+        spec = mlp(3, [4], 1, seed=0).spec()
+        spec.insert(2, {"kind": kind})
+        with pytest.raises(ValueError, match=f"unknown layer kind '{kind}'"):
+            from_spec(spec)
+
+    @pytest.mark.parametrize("init", ["he_uniform", "xavier_uniform", "zeros"])
+    def test_from_spec_names_a_removed_initializer(self, init):
+        spec = mlp(3, [4], 1, seed=0).spec()
+        spec[0]["weight_init"] = init
+        with pytest.raises(ValueError, match=f"unknown initializer '{init}'"):
+            from_spec(spec)
 
     def test_clone_architecture_fresh_weights(self):
         model = mlp(3, [4], 1, seed=0)
@@ -207,6 +234,11 @@ class TestMlpFactory:
             a.dense_layers()[0].weight.value, b.dense_layers()[0].weight.value
         )
 
-    def test_unknown_activation(self):
-        with pytest.raises(ValueError):
-            mlp(4, [8], 2, activation="Swish")
+    def test_he_blocks_and_xavier_head_are_fixed(self):
+        spec = mlp(4, [8, 6], 2, seed=0).spec()
+        assert [s["weight_init"] for s in spec if s["kind"] == "Dense"] == [
+            "he_normal", "he_normal", "xavier_normal"
+        ]
+        for removed in ({"activation": "ReLU"}, {"weight_init": "he_normal"}):
+            with pytest.raises(TypeError):
+                mlp(4, [8], 2, **removed)

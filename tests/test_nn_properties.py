@@ -67,17 +67,3 @@ class TestNetworkProperties:
         joint = [p.grad.copy() for p in model.parameters()]
         for a, b in zip(accumulated, joint):
             np.testing.assert_allclose(a, b, atol=1e-10)
-
-    @given(st.floats(1e-5, 1e-1), st.integers(0, 2**31 - 1))
-    @settings(max_examples=10, deadline=None)
-    def test_one_sgd_step_descends_quadratic(self, lr, seed):
-        from repro.nn import SGD, Parameter
-
-        rng = np.random.default_rng(seed)
-        p = Parameter(rng.normal(size=4))
-        target = rng.normal(size=4)
-        loss_before = float(np.sum((p.value - target) ** 2))
-        p.grad[...] = 2 * (p.value - target)
-        SGD([p], lr=lr).step()
-        loss_after = float(np.sum((p.value - target) ** 2))
-        assert loss_after <= loss_before + 1e-12

@@ -1,23 +1,16 @@
-"""Unit tests for LR schedules and regularization utilities."""
+"""Unit tests for the learning-rate schedules."""
 
-import numpy as np
 import pytest
 
 from repro.nn import (
     Adam,
     ConstantSchedule,
     CosineAnnealingSchedule,
-    Dropout,
-    EarlyStopping,
     ExponentialDecaySchedule,
-    Parameter,
     StepDecaySchedule,
     Trainer,
     WarmupSchedule,
-    add_l2_gradients,
     apply_schedule,
-    clip_gradients,
-    l2_penalty,
     mlp,
 )
 
@@ -75,140 +68,3 @@ class TestSchedules:
         x, y = rng.normal(size=(16, 2)), rng.normal(size=(16, 1))
         trainer.fit(x, y, epochs=3, callback=apply_schedule(opt, schedule))
         assert opt.lr == pytest.approx(schedule(3))
-
-
-class TestDropout:
-    def test_identity_in_eval_mode(self, rng):
-        layer = Dropout(rate=0.5, seed=0)
-        layer.training = False
-        x = rng.normal(size=(4, 8))
-        np.testing.assert_array_equal(layer.forward(x), x)
-
-    def test_zero_rate_identity(self, rng):
-        layer = Dropout(rate=0.0)
-        x = rng.normal(size=(4, 8))
-        np.testing.assert_array_equal(layer.forward(x), x)
-
-    def test_preserves_expectation(self, rng):
-        layer = Dropout(rate=0.3, seed=1)
-        x = np.ones((200, 200))
-        out = layer.forward(x)
-        assert out.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_backward_uses_same_mask(self, rng):
-        layer = Dropout(rate=0.5, seed=2)
-        x = rng.normal(size=(10, 10))
-        out = layer.forward(x)
-        grad = layer.backward(np.ones_like(x))
-        # Zeroed activations get zeroed gradients; kept ones are scaled.
-        np.testing.assert_array_equal(grad == 0, out == 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Dropout(rate=1.0)
-
-    def test_spec(self):
-        assert Dropout(rate=0.25).spec() == {"kind": "Dropout", "rate": 0.25}
-
-    def test_from_spec_roundtrip(self):
-        from repro.nn.network import from_spec
-
-        net = from_spec([{"kind": "Dropout", "rate": 0.25}])
-        assert net.layers[0].rate == 0.25
-
-
-class TestL2:
-    def test_penalty_value(self):
-        p = Parameter(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        b = Parameter(np.array([5.0]))  # bias excluded
-        assert l2_penalty([p, b], 0.1) == pytest.approx(0.1 * 6.0)
-
-    def test_gradient_added(self):
-        p = Parameter(np.array([[2.0]]))
-        add_l2_gradients([p], 0.5)
-        assert p.grad[0, 0] == pytest.approx(2.0)
-
-    def test_frozen_skipped(self):
-        p = Parameter(np.array([[2.0]]))
-        p.trainable = False
-        add_l2_gradients([p], 0.5)
-        assert p.grad[0, 0] == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            l2_penalty([], -1.0)
-        with pytest.raises(ValueError):
-            add_l2_gradients([], -1.0)
-
-
-class TestClipGradients:
-    def test_no_clip_below_threshold(self):
-        p = Parameter(np.zeros(3))
-        p.grad[...] = [1.0, 0.0, 0.0]
-        norm = clip_gradients([p], max_norm=2.0)
-        assert norm == pytest.approx(1.0)
-        np.testing.assert_allclose(p.grad, [1.0, 0.0, 0.0])
-
-    def test_clips_to_max_norm(self):
-        p = Parameter(np.zeros(2))
-        p.grad[...] = [3.0, 4.0]
-        clip_gradients([p], max_norm=1.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-6)
-
-    def test_global_norm_across_parameters(self):
-        a, b = Parameter(np.zeros(1)), Parameter(np.zeros(1))
-        a.grad[...] = [3.0]
-        b.grad[...] = [4.0]
-        norm = clip_gradients([a, b], max_norm=10.0)
-        assert norm == pytest.approx(5.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            clip_gradients([], max_norm=0.0)
-
-
-class TestEarlyStopping:
-    def test_stops_on_plateau(self, rng):
-        model = mlp(2, [4], 1, seed=0)
-        trainer = Trainer(model, seed=0)
-        x, y = rng.normal(size=(32, 2)), rng.normal(size=(32, 1))
-        # min_delta makes micro-improvements count as a plateau, so the
-        # stopper must fire long before the epoch budget runs out.
-        stopper = EarlyStopping(patience=5, min_delta=1e-3)
-        hist = trainer.fit(x, y, epochs=500, validation=(x, y), callback=stopper)
-        assert hist.epochs < 500
-        assert stopper.stopped_epoch is not None
-
-    def test_requires_validation(self, rng):
-        model = mlp(2, [4], 1, seed=0)
-        trainer = Trainer(model, seed=0)
-        x, y = rng.normal(size=(8, 2)), rng.normal(size=(8, 1))
-        with pytest.raises(RuntimeError):
-            trainer.fit(x, y, epochs=3, callback=EarlyStopping())
-
-    def test_validation_params(self):
-        with pytest.raises(ValueError):
-            EarlyStopping(patience=0)
-        with pytest.raises(ValueError):
-            EarlyStopping(min_delta=-1.0)
-
-
-class TestDropoutEvalMode:
-    def test_predict_disables_dropout(self, rng):
-        from repro.nn import Dense, Sequential
-        from repro.nn.regularization import Dropout
-
-        net = Sequential([
-            Dense(4, 4, rng=np.random.default_rng(0)),
-            Dropout(rate=0.5, seed=1),
-        ])
-        x = rng.normal(size=(8, 4))
-        a = net.predict(x)
-        b = net.predict(x)
-        # Deterministic in eval mode (no dropout noise)...
-        np.testing.assert_array_equal(a, b)
-        # ...and train mode restored afterwards.
-        assert net.layers[1].training is True
-        out1 = net.forward(x)
-        out2 = net.forward(x)
-        assert not np.array_equal(out1, out2)

@@ -156,7 +156,7 @@ def test_features_and_targets(case):
 
 def test_mlp_forward_backward_and_adam_step():
     rng = np.random.default_rng(0)
-    model = mlp(5, [7, 6], 4, activation="ReLU", seed=2)
+    model = mlp(5, [7, 6], 4, seed=2)
     x, y = rng.normal(size=(33, 5)), rng.normal(size=(33, 4))
     layers = _layers(model)
     loss = WeightedMSELoss(COLUMN_WEIGHTS)

@@ -27,7 +27,7 @@ def make_data(n=192, seed=5):
 
 
 def make_trainer(loss=None, seed=0, workspace=None, batch_size=32):
-    model = mlp(6, [16, 8], 2, activation="ReLU", seed=seed)
+    model = mlp(6, [16, 8], 2, seed=seed)
     return Trainer(
         model,
         loss=loss,

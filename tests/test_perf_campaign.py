@@ -3,7 +3,7 @@
 The contract under test is the PR 5 tentpole: every combination of
 ``pipeline`` x ``warm_pool`` — and every injected worker failure — must
 produce reconstructions **bit-identical** to the plain serial loop, ship
-campaign geometry + base weights at most once, and never silently drop a
+campaign geometry at most once, and never silently drop a
 timestep.
 """
 
@@ -26,6 +26,7 @@ from repro.obs.metrics import MetricsRegistry, activate, deactivate
 from repro.parallel.chunking import aligned_chunks
 from repro.perf import Workspace
 from repro.perf.campaign import (
+    _GEOMETRY_CACHE_ENTRIES,
     CampaignGeometry,
     CampaignScheduler,
     GeometryCache,
@@ -33,12 +34,7 @@ from repro.perf.campaign import (
     WarmReconstructionPool,
     geometry_key,
 )
-from repro.perf.weights import (
-    apply_weight_delta,
-    restore_weights,
-    snapshot_weights,
-    weight_delta,
-)
+from repro.perf.weights import restore_weights, snapshot_weights
 
 DIMS = (12, 12, 6)
 TIMESTEPS = (0, 8, 16)
@@ -81,7 +77,7 @@ def base_model64(campaign_pipeline):
 
 
 # ---------------------------------------------------------------------------
-# weight snapshots and bit-exact deltas
+# weight snapshots
 
 
 class TestWeights:
@@ -105,27 +101,6 @@ class TestWeights:
         model = base_model.clone()
         with pytest.raises(ValueError, match="weights"):
             restore_weights(model.model, np.zeros(3))
-
-    def test_delta_roundtrip_special_values(self):
-        # signed zeros and NaN payloads survive only a bitwise delta
-        base = np.array([0.0, -0.0, np.nan, np.inf, 1.5, -2.25])
-        new = np.array([-0.0, 0.0, 2.0, np.nan, 1.5, 3.75])
-        delta = weight_delta(base, new)
-        assert delta[4] == 0  # unchanged weights XOR to zero
-        out = apply_weight_delta(base, delta)
-        assert out.tobytes() == new.tobytes()
-
-    def test_delta_decodes_into_scratch(self):
-        base = np.linspace(-1.0, 1.0, 7)
-        new = base * 3.0
-        scratch = np.empty_like(base)
-        out = apply_weight_delta(base, weight_delta(base, new), out=scratch)
-        assert out is scratch
-        assert scratch.tobytes() == new.tobytes()
-
-    def test_delta_rejects_size_mismatch(self):
-        with pytest.raises(ValueError, match="size"):
-            weight_delta(np.zeros(4), np.zeros(5))
 
     def test_clone_is_bitwise_equal_and_independent(self, campaign_pipeline, base_model):
         clone = base_model.clone()
@@ -220,20 +195,26 @@ class TestGeometry:
         assert counter("campaign.geometry.misses").value == 1
 
     def test_cache_evicts_lru_not_fifo(self, campaign_pipeline):
-        cache = GeometryCache(max_entries=2)
+        cache = GeometryCache()
         field = campaign_pipeline.field(0)
-        first = cache.get(campaign_pipeline.sample(field, 0.04))
-        cache.get(campaign_pipeline.sample(field, 0.06))
+        # One distinct sample per slot, then one more past the capacity.
+        fractions = [0.02 + 0.01 * i for i in range(_GEOMETRY_CACHE_ENTRIES + 1)]
+        first = cache.get(campaign_pipeline.sample(field, fractions[0]))
+        for fraction in fractions[1:-1]:
+            cache.get(campaign_pipeline.sample(field, fraction))
+        assert len(cache) == _GEOMETRY_CACHE_ENTRIES
         # Touch the oldest entry: under LRU it survives the next insert,
-        # under the old FIFO it would be the one evicted.
-        assert cache.get(campaign_pipeline.sample(field, 0.04)) is first
-        cache.get(campaign_pipeline.sample(field, 0.08))
-        assert len(cache) == 2
-        assert cache.get(campaign_pipeline.sample(field, 0.04)) is first
-        # 0.06 was least recently used and evicted: re-get is a rebuild
+        # under FIFO it would be the one evicted.
+        assert cache.get(campaign_pipeline.sample(field, fractions[0])) is first
+        cache.get(campaign_pipeline.sample(field, fractions[-1]))
+        assert len(cache) == _GEOMETRY_CACHE_ENTRIES
+        assert cache.get(campaign_pipeline.sample(field, fractions[0])) is first
+        # The second sample was least recently used and evicted: re-get is a rebuild
         misses_before = cache.misses
-        cache.get(campaign_pipeline.sample(field, 0.06))
+        cache.get(campaign_pipeline.sample(field, fractions[1]))
         assert cache.misses == misses_before + 1
+        with pytest.raises(TypeError):
+            GeometryCache(max_entries=2)
 
     def test_cache_key_includes_dtype_policy(self, campaign_pipeline):
         cache = GeometryCache()

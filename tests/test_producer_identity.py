@@ -12,7 +12,11 @@ properties check both against plain references on drawn tiny inputs:
   ``np.histogram`` / ``np.digitize`` passes, importance summed through
   grid-sized temporaries, and a hashing uniqueness check before the sort;
 * (c) on uniform edges, ``np.bincount`` of the ``np.digitize`` bin numbers
-  equals ``np.histogram``'s counts, with values tied on the edges.
+  equals ``np.histogram``'s counts, with values tied on the edges;
+* (d) ``acceptance_probabilities``, which scales in place when one
+  water-filling pass suffices, equals a verbatim copy of the masked loop
+  it replaced on random, zero-heavy, saturating, subnormal, all-zero and
+  invalid importances.
 """
 
 from __future__ import annotations
@@ -313,3 +317,89 @@ def test_bincount_of_digitize_equals_histogram(values, bins, ties):
     edges = np.histogram_bin_edges(tied, bins=bins)
     got = np.bincount(np.digitize(tied, edges[1:-1]), minlength=bins)
     assert got.tolist() == np.histogram(tied, bins=bins)[0].tolist()
+
+
+# ------------------------------------------- (d) acceptance probabilities
+
+
+def _ref_acceptance_probabilities(importance, budget, max_iter=100):
+    imp = np.asarray(importance, dtype=np.float64)
+    if imp.ndim != 1:
+        raise ValueError("importance must be 1D")
+    if np.any(imp < 0) or not np.all(np.isfinite(imp)):
+        raise ValueError("importance must be finite and non-negative")
+    n = imp.size
+    if not (1 <= budget <= n):
+        raise ValueError(f"budget must be in [1, {n}], got {budget}")
+    peak = imp.max()
+    if peak > 0:
+        imp = imp / peak
+    p = np.zeros(n, dtype=np.float64)
+    saturated = np.zeros(n, dtype=bool)
+    remaining = float(budget)
+    positive = imp > 0
+    for _ in range(max_iter):
+        free = ~saturated & positive
+        if not free.any():
+            break
+        sub = imp[free]
+        sub = sub / sub.max()
+        total = sub.sum()
+        p[free] = sub * (remaining / total)
+        over = free & (p > 1.0)
+        if not over.any():
+            break
+        p[over] = 1.0
+        saturated |= over
+        remaining = budget - float(saturated.sum())
+        if remaining <= 0:
+            p[~saturated] = 0.0
+            break
+    shortfall = budget - p.sum()
+    if shortfall > 1e-9:
+        free = p < 1.0
+        headroom = (1.0 - p[free]).sum()
+        if headroom > 0:
+            p[free] += (1.0 - p[free]) * min(1.0, shortfall / headroom)
+    return np.clip(p, 0.0, 1.0)
+
+
+@st.composite
+def _importances(draw):
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(
+        st.sampled_from(["random", "zero-heavy", "saturating", "subnormal", "all-zero", "invalid"])
+    )
+    if kind == "all-zero":
+        imp = np.zeros(n)
+    elif kind == "zero-heavy":
+        imp = rng.random(n) * (rng.random(n) < draw(st.floats(0.0, 0.3)))
+    elif kind == "saturating":
+        # A few spikes far above the rest: their scaled share exceeds 1.
+        imp = rng.random(n) * 1e-3
+        imp[rng.integers(0, n, size=draw(st.integers(1, 5)))] = 10.0 ** draw(st.integers(0, 8))
+    elif kind == "subnormal":
+        imp = rng.integers(0, 4, size=n) * 5e-324
+    elif kind == "invalid":
+        imp = rng.random(n)
+        imp[rng.integers(0, n)] = draw(st.sampled_from([-1.0, -1e-300, np.nan, np.inf]))
+    else:
+        imp = rng.lognormal(0.0, draw(st.floats(0.0, 4.0)), n)
+    if draw(st.booleans()):
+        imp[rng.integers(0, n)] = -0.0
+    budget = draw(st.one_of(st.integers(1, n), st.sampled_from([0, n + 1])))
+    max_iter = draw(st.one_of(st.just(100), st.integers(0, 3)))
+    return imp, budget, max_iter
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_importances())
+@example(case=(np.full(7, 2.0), 3, 100))
+@example(case=(np.array([1e-320, 1e10, 3.0]), 2, 100))
+def test_acceptance_probabilities_bytes_equal_reference(case):
+    imp, budget, max_iter = case
+    before = imp.tobytes()
+    want = _outcome(lambda: _ref_acceptance_probabilities(imp, budget, max_iter).tobytes())
+    assert _outcome(lambda: acceptance_probabilities(imp, budget, max_iter).tobytes()) == want
+    assert imp.tobytes() == before  # the caller's importances are not scaled in place

@@ -112,7 +112,7 @@ class TestCheckpointConfig:
 
 class TestTrainingCheckpoint:
     def _trained(self, rng, epochs=3):
-        model = mlp(3, [8], 1, activation="ReLU", seed=0)
+        model = mlp(3, [8], 1, seed=0)
         trainer = Trainer(
             model, optimizer=Adam(model.parameters(), lr=1e-2), batch_size=16, seed=0
         )
@@ -137,7 +137,7 @@ class TestTrainingCheckpoint:
         assert ckpt.epoch == 4
         assert ckpt.meta == {"rows": 48}
         assert ckpt.rng_state == gen.bit_generator.state
-        fresh = mlp(3, [8], 1, activation="ReLU", seed=99)
+        fresh = mlp(3, [8], 1, seed=99)
         fresh_opt = Adam(fresh.parameters(), lr=1.0)
         restored_rng = np.random.default_rng(0)
         ckpt.restore(fresh, fresh_opt, restored_rng)
@@ -162,14 +162,14 @@ class TestTrainingCheckpoint:
             epoch=1,
         )
         ckpt = load_training_checkpoint(path)
-        other = mlp(3, [5], 1, activation="ReLU", seed=0)
+        other = mlp(3, [5], 1, seed=0)
         with pytest.raises(ValueError):
             ckpt.restore(other, Adam(other.parameters()), np.random.default_rng(0))
 
 
 class TestModelSerialization:
     def _trained_model(self, rng):
-        model = mlp(2, [6], 1, activation="ReLU", seed=1)
+        model = mlp(2, [6], 1, seed=1)
         trainer = Trainer(
             model, optimizer=Adam(model.parameters(), lr=1e-2), batch_size=8, seed=1
         )

@@ -26,7 +26,7 @@ def make_data(n=64, seed=5):
 
 
 def make_trainer(loss=None, batch_size=16, lr=1e-2, seed=0):
-    model = mlp(3, [8], 1, activation="ReLU", seed=seed)
+    model = mlp(3, [8], 1, seed=seed)
     return Trainer(
         model,
         loss=loss,
@@ -186,7 +186,7 @@ class TestHealthPolicies:
 
 class TestTrainerValidation:
     def test_batch_size(self):
-        model = mlp(3, [4], 1, activation="ReLU", seed=0)
+        model = mlp(3, [4], 1, seed=0)
         with pytest.raises(ValueError, match="batch_size"):
             Trainer(model, batch_size=0)
 

@@ -128,3 +128,28 @@ class TestFig11Shape:
         tuned.fine_tune(far, train, epochs=25, strategy="full")
         after = snr(far.values, tuned.reconstruct(test))
         assert after > before
+
+    @pytest.mark.parametrize("from_base", [False, True], ids=["rolling", "from-base"])
+    def test_campaign_finetune_recovers(self, from_base):
+        # The same shape on the campaign driver, Case 1, in both schedules.
+        pipeline = build_pipeline(CFG)
+        fcnn = build_reconstructor(CFG)
+        pipeline.train_fcnn(fcnn, timestep=0, epochs=CFG.epochs)
+        pretrained = fcnn.clone()
+        result = pipeline.run_campaign(
+            fcnn, (0, 24), 0.03, finetune_epochs=25, finetune_strategy="full",
+            batched_finetune=from_base, warm_pool=False,
+        )
+        row = result.rows[-1]
+        assert row["timestep"] == 24
+
+        # The pretrained model on the campaign's own locations, refreshed at t=24.
+        far = pipeline.field(24)
+        hits = pipeline.geometry_cache.hits
+        geometry = pipeline.geometry_cache.get(
+            pipeline.sample(pipeline.field(0), 0.03), dtype=pretrained.dtype_policy.compute
+        )
+        assert pipeline.geometry_cache.hits == hits + 1
+        shell = geometry.refresh(geometry.shell(), far)
+        before = snr(far.values, pretrained.reconstruct(shell))
+        assert row["snr"] > before
