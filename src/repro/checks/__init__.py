@@ -2,12 +2,12 @@
 
 The reproduction's headline numbers (SNR vs sampling fraction, near-constant
 reconstruction time, cross-timestep transfer) depend on discipline a normal
-test suite cannot see: deterministic RNG threading, float64 end to end,
-guarded metric denominators — and, since the campaign scheduler went
-multi-threaded, lock discipline and buffer-aliasing rules.  This package
-machine-checks those conventions with an AST rule engine backed by a
-project-wide semantic model (cross-file symbol table + call graph, see
-:mod:`repro.checks.analysis`):
+test suite cannot see: deterministic RNG threading, float32 only where the
+dtype policy puts it, guarded metric denominators — and, since the
+campaign scheduler went multi-threaded, lock discipline and buffer-aliasing
+rules.  This package machine-checks those conventions with an AST rule
+engine backed by a project-wide semantic model (cross-file symbol table +
+call graph, see :mod:`repro.checks.analysis`):
 
 =======  ==========================================================
 RNG001   no legacy global-state ``np.random`` API
@@ -26,27 +26,21 @@ THR003   bare acquire() balanced by release() in a finally
 THR004   non-daemon threads must be joined
 ALS001   ``out=`` must not alias a read operand of matmul-like ops
 ALS002   Workspace arena buffers must not be persisted on ``self``
+RES001   ``signal.signal`` registrations capture the previous handler
 =======  ==========================================================
 
 Findings carry severity tiers (``error``/``warning``/``note``); the exit
 code stays severity-blind (0 clean / 1 findings / 2 usage-or-crash).
 Run ``python -m repro.checks src/repro`` (or ``repro check``); emit SARIF
-2.1.0 for code scanning with ``--format sarif``; apply mechanical fixes
-with ``--fix``; suppress a single finding with ``# repro: noqa[RULE-ID]``
-and a comment justifying the invariant; grandfather legacy findings in a
-``--baseline`` file (v2 format; ``--migrate-baseline`` upgrades v1).
+2.1.0 for code scanning with ``--format sarif``.  Every unsuppressed
+finding is actionable; the one way to silence a finding is
+``# repro: noqa[RULE-ID]`` with a comment justifying the invariant.
 
 The sibling :mod:`repro.checks.sanitizers` package provides *runtime*
 counterparts — lock-order, shm-leak and aliasing sanitizers enabled under
 ``pytest --sanitize``.  See ``docs/CHECKS.md`` for the full rule catalog.
 """
 
-from repro.checks.baseline import (
-    Baseline,
-    load_baseline,
-    migrate_baseline,
-    write_baseline,
-)
 from repro.checks.config import CheckConfig
 from repro.checks.engine import CheckResult, discover_files, module_name_for, run_checks
 from repro.checks.findings import (
@@ -56,17 +50,14 @@ from repro.checks.findings import (
     format_text,
     rule_family,
 )
-from repro.checks.fixes import FIXABLE_RULES, fix_source
 from repro.checks.noqa import NoqaDirectives, parse_noqa
 from repro.checks.rules import ALL_RULES, ModuleContext, ProjectContext, Rule
 from repro.checks.sarif import format_sarif, sarif_report
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "CheckConfig",
     "CheckResult",
-    "FIXABLE_RULES",
     "Finding",
     "ModuleContext",
     "NoqaDirectives",
@@ -74,16 +65,12 @@ __all__ = [
     "Rule",
     "SEVERITIES",
     "discover_files",
-    "fix_source",
     "format_json",
     "format_sarif",
     "format_text",
-    "load_baseline",
-    "migrate_baseline",
     "module_name_for",
     "parse_noqa",
     "rule_family",
     "run_checks",
     "sarif_report",
-    "write_baseline",
 ]

@@ -2,9 +2,8 @@
 
 Exit-code contract (stable, severity-blind, relied on by CI):
 
-* ``0`` — clean: no unsuppressed, un-baselined findings (also returned
-  by the non-checking modes ``--list-rules``, ``--write-baseline`` and
-  ``--migrate-baseline``);
+* ``0`` — clean: no unsuppressed findings (also returned by
+  ``--list-rules``);
 * ``1`` — findings: at least one actionable finding, of any severity;
 * ``2`` — usage or internal error: bad flags, unknown rule ids, no
   files to check, or the checker itself crashed.
@@ -19,11 +18,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.checks.baseline import load_baseline, migrate_baseline, write_baseline
 from repro.checks.config import CheckConfig
 from repro.checks.engine import run_checks
 from repro.checks.findings import format_json, format_text
-from repro.checks.fixes import FIXABLE_RULES, fix_files
 from repro.checks.rules import ALL_RULES
 from repro.checks.sarif import format_sarif
 
@@ -52,28 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report format (default: text; sarif for code-scanning upload)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline file of grandfathered findings (missing file = empty)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to --baseline and exit 0",
-    )
-    parser.add_argument(
-        "--migrate-baseline",
-        action="store_true",
-        help="upgrade --baseline to the v2 format in place and exit 0",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help=f"apply mechanical autofixes ({', '.join(sorted(FIXABLE_RULES))}) "
-        "and re-check",
-    )
-    parser.add_argument(
         "--select", default=None, metavar="RULES", help="comma-separated rule ids to run"
     )
     parser.add_argument(
@@ -95,22 +70,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.list_rules:
         for cls in ALL_RULES:
-            fixable = "  [--fix]" if cls.id in FIXABLE_RULES else ""
-            print(
-                f"{cls.id}  {cls.severity:7s}  {cls.name:28s} "
-                f"{cls.description}{fixable}"
-            )
-        return EXIT_CLEAN
-
-    if (args.write_baseline or args.migrate_baseline) and not args.baseline:
-        flag = "--write-baseline" if args.write_baseline else "--migrate-baseline"
-        print(f"error: {flag} requires --baseline FILE", file=sys.stderr)
-        return EXIT_USAGE
-
-    if args.migrate_baseline:
-        changed = migrate_baseline(args.baseline)
-        state = "migrated to v2" if changed else "already current"
-        print(f"{args.baseline}: {state}")
+            print(f"{cls.id}  {cls.severity:7s}  {cls.name:28s} {cls.description}")
         return EXIT_CLEAN
 
     config = CheckConfig.from_cli(select=args.select, ignore=args.ignore)
@@ -123,14 +83,8 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    baseline = load_baseline(args.baseline) if args.baseline else None
     try:
-        result = run_checks(args.paths, config=config, baseline=baseline)
-        if args.fix and result.findings:
-            applied = fix_files(result.findings)
-            if applied:
-                print(f"applied {applied} fix(es); re-checking", file=sys.stderr)
-                result = run_checks(args.paths, config=config, baseline=baseline)
+        result = run_checks(args.paths, config=config)
     except Exception as exc:  # internal error, not a finding
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -139,20 +93,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no python files under {args.paths}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.write_baseline:
-        all_findings = result.findings + result.baselined
-        write_baseline(args.baseline, all_findings)
-        print(f"wrote {len(all_findings)} finding(s) to {args.baseline}")
-        return EXIT_CLEAN
-
     if args.format == "json":
-        print(format_json(result.findings, baselined=len(result.baselined)))
+        print(format_json(result.findings))
     elif args.format == "sarif":
         print(format_sarif(result.findings, ALL_RULES))
     else:
         print(format_text(result.findings))
-        if result.baselined:
-            print(f"({len(result.baselined)} baselined finding(s) not shown)")
     return EXIT_FINDINGS if result.findings else EXIT_CLEAN
 
 

@@ -1,13 +1,12 @@
-"""Checker configuration: which rules run, with which options.
+"""Checker configuration: which rules run.
 
-The defaults encode this repo's conventions; tests and the CLI override
-them per run.  ``rule_options`` entries are merged over each rule's
-``default_options`` (see :class:`repro.checks.rules.base.Rule`).
+The rules' options are fixed by each rule's ``default_options`` (see
+:class:`repro.checks.rules.base.Rule`); a run chooses only the rule set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["CheckConfig"]
 
@@ -22,13 +21,10 @@ class CheckConfig:
         If non-empty, only these rule ids run.
     ignore:
         Rule ids that never run (applied after ``select``).
-    rule_options:
-        Per-rule option overrides, keyed by rule id.
     """
 
     select: frozenset[str] = frozenset()
     ignore: frozenset[str] = frozenset()
-    rule_options: dict[str, dict] = field(default_factory=dict)
 
     def is_enabled(self, rule_id: str) -> bool:
         if rule_id in self.ignore:
@@ -36,9 +32,6 @@ class CheckConfig:
         if self.select:
             return rule_id in self.select
         return True
-
-    def options_for(self, rule_id: str) -> dict:
-        return dict(self.rule_options.get(rule_id, {}))
 
     @classmethod
     def from_cli(

@@ -10,10 +10,9 @@ Pipeline per run:
    ``finalize`` pass;
 4. drop findings suppressed by ``# repro: noqa[...]`` directives,
    reporting any *unknown* rule code named in a directive as a
-   ``NOQA001`` note (a typo'd code suppresses nothing, silently);
-5. split the remainder against the baseline.
+   ``NOQA001`` note (a typo'd code suppresses nothing, silently).
 
-The result's :attr:`CheckResult.findings` are the actionable ones — the
+Every finding left in :attr:`CheckResult.findings` is actionable — the
 exit-code contract is simply ``bool(findings)``, severity-blind.
 """
 
@@ -22,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.checks.baseline import Baseline
 from repro.checks.config import CheckConfig
 from repro.checks.findings import Finding
 from repro.checks.noqa import NoqaDirectives, parse_noqa
 from repro.checks.rules import ALL_RULES
-from repro.checks.rules.base import ModuleContext, ProjectContext, Rule
+from repro.checks.rules.base import ModuleContext, ProjectContext
 
 __all__ = ["CheckResult", "run_checks", "discover_files", "module_name_for"]
 
@@ -40,7 +38,6 @@ class CheckResult:
     """Outcome of one checker run."""
 
     findings: list[Finding] = field(default_factory=list)      # actionable
-    baselined: list[Finding] = field(default_factory=list)     # grandfathered
     suppressed: int = 0                                        # noqa'd count
     files_checked: int = 0
 
@@ -75,15 +72,11 @@ def module_name_for(path: Path) -> str | None:
 def run_checks(
     paths: list[str | Path],
     config: CheckConfig | None = None,
-    baseline: Baseline | None = None,
-    rules: tuple[type[Rule], ...] = ALL_RULES,
 ) -> CheckResult:
     """Run the configured rule battery over ``paths``."""
     config = config or CheckConfig()
     result = CheckResult()
-    active = [
-        cls(config.options_for(cls.id)) for cls in rules if config.is_enabled(cls.id)
-    ]
+    active = [cls() for cls in ALL_RULES if config.is_enabled(cls.id)]
 
     project = ProjectContext()
     raw: list[Finding] = []
@@ -125,7 +118,7 @@ def run_checks(
     for rule in active:
         raw.extend(rule.finalize(project))
 
-    known_codes = {cls.id for cls in rules} | {PARSE_RULE_ID, NOQA_RULE_ID}
+    known_codes = {cls.id for cls in ALL_RULES} | {PARSE_RULE_ID, NOQA_RULE_ID}
     for display, directives in sorted(noqa_by_path.items()):
         for line, code in directives.listed_codes():
             if code not in known_codes:
@@ -141,7 +134,6 @@ def run_checks(
                     )
                 )
 
-    kept: list[Finding] = []
     for finding in sorted(set(raw)):
         directives = noqa_by_path.get(finding.path)
         if directives is not None and directives.is_suppressed(
@@ -149,10 +141,5 @@ def run_checks(
         ):
             result.suppressed += 1
             continue
-        kept.append(finding)
-
-    if baseline is not None:
-        result.findings, result.baselined = baseline.split(kept)
-    else:
-        result.findings = kept
+        result.findings.append(finding)
     return result

@@ -1,15 +1,15 @@
 """Findings: what a rule reports, and how findings are rendered.
 
 A :class:`Finding` pins a rule violation to a file and line.  Findings are
-value objects — hashable, ordered by location — so the engine can sort,
-deduplicate and diff them against a committed baseline.
+value objects — hashable, ordered by location — so the engine can sort
+and deduplicate them.
 
 Each finding carries a **severity tier** (``error`` > ``warning`` >
 ``note``, stamped from the reporting rule's class) and derives its **rule
 family** from the id's alphabetic prefix (``THR003`` -> ``THR``).  Both
-feed the SARIF renderer (:mod:`repro.checks.sarif`) and the v2 baseline
-format; the exit-code contract stays severity-blind (any unsuppressed
-finding fails the run).
+feed the JSON report and the SARIF renderer (:mod:`repro.checks.sarif`);
+the exit-code contract stays severity-blind (any unsuppressed finding
+fails the run).
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ class Finding:
         return rule_family(self.rule)
 
     def fingerprint(self) -> tuple[str, str, str]:
-        """Identity used for baseline matching.
+        """Identity behind SARIF's ``partialFingerprints``.
 
-        Deliberately excludes line/column so the baseline survives
-        unrelated edits that shift code up or down a file.
+        Deliberately excludes line/column so code scanning matches a
+        finding across unrelated edits that shift code up or down a file.
         """
         return (self.path, self.rule, self.message)
 
@@ -90,13 +90,12 @@ def format_text(findings: list[Finding]) -> str:
     return "\n".join(rows)
 
 
-def format_json(findings: list[Finding], *, baselined: int = 0) -> str:
+def format_json(findings: list[Finding]) -> str:
     """Machine-readable report (consumed by CI)."""
     return json.dumps(
         {
-            "version": 2,
+            "version": 3,
             "count": len(findings),
-            "baselined": baselined,
             "findings": [f.as_dict() for f in findings],
         },
         indent=2,

@@ -91,8 +91,8 @@ class Rule:
 
     Subclasses set ``id``, ``name``, ``description``, a ``severity`` tier
     (``error`` | ``warning`` | ``note``; the default is ``warning``) and
-    optionally ``default_options``; overrides passed at construction are
-    merged over the defaults.
+    optionally ``default_options``, which each instance reads as
+    ``self.options``.
     """
 
     id: str = ""
@@ -101,8 +101,8 @@ class Rule:
     severity: str = "warning"
     default_options: dict = {}
 
-    def __init__(self, options: dict | None = None) -> None:
-        self.options = {**self.default_options, **(options or {})}
+    def __init__(self) -> None:
+        self.options = dict(self.default_options)
 
     def check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
         """Per-module pass; yield findings."""

@@ -42,8 +42,8 @@ class GuardedDivisionRule(Rule):
         "guard_name_pattern": r"(?i)(eps|epsilon|tiny|delta|stab|smooth|^c[0-9]$)",
     }
 
-    def __init__(self, options: dict | None = None) -> None:
-        super().__init__(options)
+    def __init__(self) -> None:
+        super().__init__()
         self._guard_re = re.compile(self.options["guard_name_pattern"])
 
     # ------------------------------------------------------------ helpers

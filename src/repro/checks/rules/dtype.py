@@ -9,9 +9,11 @@ reduced in float32, loses precision without failing a single test.  Two
 rules police the boundary:
 
 * ``DT001`` — inside :mod:`repro.nn`, every ``np.asarray``/``np.array``
-  conversion must name its dtype explicitly (the convention is
-  ``np.asarray(x, dtype=np.float64)``).  An implicit conversion inherits
-  whatever dtype the caller happened to pass in.
+  conversion must name its dtype explicitly: ``np.float64`` outside the
+  network's compute, or the workspace's compute dtype (``ws.dtype``, as
+  ``Sequential.forward`` passes) for arrays the network computes on.  An
+  implicit conversion inherits whatever dtype the caller happened to pass
+  in.
 * ``DT002`` — float32 introduction in hot numeric paths:
   ``astype(np.float32)``, ``astype("float32")``, ``dtype=np.float32`` or
   ``np.float32(...)``.  Storage/serialization code may downcast
@@ -75,7 +77,8 @@ class ExplicitDtypeBoundaryRule(Rule):
                     ctx,
                     node,
                     f"np.{func} without an explicit dtype at the repro.nn "
-                    "boundary; use np.asarray(x, dtype=np.float64)",
+                    "boundary; pass dtype= (np.float64, or the workspace's "
+                    "compute dtype ws.dtype for arrays the network computes on)",
                     symbol=symbol,
                 )
 

@@ -15,8 +15,7 @@ capture-and-restore (what ``GracefulInterrupt`` does)::
 
 * ``RES001`` — a ``signal.signal(...)`` call used as a bare expression
   statement, i.e. the previous handler is discarded and can never be
-  restored.  ``--fix`` captures it into a variable; wiring the restore
-  is left to the author (the fix makes the loss visible, not invisible).
+  restored.
 
 The *restore* call is itself a bare statement whose return value nobody
 needs — so a statement whose handler argument is recognizably a saved

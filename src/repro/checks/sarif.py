@@ -10,8 +10,8 @@ findings straight into the PR's security tab.  The renderer emits one
   rules with no findings in this run;
 * one ``result`` per finding, with the SARIF ``level`` mapped from the
   repo severity tier (``error`` -> ``error``, ``warning`` -> ``warning``,
-  ``note`` -> ``note``) and a ``partialFingerprints`` entry mirroring
-  the baseline fingerprint so code scanning deduplicates across pushes.
+  ``note`` -> ``note``) and a ``partialFingerprints`` entry hashed from
+  :meth:`Finding.fingerprint` so code scanning deduplicates across pushes.
 
 Only the fields code scanning consumes are emitted; the document
 validates against the 2.1.0 schema's required-property set.

@@ -21,7 +21,7 @@ Two command families (``repro ...`` or ``python -m repro ...``):
 **Static analysis** — enforce the repo's numerical-correctness invariants::
 
     repro check src/repro
-    repro check src/repro --format json --baseline .repro-checks-baseline.json
+    repro check src/repro --format json
 
 **Serving** — registry-backed reconstruction-as-a-service (``repro.serve``)::
 

@@ -219,8 +219,9 @@ class GeometryCache:
     kd-trees hanging off the cached arrays instead of recomputing them per
     timestep.  It holds ``_GEOMETRY_CACHE_ENTRIES`` geometries; eviction
     is least-recently-used (a hit refreshes the entry), and the cache key
-    folds in the caller's compute dtype so fast32 and fast64 runs over the
-    same locations can never alias one entry.  Counters: ``campaign.geometry.hits`` / ``.misses``; gauges
+    folds in the caller's compute dtype so float32 and float64 runs over
+    the same locations can never alias one entry.  Counters:
+    ``campaign.geometry.hits`` / ``.misses``; gauges
     ``campaign.geometry.hit_count`` / ``.miss_count``.
     """
 

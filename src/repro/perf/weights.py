@@ -5,9 +5,11 @@ ships each published timestep's model weights to its persistent workers
 as one flat float64 vector per model in shared memory; workers write it
 back into their warm networks with :func:`restore_weights`.
 
-:class:`WeightSnapshot` is also the in-process rollback primitive behind
-:meth:`repro.nn.Sequential.snapshot` when a single flat vector is more
-convenient than per-parameter copies (hashing, shipping, diffing).
+The same flat layout is what the serve registry stores per timestep and
+what callers hash, ship or diff when one vector is more convenient than
+per-parameter arrays.  In-process rollback is a different primitive:
+:meth:`repro.nn.Sequential.snapshot` copies each parameter array and
+builds no :class:`WeightSnapshot`.
 """
 
 from __future__ import annotations

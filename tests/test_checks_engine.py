@@ -1,27 +1,22 @@
-"""Engine plumbing: noqa parsing, baselines, discovery, CLI contract."""
+"""Engine plumbing: noqa parsing, discovery, CLI contract."""
 
 from __future__ import annotations
 
 import json
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
 
 from repro.checks import (
-    Baseline,
     CheckConfig,
     Finding,
     format_json,
     format_text,
-    load_baseline,
-    migrate_baseline,
     module_name_for,
     parse_noqa,
     run_checks,
-    write_baseline,
 )
 from repro.checks.cli import main as checks_main
 from repro.cli import main as repro_main
@@ -53,84 +48,6 @@ def test_noqa_inside_string_is_not_a_directive():
 def test_noqa_case_insensitive_rule_ids():
     d = parse_noqa("x = 1  # repro: noqa[rng001]\n")
     assert d.is_suppressed(1, "RNG001")
-
-
-# --------------------------------------------------------------- baseline
-def test_baseline_roundtrip_and_split(tmp_path):
-    f1 = Finding("a.py", 3, 0, "RNG001", "msg one")
-    f2 = Finding("b.py", 9, 4, "DIV001", "msg two")
-    path = tmp_path / "baseline.json"
-    write_baseline(path, [f1])
-    baseline = load_baseline(path)
-    new, old = baseline.split([f1, f2])
-    assert new == [f2] and old == [f1]
-
-
-def test_baseline_survives_line_number_drift(tmp_path):
-    path = tmp_path / "baseline.json"
-    write_baseline(path, [Finding("a.py", 3, 0, "RNG001", "msg")])
-    moved = Finding("a.py", 300, 7, "RNG001", "msg")
-    new, old = load_baseline(path).split([moved])
-    assert not new and old == [moved]
-
-
-def test_baseline_entry_consumed_once():
-    baseline = Baseline()
-    f = Finding("a.py", 1, 0, "RNG001", "msg")
-    new, old = baseline.split([f, f])
-    assert len(new) == 2 and not old
-
-
-def test_missing_baseline_file_is_empty(tmp_path):
-    assert len(load_baseline(tmp_path / "nope.json")) == 0
-
-
-def test_baseline_written_as_v2_with_family_and_severity(tmp_path):
-    path = tmp_path / "baseline.json"
-    write_baseline(path, [Finding("a.py", 3, 0, "THR001", "msg", severity="error")])
-    data = json.loads(path.read_text())
-    assert data["version"] == 2
-    entry = data["findings"][0]
-    assert entry["family"] == "THR" and entry["severity"] == "error"
-
-
-def test_v1_baseline_loads_with_deprecation_warning(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({
-        "version": 1,
-        "findings": [{"path": "a.py", "rule": "RNG001", "message": "msg"}],
-    }))
-    with pytest.warns(DeprecationWarning, match="deprecated v1 format"):
-        baseline = load_baseline(path)
-    new, old = baseline.split([Finding("a.py", 5, 0, "RNG001", "msg")])
-    assert not new and len(old) == 1  # fingerprints unchanged across formats
-
-
-def test_migrate_baseline_upgrades_v1_in_place(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({
-        "version": 1,
-        "findings": [{"path": "a.py", "rule": "RNG001", "message": "msg"}],
-    }))
-    assert migrate_baseline(path) is True
-    data = json.loads(path.read_text())
-    assert data["version"] == 2
-    entry = data["findings"][0]
-    assert entry["family"] == "RNG" and entry["severity"] == "warning"
-    # still matches the same finding, and loads without a warning now
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        baseline = load_baseline(path)
-    assert len(baseline) == 1
-    # already-current file is a no-op
-    assert migrate_baseline(path) is False
-
-
-def test_future_baseline_version_is_rejected(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"version": 99, "findings": []}))
-    with pytest.raises(ValueError, match="version 99"):
-        load_baseline(path)
 
 
 # ----------------------------------------------------------------- engine
@@ -184,25 +101,6 @@ def test_cli_json_format(tmp_path, capsys):
     assert payload["findings"][0]["rule"] == "RNG002"
 
 
-def test_cli_write_baseline_then_clean(tmp_path, capsys):
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text(TRIGGER)
-    baseline = tmp_path / "baseline.json"
-    assert checks_main([str(dirty), "--baseline", str(baseline), "--write-baseline"]) == 0
-    assert checks_main([str(dirty), "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "baselined" in out
-    # New finding on top of the baseline still fails.
-    dirty.write_text(TRIGGER + "rng2 = np.random.default_rng()\n")
-    assert checks_main([str(dirty), "--baseline", str(baseline)]) == 1
-    capsys.readouterr()
-
-
-def test_cli_write_baseline_requires_file(capsys):
-    assert checks_main(["--write-baseline"]) == 2
-    capsys.readouterr()
-
-
 def test_cli_rejects_unknown_rule_ids(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
@@ -219,7 +117,6 @@ def test_cli_list_rules(capsys):
                     "THR001", "THR004", "ALS001", "ALS002"):
         assert rule_id in out
     assert "error" in out and "warning" in out  # severity column
-    assert "[--fix]" in out                     # fixable rules are marked
 
 
 def test_cli_normalizes_argparse_systemexit(capsys):
@@ -231,26 +128,25 @@ def test_cli_normalizes_argparse_systemexit(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--baseline", "F"], ["--write-baseline"], ["--migrate-baseline"], ["--fix"]],
+    ids=lambda flags: flags[0],
+)
+def test_cli_rejects_removed_flags(tmp_path, capsys, flags):
+    # A finding is fixed by hand or suppressed with a justified noqa;
+    # no flag grandfathers or rewrites it.
+    clean = tmp_path / "clean.py"
+    clean.write_text("x = 1\n")
+    assert checks_main([str(clean), *flags]) == 2
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+
+
 def test_cli_exit_code_is_severity_blind(tmp_path, capsys):
     # A note-severity finding (NOQA001) fails the run exactly like an error.
     target = tmp_path / "m.py"
     target.write_text("x = 1  # repro: noqa[TYPO99]\n")
     assert checks_main([str(tmp_path)]) == 1
-    capsys.readouterr()
-
-
-def test_cli_migrate_baseline(tmp_path, capsys):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({
-        "version": 1,
-        "findings": [{"path": "a.py", "rule": "RNG001", "message": "msg"}],
-    }))
-    assert checks_main(["--baseline", str(path), "--migrate-baseline"]) == 0
-    assert "migrated to v2" in capsys.readouterr().out
-    assert json.loads(path.read_text())["version"] == 2
-    assert checks_main(["--baseline", str(path), "--migrate-baseline"]) == 0
-    assert "already current" in capsys.readouterr().out
-    assert checks_main(["--migrate-baseline"]) == 2
     capsys.readouterr()
 
 
@@ -287,5 +183,5 @@ def test_format_text_and_json_shapes():
     f = Finding("a.py", 3, 1, "RNG001", "msg")
     text = format_text([f])
     assert "a.py:3:1: RNG001 msg" in text and "1 finding" in text
-    payload = json.loads(format_json([f], baselined=2))
-    assert payload["baselined"] == 2 and payload["count"] == 1
+    payload = json.loads(format_json([f]))
+    assert payload["version"] == 3 and payload["count"] == 1

@@ -1,4 +1,4 @@
-"""The gate: ``src/repro`` must be clean against the committed baseline.
+"""The gate: ``src/repro`` must be clean.
 
 This is the test-suite mirror of the CI ``static-checks`` job — a rule
 violation anywhere in the library fails the build here too, so the
@@ -9,25 +9,17 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.checks import run_checks, load_baseline
+from repro.checks import run_checks
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_REPRO = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / ".repro-checks-baseline.json"
 
 
 def test_library_tree_is_clean():
     assert SRC_REPRO.is_dir(), f"unexpected layout: {SRC_REPRO} missing"
-    result = run_checks([SRC_REPRO], baseline=load_baseline(BASELINE))
+    result = run_checks([SRC_REPRO])
     assert result.files_checked > 50, "suspiciously few files scanned"
     formatted = "\n".join(
         f"{f.path}:{f.line}: {f.rule} {f.message}" for f in result.findings
     )
     assert result.ok, f"repro.checks findings in src/repro:\n{formatted}"
-
-
-def test_committed_baseline_stays_empty():
-    # The baseline exists so CI can grandfather findings in an emergency,
-    # but the policy is to fix or suppress instead; keep it empty.
-    baseline = load_baseline(BASELINE)
-    assert len(baseline) == 0, "new findings must be fixed or noqa'd, not baselined"

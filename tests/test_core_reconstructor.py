@@ -14,7 +14,12 @@ from repro.grid import UniformGrid, upscaled_grid
 from repro.metrics import snr
 from repro.nn.serialization import load_model, save_model
 from repro.perf import snapshot_weights
-from repro.sampling import MultiCriteriaSampler, NonFiniteFieldError, RandomSampler
+from repro.sampling import (
+    MultiCriteriaSampler,
+    NonFiniteFieldError,
+    RandomSampler,
+    SampledField,
+)
 
 
 @pytest.fixture(scope="module")
@@ -334,3 +339,46 @@ class TestCheckpointing:
     def test_save_untrained_raises(self, tmp_path):
         with pytest.raises(RuntimeError):
             FCNNReconstructor().save(tmp_path / "x.npz")
+
+
+def _spread_sample(field, count):
+    """``count`` grid points of ``field``, spread evenly over its flat indices."""
+    indices = np.linspace(0, field.grid.num_points - 1, count).astype(np.int64)
+    return SampledField(
+        field.grid, indices, field.flat[indices], count / field.grid.num_points,
+        timestep=field.timestep,
+    )
+
+
+@pytest.mark.parametrize(
+    "dims, count",
+    [
+        pytest.param((1, 10, 6), None, id="dims-1x10x6"),
+        pytest.param((12, 1, 6), None, id="dims-12x1x6"),
+        pytest.param((12, 10, 1), None, id="dims-12x10x1"),
+        pytest.param((12, 10, 6), 1, id="1-sample"),
+        pytest.param((12, 10, 6), 2, id="2-samples"),
+        pytest.param((12, 10, 6), 4, id="4-samples"),
+    ],
+)
+def test_edge_inputs_train_reconstruct_and_fine_tune(dims, count):
+    """A grid with a length-1 axis, or fewer samples than neighbours, still
+    trains, reconstructs and fine-tunes (Case 2) to a finite volume that
+    keeps every sampled value exactly."""
+    data = make_dataset("combustion", dims=dims, seed=0)
+    fields = [data.field(t) for t in (0, 4)]
+    if count is None:
+        samples = [RandomSampler(seed=0).sample(f, 0.2) for f in fields]
+    else:
+        samples = [_spread_sample(f, count) for f in fields]
+
+    def check(volume, sample):
+        assert volume.shape == dims
+        assert np.isfinite(volume).all()
+        np.testing.assert_array_equal(volume.ravel()[sample.indices], sample.values)
+
+    model = FCNNReconstructor(hidden_layers=(8, 4), num_neighbors=5, seed=0)
+    model.train(fields[0], samples[0], epochs=2)
+    check(model.reconstruct(samples[0]), samples[0])
+    model.fine_tune(fields[1], samples[1], epochs=2, strategy="last")
+    check(model.reconstruct(samples[1]), samples[1])
