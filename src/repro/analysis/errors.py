@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.grid import UniformGrid
 from repro.sampling.base import SampledField
@@ -82,6 +81,8 @@ def error_vs_sample_distance(
     """
     if num_bins < 2:
         raise ValueError(f"need at least 2 bins, got {num_bins}")
+    from scipy.spatial import cKDTree
+
     grid = sample.grid
     err = error_field(grid.validate_field(original), grid.validate_field(reconstructed)).ravel()
     dist, _ = cKDTree(sample.points).query(grid.points(), k=1)

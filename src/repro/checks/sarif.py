@@ -12,6 +12,9 @@ findings straight into the PR's security tab.  The renderer emits one
   repo severity tier (``error`` -> ``error``, ``warning`` -> ``warning``,
   ``note`` -> ``note``) and a ``partialFingerprints`` entry hashed from
   :meth:`Finding.fingerprint` so code scanning deduplicates across pushes.
+  Repeats of one (path, rule, message) triple are numbered in result
+  order: the first keeps the triple's hash, the k-th repeat hashes the
+  triple plus k, so no two results share a fingerprint.
 
 Only the fields code scanning consumes are emitted; the document
 validates against the 2.1.0 schema's required-property set.
@@ -48,10 +51,11 @@ def _rule_descriptor(cls: type[Rule]) -> dict:
     }
 
 
-def _result(finding: Finding) -> dict:
-    fingerprint = hashlib.sha256(
-        "\x1f".join(finding.fingerprint()).encode()
-    ).hexdigest()
+def _result(finding: Finding, repeat: int) -> dict:
+    parts = finding.fingerprint()
+    if repeat:
+        parts = (*parts, str(repeat))
+    fingerprint = hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
     return {
         "ruleId": finding.rule,
         "level": _LEVELS[finding.severity],
@@ -84,6 +88,13 @@ def sarif_report(
     rules: tuple[type[Rule], ...] = (),
 ) -> dict:
     """The SARIF log as a plain dict (one run, one tool)."""
+    repeats: dict[tuple[str, str, str], int] = {}
+    results = []
+    for finding in findings:
+        key = finding.fingerprint()
+        repeat = repeats.get(key, 0)
+        results.append(_result(finding, repeat))
+        repeats[key] = repeat + 1
     known = {cls.id for cls in rules}
     descriptors = [_rule_descriptor(cls) for cls in rules]
     # Findings from pseudo-rules (PARSE001, NOQA001) are not in the
@@ -114,7 +125,7 @@ def sarif_report(
                 },
                 "columnKind": "utf16CodeUnits",
                 "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-                "results": [_result(f) for f in findings],
+                "results": results,
             }
         ],
     }

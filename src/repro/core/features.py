@@ -11,13 +11,17 @@ components (4 outputs), or just the scalar for the no-gradient ablation
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.core.normalization import Normalizer
 from repro.datasets.base import TimestepField
 from repro.grid import UniformGrid, field_gradients
 from repro.sampling.base import SampledField
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = [
     "FeatureExtractor",
@@ -50,6 +54,32 @@ def nearest_samples(
         pad = np.repeat(idx[:, -1:], num_neighbors - k, axis=1)
         idx = np.concatenate([idx, pad], axis=1)
     return idx
+
+
+def _normalized_values(
+    sample: SampledField, normalizer: Normalizer, out: np.ndarray
+) -> np.ndarray:
+    """Each sample value standardized into the float64 ``out``: subtract mean, divide by std."""
+    out[...] = sample.values
+    out -= normalizer.value_mean
+    out /= normalizer.value_std
+    return out
+
+
+def _sample_table(sample: SampledField, normalizer: Normalizer) -> np.ndarray:
+    """``(S, 4)`` float64: each sample point's normalized x, y, z and value.
+
+    The float64 operations of :meth:`FeatureExtractor.features` (subtract
+    origin, divide by span; subtract mean, divide by std), done once per
+    sample point instead of once per neighbor slot, so a gather from the
+    table equals the per-slot arithmetic bit for bit.
+    """
+    table = np.empty((len(sample.values), 4))
+    xyz = table[:, :3]
+    np.subtract(np.asarray(sample.points, dtype=np.float64), normalizer.origin, out=xyz)
+    xyz /= normalizer.span
+    _normalized_values(sample, normalizer, table[:, 3])
+    return table
 
 
 class NeighborMemo:
@@ -127,6 +157,8 @@ class FeatureExtractor:
     def _tree(self, sample: SampledField) -> cKDTree:
         """The sample's kd-tree, cached per sample object."""
         if self._cached_sample is not sample:
+            from scipy.spatial import cKDTree
+
             self._cached_tree = cKDTree(sample.points)
             self._cached_sample = sample
         return self._cached_tree
@@ -206,11 +238,10 @@ class FeatureExtractor:
     ) -> np.ndarray:
         """:meth:`features` writing into a preallocated ``(Q, feature_size)`` block.
 
-        Per-neighbor columns are filled with strided ufunc ``out=`` writes.
         ``neighbor_idx`` lets a caller that has already resolved (or
         cached) the ``(Q, num_neighbors)`` nearest-sample indices for this
-        block skip the kd-tree query.  The arithmetic sequence (gather, subtract origin,
-        divide by span; subtract mean, divide by std) matches
+        block skip the kd-tree query.  The arithmetic sequence (subtract
+        origin, divide by span; subtract mean, divide by std) matches
         :meth:`features`, so the block is bit-identical to the
         corresponding slice of the allocating result.  Every element is
         computed in float64 and rounded once as it is written, so a
@@ -219,7 +250,6 @@ class FeatureExtractor:
         """
         query_points = np.atleast_2d(np.asarray(query_points, dtype=np.float64))
         nq = len(query_points)
-        kk = self.num_neighbors
         if out.shape != (nq, self.feature_size):
             raise ValueError(
                 f"out has shape {out.shape}, expected {(nq, self.feature_size)}"
@@ -229,18 +259,27 @@ class FeatureExtractor:
             if neighbor_idx is not None
             else self._memo_for(sample, query_points).idx
         )
-        pbuf = np.asarray(sample.points, dtype=np.float64)[idx.ravel()]
+        table = _sample_table(sample, normalizer)
+        return self._assemble(table, query_points, normalizer, out, idx)
 
-        # Neighbor coordinates: (pts - origin) / span per neighbor column,
-        # the difference held in float64 and the quotient rounded into out.
-        pts3 = pbuf.reshape(nq, kk, 3)
-        for j in range(kk):  # k is 5: a handful of strided block writes
-            diff = np.subtract(pts3[:, j, :], normalizer.origin)
-            np.divide(diff, normalizer.span, out=out[:, 4 * j : 4 * j + 3])
-        # The query's own normalized coordinates fill the last three columns.
+    @staticmethod
+    def _assemble(
+        table: np.ndarray,
+        query_points: np.ndarray,
+        normalizer: Normalizer,
+        out: np.ndarray,
+        idx: np.ndarray,
+    ) -> np.ndarray:
+        """Write one block's rows from a :func:`_sample_table`.
+
+        Every neighbor's (x, y, z, value) comes from one gather; the
+        query's own normalized coordinates fill the last three columns.
+        """
+        nq, kk = idx.shape
+        out[:, : 4 * kk] = np.take(table, idx, axis=0).reshape(nq, 4 * kk)
         diff = np.subtract(query_points, normalizer.origin)
         np.divide(diff, normalizer.span, out=out[:, 4 * kk :])
-        return self.values_into(sample, normalizer, out, idx)
+        return out
 
     def values_into(
         self,
@@ -252,22 +291,20 @@ class FeatureExtractor:
     ) -> np.ndarray:
         """Fill only the neighbor-value columns of a ``(Q, feature_size)`` block.
 
-        The value half of :meth:`features_into` — gather, subtract mean,
-        divide by std — with the same ops, so a block whose coordinate
-        columns are already in place comes out bit-identical to a fresh
-        :meth:`features_into` block.
+        The value half of :meth:`features_into`: each sample value is
+        standardized once (subtract mean, divide by std, the same ops) and
+        the block's neighbor slots gather from them, so a block whose
+        coordinate columns are already in place comes out bit-identical to
+        a fresh :meth:`features_into` block.
         """
         nq, kk = neighbor_idx.shape
         if workspace is not None:
+            values = workspace.buffer(("feat", "norm"), (len(sample.values),), dtype=np.float64)
             vbuf = workspace.buffer(("feat", "vals"), (nq, kk), dtype=np.float64)
-            if sample.values.dtype == np.float64:
-                np.take(sample.values, neighbor_idx, out=vbuf)
-            else:
-                vbuf[...] = sample.values[neighbor_idx]
+            np.take(_normalized_values(sample, normalizer, values), neighbor_idx, out=vbuf)
         else:
-            vbuf = sample.values[neighbor_idx].astype(np.float64)
-        vbuf -= normalizer.value_mean
-        vbuf /= normalizer.value_std
+            values = _normalized_values(sample, normalizer, np.empty(len(sample.values)))
+            vbuf = values[neighbor_idx]
         out[:, 3 : 4 * kk : 4] = vbuf
         return out
 
@@ -284,8 +321,8 @@ class FeatureExtractor:
         value columns — each neighbor's normalized (x, y, z) and the
         query's own — depend only on where the samples and queries are
         and on the coordinate normalization, never on sample values.
-        They are built once per geometry by :meth:`features_into`,
-        ``TRAINING_BLOCK`` rows at a time, into a ``(Q, feature_size)``
+        They are built once per geometry, as :meth:`features_into` builds
+        them, ``TRAINING_BLOCK`` rows at a time, into a ``(Q, feature_size)``
         block of the compute ``dtype`` (each element rounded once) and
         kept in the :class:`NeighborMemo` beside the neighbor indices.
         Callers refill the value columns with :meth:`values_into` before
@@ -298,11 +335,10 @@ class FeatureExtractor:
         key = (normalizer.origin.tobytes(), normalizer.span.tobytes(), np.dtype(dtype).str)
         if memo.block is None or memo.block_key != key:
             block = np.empty((len(idx), self.feature_size), dtype=dtype)
+            table = _sample_table(sample, normalizer)
             for start in range(0, len(idx), TRAINING_BLOCK):
                 rows = slice(start, start + TRAINING_BLOCK)
-                self.features_into(
-                    sample, query_points[rows], normalizer, block[rows], neighbor_idx=idx[rows]
-                )
+                self._assemble(table, query_points[rows], normalizer, block[rows], idx[rows])
             memo.block, memo.block_key = block, key
         return memo.block, idx
 
@@ -349,8 +385,9 @@ class FeatureExtractor:
 
         ``rows`` picks void locations by position in
         :meth:`SampledField.void_indices` (all of them, in order, by
-        default).  One kd-tree query finds their neighbors; each block then
-        gets its inputs from :meth:`features_into` and its targets from
+        default).  One kd-tree query finds their neighbors and the sample's
+        points and values are normalized once; each block then gets its
+        inputs as :meth:`features_into` builds them and its targets from
         :meth:`targets` over ``gradients`` (:meth:`training_gradients`).
         With ``out=(x, y)`` the blocks land in place in consecutive rows of
         ``x`` and ``y``; otherwise one ``dtype`` pair is refilled for every
@@ -370,6 +407,7 @@ class FeatureExtractor:
             void = void[rows]
         points = field.grid.index_to_position(field.grid.flat_to_multi(void))
         idx = self._neighbor_indices(sample, points)
+        table = _sample_table(sample, normalizer)
         if out is None:
             height = min(block, len(void))
             spare = (
@@ -382,9 +420,7 @@ class FeatureExtractor:
                 x, y = spare[0][: stop - start], spare[1][: stop - start]
             else:
                 x, y = out[0][start:stop], out[1][start:stop]
-            self.features_into(
-                sample, points[start:stop], normalizer, x, neighbor_idx=idx[start:stop]
-            )
+            self._assemble(table, points[start:stop], normalizer, x, idx[start:stop])
             y[...] = self.targets(field, void[start:stop], normalizer, gradients)
             yield x, y
 

@@ -19,11 +19,15 @@ defined on the whole grid.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
 
 from repro.grid import UniformGrid
 from repro.interpolation.base import GridInterpolator
+
+if TYPE_CHECKING:
+    from scipy.spatial import Delaunay
 
 __all__ = ["DelaunayLinearInterpolator"]
 
@@ -44,6 +48,8 @@ class DelaunayLinearInterpolator(GridInterpolator):
 
     # ------------------------------------------------------------- plumbing
     def _triangulate(self, points: np.ndarray) -> Delaunay:
+        from scipy.spatial import Delaunay
+
         # QJ joggles degenerate (cospherical/collinear) inputs instead of
         # failing; grid-aligned samples frequently need it.
         try:
@@ -78,6 +84,8 @@ class DelaunayLinearInterpolator(GridInterpolator):
 
     @staticmethod
     def _nearest_fill(points, values, query, _mask) -> np.ndarray:
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(points)
         _, idx = tree.query(query, k=1)
         return np.asarray(values)[idx]

@@ -20,12 +20,16 @@ timestep of a campaign) skip the ``meshgrid`` offset generation entirely.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.grid import UniformGrid
 from repro.interpolation.base import GridInterpolator
 from repro.obs import counter as obs_counter
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = ["NaturalNeighborInterpolator"]
 
@@ -72,6 +76,8 @@ class NaturalNeighborInterpolator(GridInterpolator):
         self, points: np.ndarray, values: np.ndarray, grid: UniformGrid
     ) -> tuple[np.ndarray, np.ndarray, cKDTree]:
         """Accumulate discrete-Sibson contributions over the whole grid."""
+        from scipy.spatial import cKDTree
+
         vals = np.asarray(values, dtype=np.float64)
         tree = cKDTree(points)
         nodes = grid.points()

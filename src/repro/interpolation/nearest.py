@@ -8,7 +8,6 @@ with discontinuities at Voronoi boundaries, hence consistently low SNR.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.grid import UniformGrid
 from repro.interpolation.base import GridInterpolator
@@ -31,6 +30,8 @@ class NearestNeighborInterpolator(GridInterpolator):
         query: np.ndarray,
         grid: UniformGrid,
     ) -> np.ndarray:
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(points)
         _, idx = tree.query(query, k=1, workers=self.workers)
         return np.asarray(values)[idx]

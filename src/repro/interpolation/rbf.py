@@ -12,7 +12,6 @@ wrapped in the shared interface.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import RBFInterpolator as _SciPyRBF
 
 from repro.grid import UniformGrid
 from repro.interpolation.base import GridInterpolator
@@ -44,6 +43,8 @@ class RBFInterpolator(GridInterpolator):
         query: np.ndarray,
         grid: UniformGrid,
     ) -> np.ndarray:
+        from scipy.interpolate import RBFInterpolator as _SciPyRBF
+
         points = np.asarray(points, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
         neighbors = self.neighbors

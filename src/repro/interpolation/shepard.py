@@ -13,7 +13,6 @@ global method's O(M) per-query cost for a local kd-tree lookup.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.grid import UniformGrid
 from repro.interpolation.base import GridInterpolator
@@ -40,6 +39,8 @@ class ModifiedShepardInterpolator(GridInterpolator):
         query: np.ndarray,
         grid: UniformGrid,
     ) -> np.ndarray:
+        from scipy.spatial import cKDTree
+
         values = np.asarray(values, dtype=np.float64)
         k = min(self.num_neighbors, len(points))
         tree = cKDTree(points)

@@ -294,27 +294,33 @@ class Trainer:
         counted = 0
         ws = self.model.workspace
         # getattr: loss wrappers (e.g. fault injectors) may predate supports_out
-        grad_out = (
-            getattr(self.loss, "supports_out", False)
-            and ws is not None
-            and ws.dtype == np.float64
-        )
+        grad_out = getattr(self.loss, "supports_out", False) and ws is not None
         for batch_index, start in enumerate(range(0, n, self.batch_size)):
             idx = order[start : start + self.batch_size]
             if ws is None:
                 xb, yb = x[idx], y[idx]
             else:
-                # Gather into arena buffers instead of fancy-index copies.
+                # Gather into arena buffers instead of fancy-index copies;
+                # ``order`` is a permutation of range(n), so "clip" only
+                # skips the bounds check.
                 xb = ws.buffer(("batch", "x"), (len(idx), x.shape[1]), dtype=x.dtype)
-                np.take(x, idx, axis=0, out=xb)
+                np.take(x, idx, axis=0, out=xb, mode="clip")
                 yb = ws.buffer(("batch", "y"), (len(idx), y.shape[1]), dtype=y.dtype)
-                np.take(y, idx, axis=0, out=yb)
+                np.take(y, idx, axis=0, out=yb, mode="clip")
             pred = self.model.forward(xb)
             batch_loss = self.loss.value(pred, yb)
             self.optimizer.zero_grad()
             if grad_out:
-                gbuf = ws.buffer(("loss", "grad"), pred.shape, dtype=np.float64)
-                self.model.backward(self.loss.gradient(pred, yb, out=gbuf))
+                # The loss gradient is float64 either way; the network
+                # takes it rounded once into its compute dtype.
+                grad = self.loss.gradient(
+                    pred, yb, out=ws.buffer(("loss", "grad"), pred.shape, dtype=np.float64)
+                )
+                if ws.dtype != np.float64:
+                    cast = ws.buffer(("loss", "cast"), pred.shape)
+                    cast[...] = grad
+                    grad = cast
+                self.model.backward(grad)
             else:
                 self.model.backward(self.loss.gradient(pred, yb))
             obs_counter("train.batches").inc()

@@ -131,15 +131,16 @@ def _peak_rss_kb() -> int | None:
 
 
 def _package_versions() -> dict:
+    # Installed-package metadata, not an import: a run that never builds a
+    # kd-tree, triangulation or RBF does not load scipy for its manifest.
+    from importlib import metadata
+
     versions = {"python": platform.python_version()}
     for name in ("numpy", "scipy"):
-        mod = sys.modules.get(name)
-        if mod is None:
-            try:
-                mod = __import__(name)
-            except ImportError:
-                continue
-        versions[name] = getattr(mod, "__version__", "unknown")
+        try:
+            versions[name] = metadata.version(name)
+        except metadata.PackageNotFoundError:
+            continue
     return versions
 
 

@@ -11,7 +11,6 @@ sampler, so features are visited first while spacing stays even.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.datasets.base import TimestepField
 from repro.sampling.base import Sampler
@@ -54,6 +53,8 @@ class PoissonDiskSampler(Sampler):
         return np.argsort(-(imp + noise))
 
     def select(self, field: TimestepField, fraction: float, rng: np.random.Generator) -> np.ndarray:
+        from scipy.spatial import cKDTree
+
         grid = field.grid
         n = grid.num_points
         budget = int(round(fraction * n))

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
-from repro.checks import ALL_RULES, Finding, format_sarif, sarif_report
+from repro.checks import ALL_RULES, Finding, format_sarif, run_checks, sarif_report
 from repro.checks.cli import main as checks_main
 
 FINDINGS = [
@@ -86,3 +87,31 @@ def test_cli_sarif_clean_run_has_empty_results(tmp_path, capsys):
 def test_format_sarif_is_valid_json():
     parsed = json.loads(format_sarif(FINDINGS, ALL_RULES))
     assert parsed == sarif_report(FINDINGS, ALL_RULES)
+
+
+def test_repeated_findings_get_distinct_fingerprints(tmp_path):
+    nn = tmp_path / "nn"
+    nn.mkdir()
+    (nn / "d.py").write_text(
+        "import numpy as np\n\n\ndef pair(x, y):\n    return np.asarray(x), np.asarray(y)\n"
+    )
+    findings = run_checks([str(nn / "d.py")]).findings
+    results = sarif_report(findings, ALL_RULES)["runs"][0]["results"]
+    fps = [r["partialFingerprints"]["reproChecksFingerprint/v1"] for r in results]
+    assert [r["ruleId"] for r in results] == ["DT001", "DT001"]
+    assert len(set(fps)) == 2
+    # The first of the repeats keeps the hash a lone finding gets.
+    assert fps[0] == sarif_report(findings[:1])["runs"][0]["results"][0][
+        "partialFingerprints"
+    ]["reproChecksFingerprint/v1"]
+
+
+def test_lone_finding_fingerprint_is_unchanged():
+    # sha256 of "src/a.py\x1fTHR001\x1funlocked write", as before repeats were numbered.
+    lone = Finding("src/a.py", 3, 4, "THR001", "unlocked write", severity="error")
+    fp = sarif_report([lone])["runs"][0]["results"][0]["partialFingerprints"]
+    assert fp == {
+        "reproChecksFingerprint/v1": hashlib.sha256(
+            "src/a.py\x1fTHR001\x1funlocked write".encode()
+        ).hexdigest()
+    }

@@ -1,15 +1,22 @@
-"""The in situ producer's two calls: slab field evaluation and gradient magnitude.
+"""The in situ producer's memory: slab field evaluation, gradient magnitude, imports.
 
 ``AnalyticDataset.field`` evaluates its grid in slabs of whole x-planes
 and ``gradient_magnitude`` adds squared per-axis gradients into one
 buffer.  Both must keep every byte of the plain expressions they replace
 (kept here as the references) while holding far less transient memory,
 because the pipelined scheduler runs two producers at once.
+
+The producer never builds a kd-tree, a triangulation or an RBF, so it
+must never import scipy: ``scipy.spatial`` alone adds about 32 MiB.
 """
 
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,3 +163,72 @@ class TestTransientMemory:
         sampler.sample(field, 0.05)
         # Stacking (N, 3) gradients and squaring them peaked near 13 MB.
         assert _traced_peak(lambda: sampler.sample(field, 0.05)) <= 10.0
+
+
+# ------------------------------------------------------------ import footprint
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Runs in a fresh interpreter: imports what the end-to-end workloads and
+#: the CLI import, runs a journaled two-timestep producer under a
+#: ``RunRecorder``, then builds one kd-tree.  Prints the scipy modules
+#: loaded after each phase as JSON.
+_PRODUCER_SCRIPT = """
+import ast, importlib, json, sys
+from pathlib import Path
+
+bench, out = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path.insert(0, str(bench))
+imported = []
+for node in ast.parse((bench / "workloads.py").read_text()).body:
+    if isinstance(node, ast.Import):
+        imported += [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        imported.append(node.module)
+for name in imported + ["repro.cli"]:
+    importlib.import_module(name)
+
+from repro.core.features import FeatureExtractor
+from repro.datasets.registry import make_dataset
+from repro.insitu.campaign import InSituWriter
+from repro.obs import RunRecorder
+from repro.sampling import MultiCriteriaSampler
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+data = make_dataset("combustion", dims=(12, 12, 6), seed=0)
+with RunRecorder(out / "run"):
+    writer = InSituWriter(data, MultiCriteriaSampler(seed=1), 0.05, train_model=False)
+    writer.run(out / "insitu", [0, 1], journal=True)
+after_producer = scipy_modules()
+
+field = data.field(0)
+sample = MultiCriteriaSampler(seed=1).sample(field, 0.05)
+extractor = FeatureExtractor()
+extractor.training_data(field, sample, extractor.fit_normalizer(sample, field))
+print(json.dumps({
+    "imported": imported,
+    "manifest": (out / "run" / "run.json").is_file(),
+    "after_producer": after_producer,
+    "after_tree": scipy_modules(),
+}))
+"""
+
+
+def test_producer_never_imports_scipy(tmp_path):
+    bench = REPO_ROOT / "benchmarks" / "e2e"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRODUCER_SCRIPT, str(bench), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert "repro.insitu.campaign" in got["imported"]
+    assert got["manifest"]
+    assert got["after_producer"] == []
+    assert "scipy.spatial" in got["after_tree"]
+    assert "scipy.interpolate" not in got["after_tree"]
